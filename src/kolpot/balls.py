@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .errors import NonPositiveLambda, RootNotBracketed, SliceOutOfRange
+from .errors import NonPositiveLambda, SliceOutOfRange
 from .fundsol import GammaEvaluator
 from .operators import GroupPoint, OperatorSpec, group_compose, group_inverse, transport_matrix
 
@@ -105,47 +104,14 @@ class Ellipsoid:
 def ball_time_extent(r: float, spec: OperatorSpec, ev: GammaEvaluator | None = None) -> float:
     """Temporal depth s_max: the unique s > 0 with det C(s) = r^2 (4 pi)^{-n}.
 
-    det C is a polynomial, zero at 0 and increasing to infinity on t > 0, so a
-    doubling bracket plus bisection plus a Newton polish is exact to ~1e-14
-    relative.
+    Dilation invariance gives det C(s) = s^(Q-2) det C(1) on s > 0, so the
+    root is closed-form: s_max = (r^2 (4 pi)^{-n} / det C(1))^(1/(Q-2)).
     """
     if r <= 0.0:
         raise NonPositiveLambda(f"ball radius must be positive, got {r}")
     ev = ev if ev is not None else GammaEvaluator(spec)
     target = r * r * (4.0 * math.pi) ** (-spec.n)
-    f = lambda s: ev.cov.detC(s) - target
-
-    hi = 1.0
-    for _ in range(2000):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise RootNotBracketed("det C never reached the level (should not happen)")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    s = 0.5 * (lo + hi)
-    dpoly = ev.cov.detC_deriv
-    for _ in range(60):
-        fs = f(s)
-        dfs = npoly.polyval(s, dpoly)
-        if dfs <= 0.0:
-            break
-        step = fs / dfs
-        s_new = s - step
-        if not (lo <= s_new <= hi):
-            break
-        s = s_new
-        if abs(step) <= 1e-15 * s:
-            break
-    return s
+    return float((target / ev.cov.detC(1.0)) ** (1.0 / (spec.Q - 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +140,9 @@ class LBall:
         """log(r (4 pi)^{-n/2}) reused by every slice."""
         return math.log(self.r) - 0.5 * self.spec.n * math.log(4.0 * math.pi)
 
-    def rho(self, s: float) -> float:
-        """Ellipsoid level of the slice at depth s; positive on (0, s_max)."""
-        detC = self.ev.cov.detC(s)
-        return 4.0 * (self.log_level() - 0.5 * math.log(detC))
+    def rho(self, s):
+        """Ellipsoid level of the slice at depth s (scalar or array); positive on (0, s_max)."""
+        return 4.0 * (self.log_level() - 0.5 * np.log(self.ev.cov.detC(s)))
 
     def slice_at(self, s: float) -> Ellipsoid:
         return ball_slice(s, self)

@@ -36,6 +36,7 @@ _EXPERIMENTS = {
 }
 _NEEDS_SEED = {"potential_identity", "interior_inequality", "rigidity", "lp_check"}
 _PERTURBATION_KINDS = {"spatial_shift", "radius_mismatch", "slice_scale", "bite"}
+_MAX_N = 3  # the slice cubature rules (quadrature.ball_rule) cover n = 1, 2, 3
 
 
 @dataclass
@@ -75,6 +76,8 @@ def _parse_operator(data: dict) -> OperatorSpec:
             raise SchemaError(f"operator.{key} is required for {r} drift blocks")
         blocks.append(np.asarray(data[key], dtype=float))
     n = int(sum(block_sizes))
+    if n > _MAX_N:
+        raise SchemaError(f"operator dimension n = {n} is not supported (n <= {_MAX_N})")
     return validate_operator(n, block_sizes, A0, blocks)
 
 

@@ -184,8 +184,14 @@ def det_covariance_polynomial(spec: OperatorSpec) -> np.ndarray:
 class CovarianceModel:
     """Bundle of the polynomial data for one operator, evaluated many times.
 
-    Provides cached E(s), C(t), det C(t) and their evaluations; this is the
-    working object the fundamental-solution and geometry layers share.
+    Provides E(s), C(t), det C(t) and their evaluations; this is the working
+    object the fundamental-solution and geometry layers share.
+
+    Every operator that validate_operator accepts has A only in the A0 block
+    and B only on the block subdiagonal, so the dilations D(l) = diag(l^w_i)
+    give C(s) = D(sqrt s) C(+-1) D(sqrt s) for s > 0 with the sign of t.
+    Inverse and Cholesky factor are therefore the ones at t = +-1, scaled;
+    nothing is factored per time.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -193,7 +199,10 @@ class CovarianceModel:
         self.E_poly = exponential_polynomial(spec)
         self.C_poly = covariance_polynomial(spec)
         self.detC_poly = det_covariance_polynomial(spec)
-        self.detC_deriv = npoly.polyder(self.detC_poly)
+        self.half_weights = 0.5 * np.asarray(spec.weights, dtype=float)
+        self.L1 = np.linalg.cholesky(self.C_poly(1.0))
+        self._K = {1.0: _spd_inverse(self.C_poly(1.0)),
+                   -1.0: -_spd_inverse(-self.C_poly(-1.0))}
 
     def E(self, s):
         return self.E_poly(s)
@@ -205,13 +214,15 @@ class CovarianceModel:
         return npoly.polyval(t, self.detC_poly)
 
     def C_inverse(self, t: float) -> np.ndarray:
+        """C(t)^{-1} = D(|t|^{-1/2}) C(sign t)^{-1} D(|t|^{-1/2})."""
         if t == 0.0:
             raise SingularAtZero("C(0) = 0 has no inverse")
         sign = 1.0 if t > 0 else -1.0
-        return sign * _spd_inverse(sign * self.C_poly(t))
+        d = abs(t) ** -self.half_weights
+        return self._K[sign] * np.outer(d, d)
 
     def C_cholesky(self, t: float) -> np.ndarray:
-        """Lower Cholesky factor of C(t) for t > 0."""
+        """Lower Cholesky factor of C(t) for t > 0: D(sqrt t) L(1)."""
         if t <= 0.0:
             raise SingularAtZero("Cholesky factor requires t > 0")
-        return np.linalg.cholesky(self.C_poly(t))
+        return (t ** self.half_weights)[:, None] * self.L1

@@ -43,10 +43,6 @@ class TimeZero(KolpotError):
     """The mean-value kernel is undefined on the time-zero hyperplane."""
 
 
-class RootNotBracketed(KolpotError):
-    """Internal root-finding failure (should not occur for monotone inputs)."""
-
-
 class SliceOutOfRange(KolpotError):
     """Requested slice time lies outside the ball's temporal extent."""
 

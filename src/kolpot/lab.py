@@ -71,11 +71,7 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
         slices = domain.signed_slices(tau)
         if not slices:
             return 0.0
-        C = ev.cov.C(delta)
-        try:
-            L = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            return 0.0
+        L = ev.cov.C_cholesky(delta)
         mean = transport_matrix(delta, spec) @ z.x
         MW = ev.W_quadratic(tau - t0)
         cW = transport_matrix(tau - t0, spec) @ x0

@@ -693,11 +693,10 @@ def gaussian_quadratic_auto(
 ) -> float:
     """Production entry point for Gaussian x quadratic slice integrals.
 
-    n = 1 goes through the polar rule, which is exact there.  In higher
-    dimension the whitened domain is classified: boundary everywhere beyond
-    the Gaussian window collapses to the closed-form full-space moment (or to
-    zero when the center is outside), everything else goes to the
-    normal-aligned tensor engine.
+    In every dimension the whitened domain is classified first: a boundary
+    everywhere beyond the Gaussian window collapses to the closed-form
+    full-space moment (or to zero when the center is outside), and everything
+    else goes to the normal-aligned tensor engine.
     """
     Qe = ell.shape
     rho = ell.level
@@ -788,14 +787,14 @@ def integrate_time_profile(
 
     converged = True
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        refinable = [c for c in heap if c[5] < max_depth]
-        if not refinable or ncells >= max_cells:
+        # depth-capped cells are never refined again: drop them from the heap,
+        # their value and error stay in the running totals
+        while heap and heap[0][5] >= max_depth:
+            heapq.heappop(heap)
+        if not heap or ncells >= max_cells:
             converged = False
             break
-        worst = min(refinable)
-        heap.remove(worst)
-        heapq.heapify(heap)
-        _, _, side, a, b, depth, val, err = worst
+        _, _, side, a, b, depth, val, err = heapq.heappop(heap)
         total -= val
         total_err -= err
         mid = 0.5 * (a + b)
@@ -815,31 +814,6 @@ def integrate_time_profile(
         )
     return IntegralResult(total, total_err, "exact", cells=ncells,
                           converged=converged, flags=flags)
-
-
-# ---------------------------------------------------------------------------
-# slice geometry helpers for a ball
-# ---------------------------------------------------------------------------
-
-
-class BallSliceCache:
-    """Per-ball geometry evaluated at arbitrary depths, shared by paths."""
-
-    def __init__(self, ball: LBall):
-        self.ball = ball
-        self.spec = ball.spec
-        self.cov = ball.ev.cov
-
-    def geometry(self, s: float):
-        """(center, ellipsoid) of the global slice at depth s; None if empty."""
-        if not 0.0 < s < self.ball.s_max:
-            return None
-        rho = self.ball.rho(s)
-        if rho <= 0.0:
-            return None
-        ell = self.ball.slice_at(s)
-        c = self.ball.slice_center(s)
-        return Ellipsoid(c, ell.shape, ell.level)
 
 
 # ---------------------------------------------------------------------------
@@ -994,29 +968,46 @@ def mc_sample_ball(ball: LBall, count: int, seed: int) -> list[GroupPoint]:
 
 
 def _exact_ball_profile(f, ball: LBall, kernel: bool):
-    """Vectorized-over-s profile of exact slice integrals of f (x W)."""
+    """Profile of exact slice integrals of f (x W), one stacked pass per call.
+
+    With D = D(sqrt s) the dilation, C(s) = D C(1) D and E(-s) = D E(-1) D^{-1},
+    so the slice at depth s is c(s) + sqrt(rho(s)) D T1 (unit ball), where
+    c(s) = E(-s) x0 and T1 = E(-1) L1 with L1 L1^T = C(1).  Its volume factor
+    is rho^{n/2} sqrt(det C(s)), and since D W_quadratic(-s) D = W_quadratic(-1)/s
+    the kernel in the unit-ball variable u is (rho/s) u^T G1 u with
+    G1 = T1^T W_quadratic(-1) T1.  Only per-operator constants are factored.
+    """
     spec = ball.spec
+    cov = ball.ev.cov
     deg = int(getattr(f, "space_degree", 0)) + (2 if kernel else 0)
     nodes, weights = ball_rule(spec.n, deg)
-    cache = BallSliceCache(ball)
-    t0 = ball.z0.t
-
-    def one(s: float) -> float:
-        geo = cache.geometry(s)
-        if geo is None:
-            return 0.0
-        T = geo.ball_map()
-        X = geo.center + nodes @ T.T
-        jac = geo.level ** (spec.n / 2.0) / math.sqrt(np.linalg.det(geo.shape))
-        vals = f.evaluate(X, t0 - s) if hasattr(f, "evaluate") else f(X, t0 - s)
-        if kernel:
-            MW = ball.ev.W_quadratic(-s)
-            Y = X - geo.center
-            vals = vals * np.einsum("ij,jk,ik->i", Y, MW, Y)
-        return jac * float(weights @ vals)
+    T1 = cov.E(-1.0) @ cov.L1
+    P = nodes @ T1.T
+    if kernel:
+        G1 = T1.T @ ball.ev.W_quadratic(-1.0) @ T1
+        kern = np.einsum("ij,jk,ik->i", nodes, G1, nodes)
+    x0, t0 = ball.z0.x, ball.z0.t
 
     def profile(s_arr):
-        return np.array([one(float(s)) for s in np.atleast_1d(s_arr)])
+        s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
+        out = np.zeros(s_arr.shape)
+        idx = np.flatnonzero((s_arr > 0.0) & (s_arr < ball.s_max))
+        rho = ball.rho(s_arr[idx])
+        keep = rho > 0.0
+        idx, rho = idx[keep], rho[keep]
+        if idx.size == 0:
+            return out
+        s = s_arr[idx]
+        centers = cov.E(-s) @ x0
+        scale = np.sqrt(rho)[:, None] * s[:, None] ** cov.half_weights
+        X = centers[:, None, :] + scale[:, None, :] * P
+        t = np.repeat(t0 - s, nodes.shape[0])
+        vals = f.evaluate(X.reshape(-1, spec.n), t).reshape(s.size, -1)
+        if kernel:
+            vals = vals * ((rho / s)[:, None] * kern)
+        jac = rho ** (spec.n / 2.0) * np.sqrt(cov.detC(s))
+        out[idx] = jac * (vals @ weights)
+        return out
 
     return profile
 

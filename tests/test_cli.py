@@ -57,6 +57,20 @@ def test_schema_requires_seed_for_sampling_experiments(tmp_path):
     assert code == 2
 
 
+def test_schema_rejects_dimension_above_three(tmp_path):
+    # n = 4 passes operator validation but has no slice cubature rule
+    payload = _tiny_config(tmp_path / "o")
+    payload["operator"] = {"block_sizes": [2, 2], "A0": [[1.0, 0.0], [0.0, 1.0]],
+                           "B1": [[1.0, 0.0], [0.0, 1.0]]}
+    payload["ball"]["z0"] = [0.0] * 5
+    payload["experiments"] = [{"name": "kernel_mass", "tolerance": 1e-06}]
+    path = _write(tmp_path, payload)
+    with pytest.raises(SchemaError, match="n = 4"):
+        load_config(path)
+    assert run(str(path)) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_schema_requires_all_sections(tmp_path):
     payload = _tiny_config(tmp_path / "o")
     del payload["output"]

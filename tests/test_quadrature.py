@@ -266,6 +266,68 @@ def test_time_profile_flags_budget_exhaustion():
     assert "tolerance_not_met" in res.flags
 
 
+def _time_rule_scan_reference(profile, lo, hi, order, rel_tol, max_depth, max_cells):
+    """The refinement loop as a whole-heap scan per step (O(cells^2))."""
+    import heapq
+
+    from kolpot.quadrature import _gl_pair
+
+    H = 0.5 * (hi - lo)
+    xs1, ws1, xs2, ws2 = _gl_pair(order)
+
+    def eval_cell(side, a, b):
+        w = np.concatenate([a + (b - a) * xs1, a + (b - a) * xs2])
+        s = lo + H * w ** 2 if side == 0 else hi - H * w ** 2
+        vals = np.asarray(profile(s)) * (2.0 * H * w * (b - a))
+        i_hi = float(ws1 @ vals[: xs1.size])
+        return i_hi, abs(i_hi - float(ws2 @ vals[xs1.size:]))
+
+    heap, counter, total, total_err, ncells = [], 0, 0.0, 0.0, 0
+    for side in (0, 1):
+        for k in range(4):
+            val, err = eval_cell(side, k / 4, (k + 1) / 4)
+            heapq.heappush(heap, (-err, counter, side, k / 4, (k + 1) / 4, 1, val, err))
+            counter += 1
+            total += val
+            total_err += err
+            ncells += 1
+    converged = True
+    while total_err > rel_tol * abs(total):
+        refinable = [c for c in heap if c[5] < max_depth]
+        if not refinable or ncells >= max_cells:
+            converged = False
+            break
+        worst = min(refinable)
+        heap.remove(worst)
+        heapq.heapify(heap)
+        _, _, side, a, b, depth, val, err = worst
+        total -= val
+        total_err -= err
+        mid = 0.5 * (a + b)
+        for aa, bb in ((a, mid), (mid, b)):
+            v, e = eval_cell(side, aa, bb)
+            heapq.heappush(heap, (-e, counter, side, aa, bb, depth + 1, v, e))
+            counter += 1
+            total += v
+            total_err += e
+            ncells += 1
+    return total, total_err, ncells, converged
+
+
+@pytest.mark.filterwarnings("ignore::kolpot.errors.ToleranceWarning")
+@pytest.mark.parametrize("max_depth,max_cells", [(48, 4096), (6, 4096), (30, 60)])
+def test_time_profile_refinement_order_matches_scan_reference(max_depth, max_cells):
+    # converged, depth-capped and cell-capped runs must all be bit-identical
+    def profile(s):
+        s = np.asarray(s)
+        return 1.0 / np.sqrt(np.abs(s - 0.37) + 1e-12) + np.log(s + 1e-300) ** 2
+
+    kw = dict(order=16, rel_tol=1e-10, max_depth=max_depth, max_cells=max_cells)
+    res = integrate_time_profile(profile, 0.0, 1.0, **kw)
+    ref = _time_rule_scan_reference(profile, 0.0, 1.0, **kw)
+    assert (res.value, res.error, res.cells, res.converged) == ref
+
+
 def test_kernel_integral_equals_radius(balls, quad_cfg):
     # integrating the bare kernel over the ball returns exactly the radius
     for name, ball in balls.items():
