@@ -31,13 +31,12 @@ from .covariance import (
     covariance_inverse_at,
     det_covariance_polynomial,
 )
-from .fundsol import GammaEvaluator, gamma_at, Gamma, kernel_W
+from .fundsol import GammaEvaluator
 from .balls import (
     Ellipsoid,
     LBall,
     lball,
     ball_time_extent,
-    ball_slice,
     ball_contains,
     ball_classify,
     ball_bounding_box,

@@ -10,9 +10,20 @@ Writing z = z0 o (xi, -s) with 0 < s < s_max, the condition becomes
     rho(s) = 4 log( r (4 pi)^{-n/2} det C(s)^{-1/2} ),
 
 so every time slice is an exact ellipsoid and the temporal depth s_max is the
-unique positive root of det C(s) = r^2 (4 pi)^{-n}.  Balls are constructed at
-the origin and moved by group translation, which is exact; dilation by lam
-maps the radius to lam^{Q-2} r.
+unique positive root of det C(s) = r^2 (4 pi)^{-n}.  With the dilation
+D = diag(s^{w/2}), C(s) = D C(1) D, E(s) = D E(1) D^{-1} and
+det C(s) = s^{Q-2} det C(1), so rho(s) = 2 (Q-2) log(s_max / s) and the slice
+at global time t0 - s is, in global spatial coordinates,
+
+    D E(-1) D^{-1} x0 + sqrt(rho(s)) D T1 B,    T1 = E(-1) L1,  L1 L1^T = C(1),
+
+with B the open unit ball: shape matrix D^{-1} S1 D^{-1} with
+S1 = (T1 T1^T)^{-1}, and volume |B_n| rho^{n/2} sqrt(det C(s)).  E(-1), T1
+and S1 are per-operator constants of CovarianceModel; LBall.slices evaluates
+the formula for a stack of depths, and every slice consumer reads it from
+there.  Balls
+are constructed at the origin and moved by group translation, which is exact;
+dilation by lam maps the radius to lam^{Q-2} r.
 """
 
 from __future__ import annotations
@@ -20,19 +31,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonPositiveLambda, SliceOutOfRange
 from .fundsol import GammaEvaluator
-from .operators import GroupPoint, OperatorSpec, group_compose, group_inverse, transport_matrix
+from .operators import GroupPoint, OperatorSpec, group_compose, group_inverse
 
 __all__ = [
     "Ellipsoid",
     "LBall",
     "lball",
     "ball_time_extent",
-    "ball_slice",
+    "SliceStack",
     "ball_contains",
     "ball_classify",
     "ball_bounding_box",
@@ -114,6 +126,24 @@ def ball_time_extent(r: float, spec: OperatorSpec, ev: GammaEvaluator | None = N
     return float((target / ev.cov.detC(1.0)) ** (1.0 / (spec.Q - 2)))
 
 
+class SliceStack(NamedTuple):
+    """The slices of one ball at a stack of depths, from LBall.slices.
+
+    Only depths with 0 < s < s_max and rho(s) > 0 are kept; ``idx`` holds
+    their positions in the input.  Slice k is the ellipsoid
+    center[k] + scale[k] * (u @ T1.T), u in the open unit ball, whose shape
+    matrix is shape[k] and whose level is rho[k].
+    """
+
+    idx: np.ndarray     # (m,) positions of the kept depths in the input
+    s: np.ndarray       # (m,) the kept depths
+    rho: np.ndarray     # (m,) ellipsoid levels
+    center: np.ndarray  # (m, n) global centers E(-s) x0
+    scale: np.ndarray   # (m, n) per-axis scales sqrt(rho) s^(w/2)
+    shape: np.ndarray   # (m, n, n) shape matrices D^{-1} S1 D^{-1}
+    volume: np.ndarray  # (m,) volumes |B_n| rho^(n/2) sqrt(det C(s))
+
+
 @dataclass(frozen=True, eq=False)
 class LBall:
     """The ball Omega_r(z0) with its slice machinery.
@@ -136,32 +166,47 @@ class LBall:
     def time_interval(self) -> tuple[float, float]:
         return (self.z0.t - self.s_max, self.z0.t)
 
-    def log_level(self) -> float:
-        """log(r (4 pi)^{-n/2}) reused by every slice."""
-        return math.log(self.r) - 0.5 * self.spec.n * math.log(4.0 * math.pi)
-
     def rho(self, s):
-        """Ellipsoid level of the slice at depth s (scalar or array); positive on (0, s_max)."""
-        return 4.0 * (self.log_level() - 0.5 * np.log(self.ev.cov.detC(s)))
+        """Ellipsoid level of the slice at depth s (scalar or array); positive on (0, s_max).
+
+        det C(s) = s^(Q-2) det C(1) and det C(s_max) = r^2 (4 pi)^{-n} give
+        rho(s) = 2 (Q - 2) log(s_max / s).
+        """
+        return 2.0 * (self.spec.Q - 2) * np.log(self.s_max / np.asarray(s, dtype=float))
+
+    def slices(self, s) -> SliceStack:
+        """The slices at an array of depths, in one stacked pass (module docstring)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        idx = np.flatnonzero((s > 0.0) & (s < self.s_max))
+        rho = self.rho(s[idx])
+        keep = rho > 0.0
+        idx, rho = idx[keep], rho[keep]
+        s = s[idx]
+        cov = self.ev.cov
+        n = self.spec.n
+        dil = s[:, None] ** cov.half_weights  # the diagonal of D = D(sqrt s)
+        sqrt_det = self.r * self.ev.norm * (s / self.s_max) ** (0.5 * (self.spec.Q - 2))
+        return SliceStack(
+            idx=idx,
+            s=s,
+            rho=rho,
+            center=dil * ((self.z0.x / dil) @ cov.E_minus1.T),
+            scale=np.sqrt(rho)[:, None] * dil,
+            shape=cov.S1 / (dil[:, :, None] * dil[:, None, :]),
+            volume=unit_ball_volume(n) * rho ** (n / 2.0) * sqrt_det,
+        )
 
     def slice_at(self, s: float) -> Ellipsoid:
-        return ball_slice(s, self)
+        """Origin-frame ellipsoid of the slice at depth s in (0, s_max)."""
+        sl = self.slices(s)
+        if sl.idx.size == 0:
+            raise SliceOutOfRange(f"no slice at s={s:g}: outside (0, {self.s_max:g}) "
+                                  "or nonpositive level")
+        return Ellipsoid(np.zeros(self.spec.n), sl.shape[0], float(sl.rho[0]))
 
     def slice_center(self, s: float) -> np.ndarray:
         """Global spatial center of the slice at global time t0 - s: E(-s) x0."""
-        return transport_matrix(-s, self.spec) @ self.z0.x
-
-    def slice_volume(self, s: float) -> float:
-        """Spatial volume of the slice at depth s (0 outside (0, s_max))."""
-        if not 0.0 < s < self.s_max:
-            return 0.0
-        rho = self.rho(s)
-        if rho <= 0.0:
-            return 0.0
-        # det shape = det C(s)^{-1} since det E = 1
-        return unit_ball_volume(self.spec.n) * rho ** (self.spec.n / 2.0) * math.sqrt(
-            self.ev.cov.detC(s)
-        )
+        return self.ev.cov.E(-s) @ self.z0.x
 
     def to_origin_frame(self, z: GroupPoint) -> GroupPoint:
         return group_compose(z, group_inverse(self.z0, self.spec), self.spec)
@@ -188,23 +233,6 @@ def lball(spec: OperatorSpec, r: float, z0: GroupPoint | None = None,
     return LBall(z0=z0, r=float(r), s_max=s_max, spec=spec, ev=ev)
 
 
-def ball_slice(s: float, ball: LBall) -> Ellipsoid:
-    """Origin-frame ellipsoid of the slice at depth s in (0, s_max).
-
-    Shape matrix E(s)^T C(s)^{-1} E(s), level rho(s); the slice degenerates as
-    s -> s_max (rho -> 0) and as s -> 0.
-    """
-    if not 0.0 < s < ball.s_max:
-        raise SliceOutOfRange(f"s={s:g} outside (0, {ball.s_max:g})")
-    rho = ball.rho(s)
-    if rho <= 0.0:
-        raise SliceOutOfRange(f"slice level nonpositive at s={s:g}")
-    E = transport_matrix(s, ball.spec)
-    Cinv = ball.ev.cov.C_inverse(s)
-    M = E.T @ Cinv @ E
-    return Ellipsoid(np.zeros(ball.spec.n), 0.5 * (M + M.T), rho)
-
-
 def ball_contains(z: GroupPoint, ball: LBall) -> bool:
     """Direct membership: Gamma(z0, z) > 1/r."""
     return ball.gamma_from_center(z) > 1.0 / ball.r
@@ -223,43 +251,31 @@ def ball_classify(z: GroupPoint, ball: LBall, shell: float = 1e-12) -> str:
     return "inside" if g > level else "outside"
 
 
-def _slice_extent_profile(ball: LBall):
-    """Per-axis slice centers and half-widths as functions of s.
-
-    The inverse shape is E(-s) C(s) E(-s)^T, so no solves are needed.
-    """
-    spec = ball.spec
-
-    def profile(s: float):
-        Einv = transport_matrix(-s, spec)
-        Minv = Einv @ ball.ev.cov.C(s) @ Einv.T
-        rho = ball.rho(s)
-        if rho <= 0.0:
-            return ball.slice_center(s), np.zeros(spec.n)
-        return ball.slice_center(s), np.sqrt(rho * np.clip(np.diag(Minv), 0.0, None))
-
-    return profile
-
-
 def ball_bounding_box(ball: LBall, samples: int = 1024) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box containing the ball: (lo, hi), last coordinate time.
 
-    Per-axis extents of the slice ellipsoids are sampled over s and refined by
-    golden-section search around the best sample.
+    Along axis i the slice at depth s spans c_i(s) +- sqrt(rho) s^(w_i/2)
+    |row i of T1|.  These reaches are sampled on a graded grid in one stacked
+    call and refined by golden-section search around the best sample.
     """
     spec = ball.spec
-    profile = _slice_extent_profile(ball)
+    row_norms = np.linalg.norm(ball.ev.cov.T1, axis=1)
+
+    def reach(s):
+        """Upper and lower slice reach per axis; -inf and +inf where there is no slice."""
+        s = np.atleast_1d(s)
+        up = np.full((s.size, spec.n), -np.inf)
+        dn = np.full((s.size, spec.n), np.inf)
+        sl = ball.slices(s)
+        half = sl.scale * row_norms
+        up[sl.idx] = sl.center + half
+        dn[sl.idx] = sl.center - half
+        return up, dn
+
     # dense interior grid, graded toward both endpoints
     u = np.linspace(0.0, 1.0, samples + 2)[1:-1]
     grid = ball.s_max * np.sin(0.5 * math.pi * u) ** 2
-    lo = np.full(spec.n, np.inf)
-    hi = np.full(spec.n, -np.inf)
-    centers = np.empty((grid.size, spec.n))
-    extents = np.empty((grid.size, spec.n))
-    for k, s in enumerate(grid):
-        c, e = profile(s)
-        centers[k] = c
-        extents[k] = e
+    up, dn = reach(grid)
 
     gold = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -281,12 +297,11 @@ def ball_bounding_box(ball: LBall, samples: int = 1024) -> tuple[np.ndarray, np.
                 break
         return max(fc, fd)
 
+    lo = np.empty(spec.n)
+    hi = np.empty(spec.n)
     for i in range(spec.n):
-        up = centers[:, i] + extents[:, i]
-        dn = centers[:, i] - extents[:, i]
-        k_up, k_dn = int(np.argmax(up)), int(np.argmin(dn))
-        hi[i] = refine(lambda s, i=i: profile(s)[0][i] + profile(s)[1][i], k_up)
-        lo[i] = -refine(lambda s, i=i: -(profile(s)[0][i] - profile(s)[1][i]), k_dn)
+        hi[i] = refine(lambda s, i=i: reach(s)[0][0, i], int(np.argmax(up[:, i])))
+        lo[i] = -refine(lambda s, i=i: -reach(s)[1][0, i], int(np.argmin(dn[:, i])))
     t_lo, t_hi = ball.time_interval
     return (
         np.concatenate([lo, [t_lo]]),
@@ -316,16 +331,15 @@ def export_slices_csv(ball: LBall, path, count: int = 200) -> None:
         + [f"shape_{i}{j}" for i in range(n) for j in range(n)]
         + ["rho"]
     )
+    sl = ball.slices(ball.s_max * np.arange(1, count + 1) / (count + 1))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(1, count + 1):
-            s = ball.s_max * k / (count + 1)
-            ell = ball.slice_at(s)
+        for k in range(sl.s.size):
             row = (
-                [repr(float(s))]
-                + [repr(float(c)) for c in ball.slice_center(s)]
-                + [repr(float(v)) for v in ell.shape.ravel()]
-                + [repr(float(ell.level))]
+                [repr(float(sl.s[k]))]
+                + [repr(float(c)) for c in sl.center[k]]
+                + [repr(float(v)) for v in sl.shape[k].ravel()]
+                + [repr(float(sl.rho[k]))]
             )
             writer.writerow(row)

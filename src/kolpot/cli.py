@@ -148,7 +148,7 @@ def describe(config_path: str, slices_csv: str | None = None) -> int:
     spec = cfg.spec
     print(f"operator: n={spec.n} blocks={list(spec.block_sizes)} Q={spec.Q} "
           f"hash={operator_hash(spec)}")
-    if spec.r == 0 and np.array_equal(spec.A0, np.eye(spec.n)):
+    if spec.is_heat:
         print("heat operator specialization (B = 0, A = I)")
     ev = GammaEvaluator(spec)
     z0 = spec.point(np.asarray(cfg.z0[:-1]), cfg.z0[-1])

@@ -191,7 +191,11 @@ class CovarianceModel:
     and B only on the block subdiagonal, so the dilations D(l) = diag(l^w_i)
     give C(s) = D(sqrt s) C(+-1) D(sqrt s) for s > 0 with the sign of t.
     Inverse and Cholesky factor are therefore the ones at t = +-1, scaled;
-    nothing is factored per time.
+    nothing is factored per time.  The same dilations give E(-s) =
+    D(sqrt s) E(-1) D(sqrt s)^{-1} and the unit slice constants of the
+    level-set balls: T1 = E(-1) L1 maps the unit ball onto the depth-one slice
+    shape, and S1 = (T1 T1^T)^{-1} = E(1)^T C(1)^{-1} E(1) is that shape's
+    matrix.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -201,6 +205,9 @@ class CovarianceModel:
         self.detC_poly = det_covariance_polynomial(spec)
         self.half_weights = 0.5 * np.asarray(spec.weights, dtype=float)
         self.L1 = np.linalg.cholesky(self.C_poly(1.0))
+        self.E_minus1 = self.E_poly(-1.0)
+        self.T1 = self.E_minus1 @ self.L1
+        self.S1 = _spd_inverse(self.T1 @ self.T1.T)
         self._K = {1.0: _spd_inverse(self.C_poly(1.0)),
                    -1.0: -_spd_inverse(-self.C_poly(-1.0))}
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import Ellipsoid, LBall, ball_bounding_box
+from .balls import Ellipsoid, LBall, ball_bounding_box, lball
 from .operators import GroupPoint
 
 __all__ = [
@@ -65,13 +65,11 @@ class SlicedDomain:
 
 
 def _global_slice(ball: LBall, s: float) -> Ellipsoid | None:
-    if not 0.0 < s < ball.s_max:
+    """The slice at depth s in global spatial coordinates; None where there is none."""
+    sl = ball.slices(s)
+    if sl.idx.size == 0:
         return None
-    rho = ball.rho(s)
-    if rho <= 0.0:
-        return None
-    ell = ball.slice_at(s)
-    return Ellipsoid(ball.slice_center(s), ell.shape, ell.level)
+    return Ellipsoid(sl.center[0], sl.shape[0], float(sl.rho[0]))
 
 
 @dataclass(eq=False)
@@ -302,8 +300,6 @@ def make_perturbation(ball: LBall, kind: str, magnitude: float) -> SlicedDomain:
         h[0] = magnitude * half
         return ShiftedBall(ball, h)
     if kind == "radius_mismatch":
-        from .balls import lball
-
         other = lball(ball.spec, (1.0 + magnitude) * ball.r, ball.z0, ball.ev)
         return RadiusMismatchBall(ball, other)
     if kind == "slice_scale":

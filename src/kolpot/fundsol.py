@@ -22,7 +22,7 @@ from .covariance import CovarianceModel
 from .errors import TimeZero
 from .operators import GroupPoint, OperatorSpec, group_compose, group_inverse
 
-__all__ = ["GammaEvaluator", "gamma_at", "Gamma", "kernel_W"]
+__all__ = ["GammaEvaluator"]
 
 # exp underflows to subnormals below ~ -745; returned as exact zero
 _EXP_UNDERFLOW = -745.0
@@ -91,14 +91,3 @@ class GammaEvaluator:
         M = 0.25 * Cinv @ self.spec.A @ Cinv
         return 0.5 * (M + M.T)
 
-
-def gamma_at(z: GroupPoint, ev: GammaEvaluator) -> float:
-    return ev.gamma(z)
-
-
-def Gamma(z: GroupPoint, zeta: GroupPoint, ev: GammaEvaluator) -> float:
-    return ev.Gamma(z, zeta)
-
-
-def kernel_W(z: GroupPoint, ev: GammaEvaluator) -> float:
-    return ev.W(z)

@@ -26,7 +26,14 @@ from scipy.special import ndtri
 
 from . import __version__ as _version
 from .balls import LBall, ball_bounding_box
-from .domains import ExactBall, RadiusMismatchBall, ScaledBall, SlicedDomain
+from .domains import (
+    BittenBall,
+    ExactBall,
+    IndicatorDomain,
+    RadiusMismatchBall,
+    ScaledBall,
+    SlicedDomain,
+)
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
 from .quadrature import (
@@ -129,8 +136,6 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     the kernel's singular time t0 it is split there.  Indicator-defined
     domains fall back to flagged box Monte Carlo.
     """
-    from .domains import IndicatorDomain
-
     if isinstance(domain, IndicatorDomain):
         return _mc_box_kernel_gamma(domain, ball, z, cfg, t_min)
     t_lo, t_hi = domain.time_interval
@@ -464,8 +469,6 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     refinement the estimate is flagged uncertified: the gluing condition
     fails and the true norm is infinite.
     """
-    from .domains import IndicatorDomain
-
     flags = []
     if p <= ball.spec.Q / 2.0:
         flags.append("p_not_above_Q_half")
@@ -550,8 +553,6 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
 
 
 def _nested_family(domain: SlicedDomain) -> bool:
-    from .domains import BittenBall
-
     return isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
 
 

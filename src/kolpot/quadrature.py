@@ -4,8 +4,10 @@ Three layers:
 
 * exact slice integrals: polynomials over ellipsoids via unit-ball monomial
   moments (or degree-exact product cubature on the unit ball), quadratics in
-  closed form, and Gaussian-times-quadratic integrands by a polar rule whose
-  radial factor is integrated in closed form with incomplete gamma functions;
+  closed form, and Gaussian-times-quadratic integrands by the normal-aligned
+  tensor engine behind ``gaussian_quadratic_auto`` (the polar rule
+  ``gaussian_quadratic_ellipsoid``, radially exact through incomplete gamma
+  functions, is kept as an independent cross-check for the tests);
 * a 1-d adaptive time integrator with square-root compression at both
   endpoints, which tames the integrable kernel blow-up near the pole and the
   degenerating slices at the far end;
@@ -24,10 +26,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtri
+from scipy.special import erf, gammainc, gammaincc, ndtri
 
-from .balls import Ellipsoid, LBall
-from .errors import ToleranceWarning
+from .balls import Ellipsoid, LBall, SliceStack, unit_ball_volume
+from .errors import SliceOutOfRange, ToleranceWarning
+from .harmonic import AnisoPolynomial
 from .operators import GroupPoint
 
 __all__ = [
@@ -289,7 +292,8 @@ def ellipsoid_quadratic_integral(ell: Ellipsoid, M: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian x quadratic over an ellipsoid: polar rule, radially exact
+# Gaussian x quadratic over an ellipsoid: polar rule, radially exact (a
+# cross-check; production slices go through gaussian_quadratic_auto below)
 # ---------------------------------------------------------------------------
 
 
@@ -402,8 +406,6 @@ _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
     """(F0, F1, F2) with F_k = int_lo^hi v^k e^{-v^2} dv, elementwise."""
-    from scipy.special import erf
-
     e_lo = np.exp(-lo ** 2)
     e_hi = np.exp(-hi ** 2)
     df = erf(hi) - erf(lo)
@@ -411,12 +413,6 @@ def _erf_moments(lo: np.ndarray, hi: np.ndarray):
     F1 = 0.5 * (e_lo - e_hi)
     F2 = 0.5 * (lo * e_lo - hi * e_hi) + 0.25 * math.sqrt(math.pi) * df
     return F0, F1, F2
-
-
-@lru_cache(maxsize=None)
-def _gl01(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _compressed_nodes(lo, hi, order: int):
@@ -427,7 +423,7 @@ def _compressed_nodes(lo, hi, order: int):
     grazing domain boundaries analytic.  ``lo``/``hi`` may be arrays; the
     rule broadcasts over them (leading axes), nodes on the last axis.
     """
-    y, wy = _gl01(order)
+    y, wy = _leggauss01(order)
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     mid = 0.5 * (lo + hi)
@@ -477,7 +473,7 @@ def _normal_frame(Aq: np.ndarray, cv: np.ndarray, level: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tail_gl(order: int):
     """Panel fractions and panel-local GL nodes for tail segments."""
-    y, wy = _gl01(order)
+    y, wy = _leggauss01(order)
     fr = np.array([0.0, 0.18, 0.45, 1.0])
     return fr, y, wy
 
@@ -573,7 +569,7 @@ def gaussian_quadratic_tensor(
             short = (hi_g - lo_g) <= 1.2
             nodes_list, wts_list, rows = [], [], []
             idx_g = np.nonzero(glm)[0]
-            y16, w16 = _gl01(16)
+            y16, w16 = _leggauss01(16)
             if np.any(short):
                 a = lo_g[short][:, None]
                 bb = hi_g[short][:, None]
@@ -841,32 +837,22 @@ class MCSampler:
     def __init__(self, ball: LBall):
         self.ball = ball
         self.n = ball.spec.n
-        m = self.GRID
-        w = np.linspace(0.0, 1.0, m + 1)
+        w = np.linspace(0.0, 1.0, self.GRID + 1)
         s = ball.s_max * w ** 2
         jac = 2.0 * ball.s_max * w
-        vols = np.array([ball.slice_volume(float(si)) for si in s])
-        kmass = np.empty_like(vols)
-        for i, si in enumerate(s):
-            kmass[i] = self._kernel_slice_mass(float(si))
+        sl = ball.slices(s)
+        vols = np.zeros(s.size)
+        vols[sl.idx] = sl.volume
+        # int over the slice of W(-s) = vol * rho tr(W(-s) shape^{-1}) / (n + 2),
+        # and tr(W(-s) shape^{-1}) = tr(G1) / s
+        trace_g1 = float(np.trace(_unit_kernel(ball)))
+        kmass = np.zeros(s.size)
+        kmass[sl.idx] = sl.volume * (sl.rho / sl.s) * (trace_g1 / (self.n + 2.0))
         self.w_grid = w
         self.vol_density = vols * jac
         self.kernel_density = kmass * jac
         self.volume, self.vol_cdf = self._build_cdf(self.vol_density)
         self.kernel_mass, self.kernel_cdf = self._build_cdf(self.kernel_density)
-
-    def _kernel_slice_mass(self, s: float) -> float:
-        ball = self.ball
-        if not 0.0 < s < ball.s_max:
-            return 0.0
-        rho = ball.rho(s)
-        if rho <= 0.0:
-            return 0.0
-        ell = ball.slice_at(s)
-        MW = ball.ev.W_quadratic(-s)
-        return ellipsoid_quadratic_integral(
-            Ellipsoid(np.zeros(self.n), ell.shape, ell.level), MW
-        )
 
     def _build_cdf(self, density: np.ndarray):
         dw = np.diff(self.w_grid)
@@ -895,24 +881,16 @@ class MCSampler:
         pdf = (g0 + 2.0 * a * y) / total
         return w, pdf
 
-    def _spatial(self, u_dir: np.ndarray, u_rad: np.ndarray, s: np.ndarray):
-        """Uniform points in the slice ellipsoids at the given depths."""
-        count = s.size
-        X = np.empty((count, self.n))
+    def _spatial(self, u_dir: np.ndarray, u_rad: np.ndarray, sl: SliceStack) -> np.ndarray:
+        """Uniform points in the slices of ``sl``: center + scale * (u @ T1.T)."""
         normals = ndtri(np.clip(u_dir, 1e-15, 1.0 - 1e-15))
+        nv = np.linalg.norm(normals, axis=1)
+        zero = nv == 0.0
+        normals[zero, 0] = 1.0
+        nv[zero] = 1.0
         radius = u_rad ** (1.0 / self.n) * (1.0 - 1e-12)
-        for i in range(count):
-            ell = self.ball.slice_at(float(s[i]))
-            T = ell.ball_map()
-            v = normals[i]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                v = np.zeros(self.n)
-                v[0] = 1.0
-                nv = 1.0
-            u = v / nv * radius[i]
-            X[i] = self.ball.slice_center(float(s[i])) + T @ u
-        return X
+        u = normals / nv[:, None] * radius[:, None]
+        return sl.center + sl.scale * (u @ self.ball.ev.cov.T1.T)
 
     def _uniforms(self, count: int, seed: int, workers: int = 1) -> np.ndarray:
         cols = self.n + 2
@@ -948,9 +926,11 @@ class MCSampler:
         w, pdf_w = self._invert(U[:, 0], density, cdf)
         s = self.ball.s_max * w ** 2
         jac = 2.0 * self.ball.s_max * w
-        X = self._spatial(U[:, 1: 1 + self.n], U[:, 1 + self.n], s)
-        vols = np.array([self.ball.slice_volume(float(si)) for si in s])
-        p_sx = pdf_w / jac / vols
+        sl = self.ball.slices(s)
+        if sl.idx.size != count:
+            raise SliceOutOfRange("a sampled depth lies outside (0, s_max)")
+        X = self._spatial(U[:, 1: 1 + self.n], U[:, 1 + self.n], sl)
+        p_sx = pdf_w / jac / sl.volume
         return X, s, p_sx
 
 
@@ -967,46 +947,44 @@ def mc_sample_ball(ball: LBall, count: int, seed: int) -> list[GroupPoint]:
 # ---------------------------------------------------------------------------
 
 
+def _unit_kernel(ball: LBall) -> np.ndarray:
+    """G1 = T1^T W_quadratic(-1) T1, the kernel in the unit-ball variable.
+
+    With D = D(sqrt s), D W_quadratic(-s) D = W_quadratic(-1) / s, so on the
+    slice at depth s, x - c(s) = scale * (u @ T1.T) gives
+    W = (rho / s) u^T G1 u.
+    """
+    T1 = ball.ev.cov.T1
+    return T1.T @ ball.ev.W_quadratic(-1.0) @ T1
+
+
 def _exact_ball_profile(f, ball: LBall, kernel: bool):
     """Profile of exact slice integrals of f (x W), one stacked pass per call.
 
-    With D = D(sqrt s) the dilation, C(s) = D C(1) D and E(-s) = D E(-1) D^{-1},
-    so the slice at depth s is c(s) + sqrt(rho(s)) D T1 (unit ball), where
-    c(s) = E(-s) x0 and T1 = E(-1) L1 with L1 L1^T = C(1).  Its volume factor
-    is rho^{n/2} sqrt(det C(s)), and since D W_quadratic(-s) D = W_quadratic(-1)/s
-    the kernel in the unit-ball variable u is (rho/s) u^T G1 u with
-    G1 = T1^T W_quadratic(-1) T1.  Only per-operator constants are factored.
+    The slices come from ``LBall.slices``; a degree-exact unit-ball rule is
+    mapped onto each of them, f is evaluated once for all nodes with per-row
+    times, and the kernel is (rho/s) u^T G1 u (``_unit_kernel``).
     """
-    spec = ball.spec
-    cov = ball.ev.cov
+    n = ball.spec.n
     deg = int(getattr(f, "space_degree", 0)) + (2 if kernel else 0)
-    nodes, weights = ball_rule(spec.n, deg)
-    T1 = cov.E(-1.0) @ cov.L1
-    P = nodes @ T1.T
+    nodes, weights = ball_rule(n, deg)
+    P = nodes @ ball.ev.cov.T1.T
+    mean_weights = weights / unit_ball_volume(n)
     if kernel:
-        G1 = T1.T @ ball.ev.W_quadratic(-1.0) @ T1
-        kern = np.einsum("ij,jk,ik->i", nodes, G1, nodes)
-    x0, t0 = ball.z0.x, ball.z0.t
+        kern = np.einsum("ij,jk,ik->i", nodes, _unit_kernel(ball), nodes)
+    t0 = ball.z0.t
 
     def profile(s_arr):
-        s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-        out = np.zeros(s_arr.shape)
-        idx = np.flatnonzero((s_arr > 0.0) & (s_arr < ball.s_max))
-        rho = ball.rho(s_arr[idx])
-        keep = rho > 0.0
-        idx, rho = idx[keep], rho[keep]
-        if idx.size == 0:
+        sl = ball.slices(s_arr)
+        out = np.zeros(np.size(s_arr))
+        if sl.idx.size == 0:
             return out
-        s = s_arr[idx]
-        centers = cov.E(-s) @ x0
-        scale = np.sqrt(rho)[:, None] * s[:, None] ** cov.half_weights
-        X = centers[:, None, :] + scale[:, None, :] * P
-        t = np.repeat(t0 - s, nodes.shape[0])
-        vals = f.evaluate(X.reshape(-1, spec.n), t).reshape(s.size, -1)
+        X = sl.center[:, None, :] + sl.scale[:, None, :] * P
+        t = np.repeat(t0 - sl.s, nodes.shape[0])
+        vals = f.evaluate(X.reshape(-1, n), t).reshape(sl.s.size, -1)
         if kernel:
-            vals = vals * ((rho / s)[:, None] * kern)
-        jac = rho ** (spec.n / 2.0) * np.sqrt(cov.detC(s))
-        out[idx] = jac * (vals @ weights)
+            vals = vals * ((sl.rho / sl.s)[:, None] * kern)
+        out[sl.idx] = sl.volume * (vals @ mean_weights)
         return out
 
     return profile
@@ -1024,7 +1002,7 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
     """
     if hasattr(f, "space_degree") or isinstance(f, dict):
         if isinstance(f, dict):
-            f = _DictPoly(f)
+            f = AnisoPolynomial(ball.spec.n, {(k, 0): float(c) for k, c in f.items()})
         profile = _exact_ball_profile(f, ball, kernel)
         scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
         res = integrate_time_profile(
@@ -1044,35 +1022,11 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
     for i in range(cfg.mc_samples):
         fx[i] = f(X[i], t[i])
     if kernel:
-        wvals = np.empty(cfg.mc_samples)
-        for i in range(cfg.mc_samples):
-            Y = X[i] - ball.slice_center(float(s[i]))
-            MW = ball.ev.W_quadratic(-float(s[i]))
-            wvals[i] = float(Y @ MW @ Y)
-        fx = fx * wvals
+        # W(x, -s) = (D^{-1} y)^T W_quadratic(-1) (D^{-1} y) / s with y = x - c(s)
+        Z = (X - ball.slices(s).center) * s[:, None] ** -ball.ev.cov.half_weights
+        fx = fx * (np.einsum("ij,jk,ik->i", Z, ball.ev.W_quadratic(-1.0), Z) / s)
     contrib = fx / p
     value = float(np.mean(contrib))
     err = float(np.std(contrib, ddof=1) / math.sqrt(cfg.mc_samples))
     return IntegralResult(value, err, "mc", samples=cfg.mc_samples)
 
-
-class _DictPoly:
-    """Adapter giving dict polynomials the evaluate/space_degree interface."""
-
-    def __init__(self, terms: dict):
-        self.terms = {tuple(k): float(v) for k, v in terms.items()}
-        self.space_degree = max((sum(k) for k in self.terms), default=0)
-
-    def evaluate(self, X: np.ndarray, t: float) -> np.ndarray:
-        X = np.atleast_2d(X)
-        out = np.zeros(X.shape[0])
-        for alpha, c in self.terms.items():
-            term = np.full(X.shape[0], c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * X[:, i] ** a
-            out += term
-        return out
-
-    def space_terms(self):
-        return self.terms

@@ -12,7 +12,8 @@ from kolpot.domains import (
     TimeShiftedBall,
     make_perturbation,
 )
-from kolpot.errors import PointNotInterior, TestPointInsideDomain
+from kolpot import errors
+from kolpot.errors import PointNotInterior
 from kolpot.lab import (
     exterior_test_points,
     future_mass_detector,
@@ -69,7 +70,7 @@ def test_identity_residual_report(balls, quad_cfg):
     assert payload["seed"] == 3
     # rejects interior points
     inside = ball.spec.point(np.zeros(2), -0.5 * ball.s_max)
-    with pytest.raises(TestPointInsideDomain):
+    with pytest.raises(errors.TestPointInsideDomain):
         potential_identity_residual(domain, ball, [inside], quad_cfg)
 
 

@@ -336,6 +336,17 @@ def test_kernel_integral_equals_radius(balls, quad_cfg):
         assert abs(res.value - ball.r) < 1e-7 * ball.r, name
 
 
+@pytest.mark.parametrize("kernel", [False, True])
+def test_dict_polynomial_matches_aniso_polynomial(balls, quad_cfg, kernel):
+    # a {multi-index: coefficient} dict is the t-free AnisoPolynomial
+    ball = balls["proto"]
+    terms = {(0, 0): 1.0, (2, 0): 0.5, (1, 1): -0.3, (0, 3): 0.2}
+    upoly = AnisoPolynomial(2, {(alpha, 0): c for alpha, c in terms.items()})
+    got = integrate_over_ball(terms, ball, quad_cfg, kernel=kernel)
+    ref = integrate_over_ball(upoly, ball, quad_cfg, kernel=kernel)
+    assert got.value == ref.value and got.error == ref.error and got.cells == ref.cells
+
+
 def test_ball_volume_against_rejection_mc(balls, quad_cfg):
     # exact slice-volume time integral vs rejection sampling in the box
     for name in ("heat1", "proto"):
