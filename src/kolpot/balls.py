@@ -209,10 +209,12 @@ class LBall:
         return self.ev.cov.E(-s) @ self.z0.x
 
     def to_origin_frame(self, z: GroupPoint) -> GroupPoint:
-        return group_compose(z, group_inverse(self.z0, self.spec), self.spec)
+        """z0^{-1} o z: the point whose origin-frame slice holds z."""
+        return group_compose(group_inverse(self.z0, self.spec), z, self.spec)
 
     def from_origin_frame(self, w: GroupPoint) -> GroupPoint:
-        return group_compose(w, self.z0, self.spec)
+        """z0 o w."""
+        return group_compose(self.z0, w, self.spec)
 
     def contains(self, z: GroupPoint) -> bool:
         return ball_contains(z, self)
@@ -310,8 +312,8 @@ def ball_bounding_box(ball: LBall, samples: int = 1024) -> tuple[np.ndarray, np.
 
 
 def ball_translate(ball: LBall, z0: GroupPoint) -> LBall:
-    """Left-translate: Omega_r(z0) = z0 o Omega_r(origin)."""
-    new_center = group_compose(ball.z0, z0, ball.spec)
+    """Left-translate by z0: z0 o Omega_r(c) = Omega_r(z0 o c)."""
+    new_center = group_compose(z0, ball.z0, ball.spec)
     return LBall(z0=new_center, r=ball.r, s_max=ball.s_max, spec=ball.spec, ev=ball.ev)
 
 

@@ -136,7 +136,8 @@ def covariance_inverse_at(t: float, spec: OperatorSpec) -> np.ndarray:
 def _poly_matrix_det(cols: list[list[np.ndarray]]) -> np.ndarray:
     """Determinant of a matrix with 1-d polynomial-coefficient entries.
 
-    Cofactor expansion along the first row; fine for n <= 4.
+    Cofactor expansion along the first row, exact over the polynomial ring;
+    its n! terms are few for the n <= 3 that configurations accept.
     """
     m = len(cols)
     if m == 1:
@@ -152,31 +153,21 @@ def _poly_matrix_det(cols: list[list[np.ndarray]]) -> np.ndarray:
 def det_covariance_polynomial(spec: OperatorSpec) -> np.ndarray:
     """det C(t) as a 1-d polynomial coefficient array (ascending powers).
 
-    Exact cofactor expansion over the polynomial ring for n <= 4; evaluation
-    plus interpolation at 2 n (2r+1) + 1 points otherwise.
+    Exact cofactor expansion of C(t) over the polynomial ring
+    (``_poly_matrix_det``), padded to length n (2r+1) + 1.
     """
     C = covariance_polynomial(spec)
     n = spec.n
-    deg_entry = C.degree
-    if n <= 4:
-        entries = [
-            [np.trim_zeros(C.coeffs[:, i, j], "b") if np.any(C.coeffs[:, i, j]) else np.zeros(1)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        det = _poly_matrix_det(entries)
-    else:
-        deg = n * deg_entry
-        npts = 2 * n * deg_entry + 1
-        ts = np.linspace(-1.0, 1.0, npts)
-        vals = np.linalg.det(C(ts))
-        det = npoly.polyfit(ts, vals, deg)
-        det[np.abs(det) < 1e-12 * np.abs(det).max()] = 0.0
-    det = np.trim_zeros(np.atleast_1d(det), "b")
+    entries = [
+        [np.trim_zeros(C.coeffs[:, i, j], "b") if np.any(C.coeffs[:, i, j]) else np.zeros(1)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    det = np.trim_zeros(np.atleast_1d(_poly_matrix_det(entries)), "b")
     if det.size == 0:
         det = np.zeros(1)
     # pad so the degree slot n*(2r+1) always exists
-    full = np.zeros(n * deg_entry + 1)
+    full = np.zeros(n * C.degree + 1)
     full[: det.size] = det
     return full
 

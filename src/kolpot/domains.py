@@ -7,22 +7,27 @@ sub-ellipsoid, and a Euclidean time translation (used to push mass above the
 center time).  A generic indicator-defined domain is supported for Monte
 Carlo only paths.
 
-Each slice query returns a list of (sign, ellipsoid) pairs in global spatial
-coordinates: +1 regions minus -1 regions.  Signed regions always nest, so
-integrals over the domain are signed sums of ellipsoid integrals.
+The slice query is stacked: ``signed_slice_stack`` takes an array of times
+and returns every signed ellipsoid at all of them (a SignedSliceStack, in
+global spatial coordinates: +1 regions minus -1 regions), built from one
+``LBall.slices`` call; ``signed_slices`` is its one-time view as a list of
+(sign, ellipsoid) pairs.  Signed regions always nest, so integrals over the
+domain are signed sums of ellipsoid integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .balls import Ellipsoid, LBall, ball_bounding_box, lball
+from .balls import Ellipsoid, LBall, SliceStack, ball_bounding_box, lball
 from .operators import GroupPoint
 
 __all__ = [
+    "SignedSliceStack",
     "SlicedDomain",
     "ExactBall",
     "ScaledBall",
@@ -35,6 +40,27 @@ __all__ = [
 ]
 
 
+class SignedSliceStack(NamedTuple):
+    """The signed slices of a domain at a stack of times.
+
+    Entry k is the ellipsoid {x : <shape[k] (x - center[k]), x - center[k]> <
+    level[k]} in global spatial coordinates, counted with sign[k] at the time
+    in input position node[k].  The entries of one time are adjacent, with
+    the +1 region first.
+    """
+
+    node: np.ndarray    # (m,) positions in the input times
+    sign: np.ndarray    # (m,)
+    center: np.ndarray  # (m, n)
+    shape: np.ndarray   # (m, n, n)
+    level: np.ndarray   # (m,)
+
+
+def _ball_stack(sl: SliceStack) -> SignedSliceStack:
+    # every kept slice has rho > 0, so np.sign gives the +1 signs (cheaper than np.ones)
+    return SignedSliceStack(sl.idx, np.sign(sl.rho), sl.center, sl.shape, sl.rho)
+
+
 class SlicedDomain:
     """Base interface: a bounded domain with per-time signed ellipsoid slices."""
 
@@ -44,8 +70,16 @@ class SlicedDomain:
     def time_interval(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def signed_slices(self, t: float) -> list[tuple[float, Ellipsoid]]:
+    def signed_slice_stack(self, t) -> SignedSliceStack:
+        """The signed slices at an array of times (or at one time, as node 0),
+        from one ``LBall.slices`` call."""
         raise NotImplementedError
+
+    def signed_slices(self, t: float) -> list[tuple[float, Ellipsoid]]:
+        """The signed slices at one time: the one-node view of signed_slice_stack."""
+        st = self.signed_slice_stack(float(t))
+        return [(float(st.sign[k]), Ellipsoid(st.center[k], st.shape[k], float(st.level[k])))
+                for k in range(st.node.size)]
 
     def contains(self, z: GroupPoint) -> bool:
         t_lo, t_hi = self.time_interval
@@ -64,14 +98,6 @@ class SlicedDomain:
         return {"kind": type(self).__name__}
 
 
-def _global_slice(ball: LBall, s: float) -> Ellipsoid | None:
-    """The slice at depth s in global spatial coordinates; None where there is none."""
-    sl = ball.slices(s)
-    if sl.idx.size == 0:
-        return None
-    return Ellipsoid(sl.center[0], sl.shape[0], float(sl.rho[0]))
-
-
 @dataclass(eq=False)
 class ExactBall(SlicedDomain):
     """The ball itself, as a sliced domain."""
@@ -82,9 +108,8 @@ class ExactBall(SlicedDomain):
     def time_interval(self):
         return self.ball.time_interval
 
-    def signed_slices(self, t):
-        ell = _global_slice(self.ball, self.ball.t0 - t)
-        return [(1.0, ell)] if ell is not None else []
+    def signed_slice_stack(self, t):
+        return _ball_stack(self.ball.slices(self.ball.t0 - t))
 
     def contains(self, z):
         # direct level-set membership is exact for the unperturbed ball
@@ -101,24 +126,19 @@ class ScaledBall(SlicedDomain):
     ball: LBall
     factor: float | object = 1.05
 
-    def _f(self, s: float) -> float:
-        if callable(self.factor):
-            return float(self.factor(s / self.ball.s_max))
-        return float(self.factor)
-
     @property
     def time_interval(self):
         return self.ball.time_interval
 
-    def signed_slices(self, t):
-        s = self.ball.t0 - t
-        ell = _global_slice(self.ball, s)
-        if ell is None:
-            return []
-        f = self._f(s)
-        if f <= 0.0:
-            return []
-        return [(1.0, ell.scaled(f))]
+    def signed_slice_stack(self, t):
+        sl = self.ball.slices(self.ball.t0 - t)
+        if callable(self.factor):
+            f = np.array([float(self.factor(u)) for u in sl.s / self.ball.s_max])
+        else:
+            f = np.full(sl.s.size, float(self.factor))
+        k = np.flatnonzero(f > 0.0)
+        return SignedSliceStack(sl.idx[k], np.sign(f[k]), sl.center[k], sl.shape[k],
+                                sl.rho[k] * f[k] ** 2)
 
     def describe(self):
         mag = self.factor if not callable(self.factor) else "profile"
@@ -139,9 +159,9 @@ class ShiftedBall(SlicedDomain):
     def time_interval(self):
         return self.ball.time_interval
 
-    def signed_slices(self, t):
-        ell = _global_slice(self.ball, self.ball.t0 - t)
-        return [(1.0, ell.shifted(self.h))] if ell is not None else []
+    def signed_slice_stack(self, t):
+        st = _ball_stack(self.ball.slices(self.ball.t0 - t))
+        return st._replace(center=st.center + self.h)
 
     def bounding_box(self):
         lo, hi = ball_bounding_box(self.ball)
@@ -163,9 +183,8 @@ class RadiusMismatchBall(SlicedDomain):
     def time_interval(self):
         return self.other.time_interval
 
-    def signed_slices(self, t):
-        ell = _global_slice(self.other, self.other.t0 - t)
-        return [(1.0, ell)] if ell is not None else []
+    def signed_slice_stack(self, t):
+        return _ball_stack(self.other.slices(self.other.t0 - t))
 
     def contains(self, z):
         return self.other.contains(z)
@@ -196,34 +215,37 @@ class BittenBall(SlicedDomain):
     def __post_init__(self):
         if self.offset + self.size >= 0.98:
             raise ValueError("bite must be strictly interior: offset + size < 1")
+        # the bite sits at c + offset * T e_axis with the slice's ball map
+        # T = sqrt(rho) L^{-T}, L L^T = shape (Ellipsoid.ball_map); shape =
+        # D^{-1} S1 D^{-1} gives L = D^{-1} chol(S1), so T e_axis is
+        # scale * (row axis of chol(S1)^{-1})
+        self._unit_offset = np.linalg.inv(np.linalg.cholesky(self.ball.ev.cov.S1))[self.axis]
 
     @property
     def time_interval(self):
         return self.ball.time_interval
 
-    def _bite(self, s: float, ell: Ellipsoid) -> Ellipsoid | None:
-        u = s / self.ball.s_max
+    def signed_slice_stack(self, t):
+        sl = self.ball.slices(self.ball.t0 - t)
+        u = sl.s / self.ball.s_max
         a, b = self.s_range
-        if not a < u < b:
-            return None
-        bump = math.sin(math.pi * (u - a) / (b - a))
-        size = self.size * bump
-        if size <= 1e-3:
-            return None
-        # offset along a unit vector of the slice metric: x = c + offset * T e_axis
-        T = ell.ball_map()
-        center = ell.center + self.offset * T[:, self.axis]
-        return Ellipsoid(center, ell.shape, ell.level * size ** 2)
-
-    def signed_slices(self, t):
-        s = self.ball.t0 - t
-        ell = _global_slice(self.ball, s)
-        if ell is None:
-            return []
-        bite = self._bite(s, ell)
-        if bite is None:
-            return [(1.0, ell)]
-        return [(1.0, ell), (-1.0, bite)]
+        k = np.flatnonzero((a < u) & (u < b))
+        size = self.size * np.sin(math.pi * (u[k] - a) / (b - a))
+        k, size = k[size > 1e-3], size[size > 1e-3]
+        if k.size == 0:
+            return _ball_stack(sl)
+        # each slice followed by its bite, where it has one
+        rep = np.ones(sl.idx.size, dtype=int)
+        rep[k] = 2
+        src = np.repeat(np.arange(sl.idx.size), rep)
+        bite = np.zeros(src.size, dtype=bool)
+        bite[np.cumsum(rep)[k] - 1] = True
+        center = sl.center[src]
+        center[bite] += self.offset * (sl.scale[k] * self._unit_offset)
+        level = sl.rho[src]
+        level[bite] *= size ** 2
+        return SignedSliceStack(sl.idx[src], np.where(bite, -1.0, 1.0), center,
+                                sl.shape[src], level)
 
     def describe(self):
         return {
@@ -247,9 +269,8 @@ class TimeShiftedBall(SlicedDomain):
         lo, hi = self.ball.time_interval
         return (lo + self.dt, hi + self.dt)
 
-    def signed_slices(self, t):
-        ell = _global_slice(self.ball, self.ball.t0 + self.dt - t)
-        return [(1.0, ell)] if ell is not None else []
+    def signed_slice_stack(self, t):
+        return _ball_stack(self.ball.slices(self.ball.t0 + self.dt - t))
 
     def bounding_box(self):
         lo, hi = ball_bounding_box(self.ball)
@@ -273,7 +294,7 @@ class IndicatorDomain(SlicedDomain):
     def time_interval(self):
         return (float(self.box[0][-1]), float(self.box[1][-1]))
 
-    def signed_slices(self, t):
+    def signed_slice_stack(self, t):
         raise NotImplementedError("indicator domains have no exact slices")
 
     def contains(self, z):

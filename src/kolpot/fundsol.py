@@ -50,7 +50,7 @@ class GammaEvaluator:
 
     def Gamma(self, z: GroupPoint, zeta: GroupPoint) -> float:
         """Two-point kernel Gamma(z, zeta) = gamma(zeta^{-1} o z)."""
-        return self.gamma(group_compose(z, group_inverse(zeta, self.spec), self.spec))
+        return self.gamma(group_compose(group_inverse(zeta, self.spec), z, self.spec))
 
     def W(self, z: GroupPoint) -> float:
         """Mean-value kernel at a single point; raises TimeZero at t = 0."""

@@ -6,10 +6,11 @@ central quantity is the kernel-weighted potential
 
     P(D, z) = int_D Gamma(zeta, z) W(z0^{-1} o zeta) d zeta,
 
-computed slice by slice: at each time the integrand is a Gaussian in the
-spatial variable times a quadratic (the kernel), integrated exactly-in-radius
-over the signed slice ellipsoids, with the adaptive compressed time rule on
-the outside.  For the exact ball and z outside, P equals r Gamma(z0, z); the
+computed one time cell at a time: at each time the integrand is a Gaussian
+in the spatial variable times a quadratic (the kernel), integrated over the
+signed slice ellipsoids, and each call of the adaptive compressed time rule's
+profile stacks the slices of all its nodes into one Gaussian x quadratic
+engine call.  For the exact ball and z outside, P equals r Gamma(z0, z); the
 rigidity experiments measure how strongly perturbed domains break that
 identity.
 """
@@ -34,13 +35,13 @@ from .domains import (
     ScaledBall,
     SlicedDomain,
 )
-from .errors import PointNotInterior, TestPointInsideDomain
+from .errors import PointNotInterior, TestPointInsideDomain, TimeZero
 from .operators import GroupPoint, operator_hash, transport_matrix
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     ball_rule,
-    gaussian_quadratic_auto,
+    gaussian_quadratic_stack,
     integrate_over_ball,
     integrate_time_profile,
 )
@@ -65,30 +66,42 @@ __all__ = [
 
 
 def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
-    """Profile tau -> int over the slice of Gamma(., z) W(z0^{-1} o .)."""
-    spec = ball.spec
-    ev = ball.ev
-    x0 = ball.z0.x
-    t0 = ball.z0.t
+    """Profile tau -> int over the slices of Gamma(., z) W(z0^{-1} o .), one call per time cell.
 
-    def one(tau: float) -> float:
-        delta = tau - z.t
-        if delta <= 0.0:
-            return 0.0
-        slices = domain.signed_slices(tau)
-        if not slices:
-            return 0.0
-        L = ev.cov.C_cholesky(delta)
-        mean = transport_matrix(delta, spec) @ z.x
-        MW = ev.W_quadratic(tau - t0)
-        cW = transport_matrix(tau - t0, spec) @ x0
-        val = 0.0
-        for sign, ell in slices:
-            val += sign * gaussian_quadratic_auto(ell, mean, L, MW, cW)
-        return val
+    At a node tau with delta = tau - z.t > 0 the integrand is the Gaussian of
+    covariance 2 C(delta) centred at E(delta) z.x, whose Cholesky factor is
+    D(sqrt delta) L1, times the quadratic W(u), u = tau - t0, centred at
+    E(u) x0; homogeneity gives W(u) = D(|u|^{-1/2}) W(sign u) D(|u|^{-1/2}) / |u|.
+    All nodes of a call take their slices from one ``signed_slice_stack``
+    call and go through one ``gaussian_quadratic_stack`` call.
+    """
+    ev = ball.ev
+    cov = ev.cov
+    x0, t0 = ball.z0.x, ball.z0.t
+    W_unit = {1.0: ev.W_quadratic(1.0), -1.0: ev.W_quadratic(-1.0)}
 
     def profile(tau_arr):
-        return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])
+        tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
+        live = np.flatnonzero(tau - z.t > 0.0)
+        st = domain.signed_slice_stack(tau[live])
+        node = live[st.node]
+        if node.size == 0:
+            return np.zeros(tau.size)
+        delta = tau[node] - z.t
+        u = tau[node] - t0
+        if np.any(u == 0.0):
+            raise TimeZero("kernel W is undefined on R^n x {0}")
+        d = np.abs(u)[:, None] ** -cov.half_weights
+        MW = (np.where((u > 0.0)[:, None, None], W_unit[1.0], W_unit[-1.0])
+              * (d[:, :, None] * d[:, None, :]) / np.abs(u)[:, None, None])
+        vals = gaussian_quadratic_stack(
+            st.center, st.shape, st.level,
+            mean=cov.E(delta) @ z.x,
+            chol_cov_half=(delta[:, None] ** cov.half_weights)[:, :, None] * cov.L1,
+            M=MW,
+            q_center=cov.E(u) @ x0,
+        )
+        return np.bincount(node, weights=st.sign * vals, minlength=tau.size)
 
     return profile
 

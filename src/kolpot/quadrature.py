@@ -4,10 +4,13 @@ Three layers:
 
 * exact slice integrals: polynomials over ellipsoids via unit-ball monomial
   moments (or degree-exact product cubature on the unit ball), quadratics in
-  closed form, and Gaussian-times-quadratic integrands by the normal-aligned
-  tensor engine behind ``gaussian_quadratic_auto`` (the polar rule
-  ``gaussian_quadratic_ellipsoid``, radially exact through incomplete gamma
-  functions, is kept as an independent cross-check for the tests);
+  closed form, and Gaussian-times-quadratic integrands by one stacked
+  engine, ``gaussian_quadratic_stack``, which integrates a whole stack of
+  slices (a leading slice axis; all nodes of a time cell) per call: a
+  closed-form full-space or zero classification, then a normal-aligned
+  tensor rule whose sections carry their quadratic coefficients
+  (``gaussian_quadratic_auto`` and ``gaussian_quadratic_tensor`` are its
+  one-slice calls);
 * a 1-d adaptive time integrator with square-root compression at both
   endpoints, which tames the integrable kernel blow-up near the pole and the
   degenerating slices at the far end;
@@ -24,9 +27,10 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, gammainc, gammaincc, ndtri
+from scipy.special import erf, ndtri
 
 from .balls import Ellipsoid, LBall, SliceStack, unit_ball_volume
 from .errors import SliceOutOfRange, ToleranceWarning
@@ -39,10 +43,9 @@ __all__ = [
     "MonomialMoments",
     "unit_ball_moment",
     "ball_rule",
-    "sphere_rule",
     "ellipsoid_polynomial_integral",
     "ellipsoid_quadratic_integral",
-    "gaussian_quadratic_ellipsoid",
+    "gaussian_quadratic_stack",
     "gaussian_quadratic_tensor",
     "gaussian_quadratic_auto",
     "gaussian_quadratic_fullspace",
@@ -181,36 +184,6 @@ def ball_rule(n: int, degree: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
-def sphere_rule(n: int, resolution: int):
-    """Direction nodes and surface weights on S^{n-1} for the polar engine."""
-    if n == 1:
-        omega = np.array([[1.0], [-1.0]])
-        w = np.array([1.0, 1.0])
-    elif n == 2:
-        m = max(resolution, 8)
-        theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(m, 2.0 * math.pi / m)
-    elif n == 3:
-        mphi = max(resolution // 2, 6)
-        mtheta = max(resolution, 12)
-        mu, wmu = np.polynomial.legendre.leggauss(mphi)
-        theta = 2.0 * math.pi * (np.arange(mtheta) + 0.5) / mtheta
-        MU, T = np.meshgrid(mu, theta, indexing="ij")
-        sin_phi = np.sqrt(1.0 - MU ** 2)
-        omega = np.stack(
-            [(sin_phi * np.cos(T)).ravel(), (sin_phi * np.sin(T)).ravel(), MU.ravel()],
-            axis=1,
-        )
-        w = np.outer(wmu, np.full(mtheta, 2.0 * math.pi / mtheta)).ravel()
-    else:
-        raise NotImplementedError(f"sphere rule not implemented for n={n}")
-    omega.setflags(write=False)
-    w.setflags(write=False)
-    return omega, w
-
-
 # ---------------------------------------------------------------------------
 # exact ellipsoid integrals
 # ---------------------------------------------------------------------------
@@ -292,116 +265,28 @@ def ellipsoid_quadratic_integral(ell: Ellipsoid, M: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian x quadratic over an ellipsoid: polar rule, radially exact (a
-# cross-check; production slices go through gaussian_quadratic_auto below)
+# Gaussian x quadratic over ellipsoids: one engine with a leading slice axis
 # ---------------------------------------------------------------------------
 
 
 def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
                                  M: np.ndarray, q_center: np.ndarray,
-                                 const: float = 0.0,
-                                 lin: np.ndarray | None = None) -> float:
-    """E[q(X)] for X ~ N(mean, cov) and the centered quadratic q as above."""
+                                 const=0.0, lin: np.ndarray | None = None):
+    """E[q(X)] for X ~ N(mean, cov) and the centered quadratic q as above.
+
+    Leading axes of the arguments are a stack and give an array; one set of
+    arguments gives a float.
+    """
     d = mean - q_center
-    val = const + float(d @ M @ d) + float(np.trace(M @ cov))
+    val = (const + np.einsum("...i,...ij,...j->...", d, M, d)
+           + np.einsum("...ij,...ji->...", M, cov))
     if lin is not None:
-        val += float(np.asarray(lin) @ d)
-    return val
-
-
-_GAMMA_HALF = {k: math.gamma((k + 1) / 2.0) for k in range(0, 8)}
-
-
-def _radial_integrals(k: int, r1sq: np.ndarray, r2sq: np.ndarray) -> np.ndarray:
-    """int_{r1}^{r2} r^k e^{-r^2} dr elementwise, via incomplete gamma.
-
-    Switches to the upper tail when both endpoints are past the mode, which
-    keeps the difference accurate for far-away slivers.
-    """
-    a = (k + 1) / 2.0
-    upper = r1sq > a
-    diff = np.where(
-        upper,
-        gammaincc(a, r1sq) - gammaincc(a, r2sq),
-        gammainc(a, r2sq) - gammainc(a, r1sq),
-    )
-    return 0.5 * _GAMMA_HALF[k] * diff
-
-
-def gaussian_quadratic_ellipsoid(
-    ell: Ellipsoid,
-    mean: np.ndarray,
-    chol_cov_half: np.ndarray,
-    M: np.ndarray,
-    q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
-    resolution: int = 64,
-) -> float:
-    """Integral over an ellipsoid of
-
-        (4 pi)^{-n/2} det(C)^{-1/2} exp(-<C^{-1}(x-mean), x-mean>/4) * q(x)
-
-    where ``chol_cov_half`` is the lower Cholesky factor L of C and q is the
-    centered quadratic (const, lin, M) around ``q_center``.
-
-    Substituting x = mean + 2 L v gives pi^{-n/2} e^{-|v|^2} against a
-    quadratic over a transformed ellipsoid; in polar coordinates around the
-    Gaussian center the radial factor integrates in closed form, so only the
-    angular integral is numised.  The angular integrand is analytic whenever
-    the Gaussian center lies inside the domain, and exponentially small where
-    rays miss, so modest direction counts give near machine accuracy.
-    """
-    n = ell.n
-    L2 = 2.0 * chol_cov_half
-    d = mean - ell.center
-    Qd = ell.shape @ d
-    Aq = L2.T @ ell.shape @ L2          # quadratic coefficient of the domain in v
-    bq = 2.0 * (L2.T @ Qd)
-    c0 = float(d @ Qd) - ell.level
-
-    dq = mean - q_center
-    q0 = const + float(dq @ M @ dq)
-    if lin is not None:
-        q0 += float(np.asarray(lin) @ dq)
-        l_eff = np.asarray(lin) + 2.0 * (M @ dq)
-    else:
-        l_eff = 2.0 * (M @ dq)
-    q1 = L2.T @ l_eff
-    Q2 = L2.T @ M @ L2
-
-    omega, wts = sphere_rule(n, resolution)
-    a = np.einsum("ij,jk,ik->i", omega, Aq, omega)
-    b = omega @ bq
-    disc = b * b - 4.0 * a * c0
-    hit = disc > 0.0
-    if not np.any(hit):
-        return 0.0
-    sq = np.sqrt(disc[hit])
-    ah = a[hit]
-    r_lo = np.maximum((-b[hit] - sq) / (2.0 * ah), 0.0)
-    r_hi = np.maximum((-b[hit] + sq) / (2.0 * ah), 0.0)
-    ok = r_hi > r_lo
-    if not np.any(ok):
-        return 0.0
-    r1sq = r_lo[ok] ** 2
-    r2sq = r_hi[ok] ** 2
-    om = omega[hit][ok]
-    w = wts[hit][ok]
-
-    lin_w = om @ q1
-    quad_w = np.einsum("ij,jk,ik->i", om, Q2, om)
-    vals = (
-        q0 * _radial_integrals(n - 1, r1sq, r2sq)
-        + lin_w * _radial_integrals(n, r1sq, r2sq)
-        + quad_w * _radial_integrals(n + 1, r1sq, r2sq)
-    )
-    return math.pi ** (-n / 2.0) * float(w @ vals)
+        val = val + np.einsum("...i,...i->...", lin, d)
+    return val if np.ndim(val) else float(val)
 
 
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
-
-
+_BLOCK = 1024  # sections per sweep block; keeps the (sections x nodes) temporaries small
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -433,41 +318,45 @@ def _compressed_nodes(lo, hi, order: int):
     return nodes, weights
 
 
+def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (columns) whose first axis points along the domain
+    boundary normal nearest the origin (the Gaussian center), one per slice.
 
-def _normal_frame(Aq: np.ndarray, cv: np.ndarray, level: float) -> np.ndarray:
-    """Orthonormal frame whose first axis points along the domain boundary
-    normal nearest the origin (the Gaussian center)."""
-    n = Aq.shape[0]
-    norm_c = np.linalg.norm(cv)
-    if norm_c < 1e-12:
-        lam, U = np.linalg.eigh(Aq)
-        e1 = U[:, -1]  # largest eigenvalue: smallest axis, nearest boundary
-    else:
-        chat = cv / norm_c
-        a = float(chat @ Aq @ chat)
-        b = -2.0 * float(chat @ Aq @ cv)
-        c = float(cv @ Aq @ cv) - level
-        disc = max(b * b - 4.0 * a * c, 0.0)
-        t1 = (-b - math.sqrt(disc)) / (2.0 * a)
-        t2 = (-b + math.sqrt(disc)) / (2.0 * a)
-        t = t1 if abs(t1) <= abs(t2) else t2
-        bstar = t * chat
-        grad = Aq @ (bstar - cv)
-        gn = np.linalg.norm(grad)
-        e1 = grad / gn if gn > 0 else chat
-    # complete to an orthonormal basis
-    basis = [e1]
+    The domain is <Aq (w - cv), w - cv> < level.  The first axis is
+    completed by Gram-Schmidt over the coordinate axes, skipping those that
+    are numerically dependent.
+    """
+    K, n = cv.shape
+    norm_c = np.linalg.norm(cv, axis=1)
+    e1 = np.empty((K, n))
+    at_center = norm_c < 1e-12
+    if np.any(at_center):
+        # largest eigenvalue: smallest axis, nearest boundary
+        e1[at_center] = np.linalg.eigh(Aq[at_center])[1][:, :, -1]
+    off = ~at_center
+    if np.any(off):
+        # the ray from the center toward the ellipsoid center cv = |cv| chat
+        # meets the boundary first at t = |cv| - h, h = sqrt(level / chat^T Aq chat),
+        # where the normal is Aq (t chat - cv) = -h Aq chat.  This closed form
+        # needs no root of the ray's quadratic, whose discriminant cancels to
+        # noise for thin slices far from the center
+        grad = -np.einsum("kij,kj->ki", Aq[off], cv[off] / norm_c[off, None])
+        e1[off] = grad / np.linalg.norm(grad, axis=1)[:, None]
+    frame = np.zeros((K, n, n))
+    frame[:, :, 0] = e1
+    count = np.ones(K, dtype=int)
+    rows = np.arange(K)
     for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
-        for u in basis:
-            v = v - (v @ u) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-        if len(basis) == n:
-            break
-    return np.stack(basis, axis=1)  # columns are the frame vectors
+        v = np.zeros((K, n))
+        v[:, k] = 1.0
+        for j in range(n):  # columns not yet filled are zero and leave v alone
+            u = frame[:, :, j]
+            v = v - np.einsum("ki,ki->k", v, u)[:, None] * u
+        nv = np.linalg.norm(v, axis=1)
+        add = (nv > 1e-8) & (count < n)
+        frame[rows[add], :, count[add]] = v[add] / nv[add, None]
+        count = count + add
+    return frame
 
 
 @lru_cache(maxsize=None)
@@ -476,6 +365,306 @@ def _tail_gl(order: int):
     y, wy = _leggauss01(order)
     fr = np.array([0.0, 0.18, 0.45, 1.0])
     return fr, y, wy
+
+
+class _Sections(NamedTuple):
+    """Per-slice data of the whitened, normal-aligned problem (x = mean + S w)."""
+
+    E00: np.ndarray     # (K, n) Gaussian center minus ellipsoid center
+    D0: np.ndarray      # (K, n) Gaussian center minus quadratic center
+    s1: np.ndarray      # (K, n) first frame column of S
+    Srest: np.ndarray   # (K, n, n-1) the other columns
+    Qs1: np.ndarray     # (K, n) shape @ s1
+    alpha: np.ndarray   # (K,) s1^T shape s1
+    shape: np.ndarray   # (K, n, n)
+    level: np.ndarray   # (K,)
+    M: np.ndarray       # (K, n, n) quadratic, symmetric
+    Ms1: np.ndarray     # (K, n)
+    cc2: np.ndarray     # (K,) s1^T M s1
+    const: np.ndarray   # (K,)
+    lin: np.ndarray | None     # (K, n)
+    lin_s1: np.ndarray | None  # (K,)
+
+
+def _qform(d: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """d[k]^T Q[k] d[k] per row."""
+    return np.einsum("ki,ki->k", np.einsum("kij,kj->ki", Q, d), d)
+
+
+def _coefficients(sec: _Sections, d: np.ndarray):
+    """(b0, b1) with q(d + y s1) = b0 + b1 y + cc2 y^2 per section, d the
+    sections' offsets from the quadratic center in x-space."""
+    b0 = _qform(d, sec.M) + sec.const
+    b1 = 2.0 * np.einsum("ki,ki->k", d, sec.Ms1)
+    if sec.lin is not None:
+        b0 = b0 + np.einsum("ki,ki->k", d, sec.lin)
+        b1 = b1 + sec.lin_s1
+    return b0, b1
+
+
+def _section_integrals(sec: _Sections, g: np.ndarray, w_rest: np.ndarray) -> np.ndarray:
+    """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section, per section.
+
+    Section k belongs to slice g[k] and sits at the rest-coordinates
+    w_rest[k].  Its endpoints come from the vertex form: the domain
+    quadratic's minimum along w1 is evaluated geometrically (vector sums in
+    x-space), which stays accurate where the textbook discriminant cancels
+    to nothing.  Core sections of moderate length use erf-moment closed
+    forms; short and tail sections use Gauss-Legendre nodes against the
+    section's quadratic coefficients, expanded about the section midpoint m
+    (q = b0 + b1 y + cc2 y^2, y = w1 - m, |y| at most half the section), so
+    the huge-coefficient cancellation of an expansion about a far point
+    (narrow Gaussian far from the quadratic's center) never materializes.
+    """
+    K = g.size
+    # the per-slice data of every section, gathered once
+    sec = _Sections(*(None if a is None else np.take(a, g, axis=0) for a in sec))
+    shift = np.zeros((K, sec.E00.shape[1]))
+    for j in range(w_rest.shape[1]):
+        shift += sec.Srest[:, :, j] * w_rest[:, j, None]
+    offs = sec.E00 + shift                     # w1 = 0 point vs ellipsoid center
+    w1s = -np.einsum("kn,kn->k", offs, sec.Qs1) / sec.alpha  # vertex of the section quadratic
+    offp = offs + w1s[:, None] * sec.s1        # vertex point vs ellipsoid center
+    lev = sec.level - _qform(offp, sec.shape)
+    mask = lev > 0.0
+    half = np.sqrt(np.where(mask, lev, 0.0) / sec.alpha)
+    lo = np.clip(w1s - half, -_WINDOW, _WINDOW)
+    hi = np.clip(w1s + half, -_WINDOW, _WINDOW)
+    mask = mask & (hi > lo)
+    out = np.zeros(K)
+    if not np.any(mask):
+        return out
+    closed = (lo <= 0.8) & (hi >= -0.8) & (hi - lo > 1.2)  # core and not short
+    cf = np.flatnonzero(mask & closed)
+    glm = np.flatnonzero(mask & ~closed)
+    # the quadratic's coefficients about w1 = m: 0 for the closed forms, the
+    # section midpoint for Gauss-Legendre; D0 + shift + m s1 is that point
+    # against the quadratic's center
+    m = np.where(closed, 0.0, 0.5 * (lo + hi))
+    b0, b1 = _coefficients(sec, sec.D0 + shift + m[:, None] * sec.s1)
+
+    if cf.size:
+        F0, F1, F2 = _erf_moments(lo[cf], hi[cf])
+        out[cf] = b0[cf] * F0 + b1[cf] * F1 + sec.cc2[cf] * F2
+
+    if glm.size:
+        # Gauss-Legendre nodes and weights, (nodes, sections)
+        short = (hi[glm] - lo[glm]) <= 1.2
+        groups = []
+        rs = glm[short]
+        if rs.size:
+            y16, w16 = _leggauss01(16)
+            width = hi[rs] - lo[rs]
+            groups.append((rs, lo[rs] + y16[:, None] * width, w16[:, None] * width))
+        rf = glm[~short]
+        if rf.size:
+            a, bb = lo[rf], hi[rf]
+            # anchor panels at the endpoint nearest zero, truncate the far tail
+            neg = bb < 0.0
+            a2 = np.where(neg, -bb, a)
+            b2 = np.where(neg, -a, bb)
+            b2 = np.minimum(b2, np.sqrt(a2 * a2 + 20.0))
+            fr, y, wy = _tail_gl(16)
+            edges = a2 + fr[:, None] * (b2 - a2)
+            e0, e1 = edges[:-1, None, :], edges[1:, None, :]
+            nds = (e0 + y[:, None] * (e1 - e0)).reshape(-1, rf.size)
+            wts = (wy[:, None] * (e1 - e0)).reshape(-1, rf.size)
+            groups.append((rf, np.where(neg, -nds, nds), wts))
+        for rows, nds, wts in groups:
+            y = nds - m[rows]
+            ew = np.square(nds)
+            np.negative(ew, out=ew)
+            np.exp(ew, out=ew)
+            ew *= wts
+            ewy = ew * y
+            out[rows] = (b0[rows] * ew.sum(axis=0) + b1[rows] * ewy.sum(axis=0)
+                         + sec.cc2[rows] * np.einsum("jk,jk->k", ewy, y))
+    return out
+
+
+def _sweep(sec: _Sections, g, lo, hi, place, order: int) -> np.ndarray:
+    """sum_j wt_j e^{-v_j^2} I(v_j) per item, over compressed nodes on [lo, hi].
+
+    Item k belongs to slice g[k]; ``place(rows, v)`` gives the
+    rest-coordinates (items, nodes, n - 1) of the sections at nodes v of the
+    items ``rows``, and I is their section integral.  Items go through in
+    blocks of at most _BLOCK sections.
+    """
+    J2 = 2 * order
+    out = np.empty(g.size)
+    step = max(_BLOCK // J2, 1)
+    for a in range(0, g.size, step):
+        rows = slice(a, min(a + step, g.size))
+        v, wv = _compressed_nodes(lo[rows], hi[rows], order)
+        w_rest = place(rows, v)
+        vals = _section_integrals(sec, np.repeat(g[rows], J2),
+                                  w_rest.reshape(-1, w_rest.shape[-1]))
+        out[rows] = np.einsum("kj,kj->k", wv * np.exp(-v ** 2), vals.reshape(v.shape))
+    return out
+
+
+def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
+                        const, lin, order: int | None) -> np.ndarray:
+    """The normal-aligned tensor rule for a stack of slices (leading axis).
+
+    Whitens each Gaussian, rotates so that the first axis is the domain
+    boundary normal nearest the Gaussian center, integrates that axis
+    exactly against the quadratic section limits (``_section_integrals``),
+    and sweeps the remaining directions with Gauss-Legendre nodes compressed
+    at true projection edges: one outer sweep for n = 2; for n = 3 an outer
+    sweep in the rest coordinate of larger reach and, after eliminating w1
+    (a Schur complement), an inner sweep between the middle coordinate's
+    section limits.  All section and coefficient data are assembled from
+    x-space offsets.
+    """
+    K, n = center.shape
+    if n > 3:
+        raise NotImplementedError(f"tensor engine not implemented for n={n}")
+    if order is None:
+        order = 48 if n == 2 else 32
+    L2 = 2.0 * chol_cov_half
+    cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
+    Aq = np.swapaxes(L2, 1, 2) @ shape @ L2
+    Aq = 0.5 * (Aq + np.swapaxes(Aq, 1, 2))
+    S = L2 @ _normal_frame(Aq, cv)   # x = mean + S w
+    ST = np.swapaxes(S, 1, 2)
+    A = ST @ shape @ S
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    E00 = mean - center                     # offset from the ellipsoid center
+    s1 = S[:, :, 0]
+    Ms1 = np.einsum("kij,kj->ki", M, s1)
+    sec = _Sections(
+        E00=E00,
+        D0=mean - q_center,                 # offset from the quadratic center
+        s1=s1,
+        Srest=S[:, :, 1:],
+        Qs1=np.einsum("kij,kj->ki", shape, s1),
+        alpha=A[:, 0, 0],
+        shape=shape,
+        level=level,
+        M=M,
+        Ms1=Ms1,
+        cc2=np.einsum("ki,ki->k", s1, Ms1),
+        const=np.broadcast_to(np.asarray(const, dtype=float), (K,)),
+        lin=lin,
+        lin_s1=None if lin is None else np.einsum("ki,ki->k", lin, s1),
+    )
+    if n == 1:
+        return math.pi ** (-0.5) * _section_integrals(sec, np.arange(K), np.zeros((K, 0)))
+
+    # coordinate ranges of the domain in w, from support functions (stable)
+    Sinv = np.linalg.inv(S)
+    c_w = -np.einsum("kij,kj->ki", Sinv, E00)  # ellipsoid centers in w-coordinates
+    G = Sinv[:, 1:, :]
+    ext = np.sqrt(np.maximum(
+        level[:, None] * np.einsum("kri,kij,krj->kr", G, np.linalg.inv(shape), G), 0.0))
+    out = np.zeros(K)
+    rows = np.arange(K)
+
+    if n == 2:
+        lo_c = np.maximum(c_w[:, 1] - ext[:, 0], -_WINDOW)
+        hi_c = np.minimum(c_w[:, 1] + ext[:, 0], _WINDOW)
+        kv = np.flatnonzero(hi_c > lo_c)
+        out[kv] = math.pi ** (-1.0) * _sweep(sec, kv, lo_c[kv], hi_c[kv],
+                                             lambda r, v: v[:, :, None], order)
+        return out
+
+    # n == 3: Schur data of the projection onto the rest-plane (eliminate w1)
+    alpha = sec.alpha
+    A_p = A[:, 1:, 1:] - A[:, 0, 1:, None] * A[:, 0, None, 1:] / alpha[:, None, None]
+    oi = np.argmax(ext, axis=1)  # outer index within the rest-plane
+    ii = 1 - oi
+    lo_c = np.maximum(c_w[rows, 1 + oi] - ext[rows, oi], -_WINDOW)
+    hi_c = np.minimum(c_w[rows, 1 + oi] + ext[rows, oi], _WINDOW)
+    kv = np.flatnonzero(hi_c > lo_c)
+    oi, ii = oi[kv], ii[kv]
+    o_nodes, o_wts = _compressed_nodes(lo_c[kv], hi_c[kv], order)  # (Kv, J2)
+    s_mid = sec.Srest[kv, :, ii]
+    s_out = sec.Srest[kv, :, oi]
+    # vertex of the projected quadratic in the middle coordinate, then its
+    # value evaluated geometrically through the doubly-minimizing point
+    b_p = 2.0 * np.einsum("kij,kjl,kl->ki", ST[kv], shape[kv], E00[kv])
+    b_p = b_p[:, 1:] - b_p[:, :1] * A[kv, 0, 1:] / alpha[kv, None]
+    a_mid = A_p[kv, ii, ii][:, None]
+    beta_p = b_p[np.arange(kv.size), ii][:, None] + 2.0 * A_p[kv, ii, oi][:, None] * o_nodes
+    m_star = -beta_p / (2.0 * a_mid)
+    offs_mo = (E00[kv, None, :] + m_star[:, :, None] * s_mid[:, None, :]
+               + o_nodes[:, :, None] * s_out[:, None, :])
+    w1_star = -np.einsum("kjn,kn->kj", offs_mo, sec.Qs1[kv]) / alpha[kv, None]
+    offp = offs_mo + w1_star[:, :, None] * sec.s1[kv, None, :]
+    lev_m = level[kv, None] - np.einsum("kji,kil,kjl->kj", offp, shape[kv], offp)
+    okm = lev_m > 0.0
+    half_m = np.sqrt(np.where(okm, lev_m, 0.0) / a_mid)
+    m_lo = np.clip(m_star - half_m, -_WINDOW, _WINDOW)
+    m_hi = np.clip(m_star + half_m, -_WINDOW, _WINDOW)
+    keep = okm & (m_hi > m_lo)
+    pk = np.nonzero(keep)[0]  # per pair: its position in kv
+    o_keep = o_nodes[keep]
+    outer_first = oi[pk] == 0
+
+    def place(r, v):
+        o = np.broadcast_to(o_keep[r, None], v.shape)
+        first = outer_first[r, None]
+        return np.stack([np.where(first, o, v), np.where(first, v, o)], axis=-1)
+
+    inner = _sweep(sec, kv[pk], m_lo[keep], m_hi[keep], place, order)
+    total = np.bincount(kv[pk], weights=o_wts[keep] * np.exp(-o_keep ** 2) * inner,
+                        minlength=K)
+    return math.pi ** (-1.5) * total
+
+
+def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_center,
+                             const=0.0, lin=None) -> np.ndarray:
+    """Gaussian x quadratic integrals over a stack of ellipsoids (leading axis).
+
+    Slice k integrates
+
+        (4 pi)^{-n/2} det(C)^{-1/2} exp(-<C^{-1}(x-mean), x-mean>/4) * q(x)
+
+    over {x : <shape (x - center), x - center> < level}, where
+    ``chol_cov_half`` is the lower Cholesky factor L of C and q is the
+    centered quadratic (const, lin, M) around ``q_center``, M symmetric.
+    ``const`` is a scalar or one value per slice.  Each whitened domain is
+    classified first: a boundary everywhere beyond the Gaussian window
+    collapses to the closed-form full-space moment (or to zero when the
+    center is outside), and everything else goes to the normal-aligned
+    tensor rule (``_gauss_tensor_stack``).
+    """
+    K = center.shape[0]
+    E00 = mean - center
+    h0 = np.sqrt(np.maximum(np.einsum("ki,kij,kj->k", E00, shape, E00) / level, 0.0))
+    # conservative whitened distance from the Gaussian center to the domain
+    # boundary: |Mahalanobis - 1| times the smallest whitened semiaxis, which
+    # is at least sqrt(rho / tr(L2^T Q L2))
+    L2 = 2.0 * chol_cov_half
+    tr = np.einsum("kij,kij->k", shape @ L2, L2)
+    amin = np.sqrt(np.where(tr > 0.0, level / np.where(tr > 0.0, tr, 1.0), 0.0))
+    far = np.abs(h0 - 1.0) * amin >= _WINDOW
+    const = np.broadcast_to(np.asarray(const, dtype=float), (K,))
+    out = np.zeros(K)
+    full = far & (h0 < 1.0)
+    if np.any(full):
+        L = chol_cov_half[full]
+        out[full] = gaussian_quadratic_fullspace(
+            mean[full], 2.0 * (L @ np.swapaxes(L, 1, 2)), M[full], q_center[full],
+            const=const[full], lin=None if lin is None else lin[full])
+    near = ~far
+    if np.any(near):
+        out[near] = _gauss_tensor_stack(
+            center[near], shape[near], level[near], mean[near], chol_cov_half[near],
+            M[near], q_center[near], const[near], None if lin is None else lin[near], None)
+    return out
+
+
+def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center, lin):
+    """The arguments of one slice, as a stack of one for the engine."""
+    return dict(
+        center=ell.center[None], shape=ell.shape[None], level=np.array([ell.level]),
+        mean=np.asarray(mean, dtype=float)[None],
+        chol_cov_half=np.asarray(chol_cov_half, dtype=float)[None],
+        M=np.asarray(M, dtype=float)[None], q_center=np.asarray(q_center, dtype=float)[None],
+        lin=None if lin is None else np.asarray(lin, dtype=float)[None],
+    )
 
 
 def gaussian_quadratic_tensor(
@@ -488,194 +677,9 @@ def gaussian_quadratic_tensor(
     lin: np.ndarray | None = None,
     order: int | None = None,
 ) -> float:
-    """Iterated form of the Gaussian x quadratic ellipsoid integral.
-
-    Whitens the Gaussian, rotates so the first axis is the domain boundary
-    normal nearest the Gaussian center, integrates that axis exactly against
-    the quadratic section limits, and sweeps the remaining directions with
-    Gauss-Legendre nodes compressed at true projection edges.
-
-    All section and coefficient data are assembled from x-space offsets, and
-    short or tail sections are evaluated pointwise from the geometric form,
-    so the huge-coefficient cancellation of a naive moment expansion (narrow
-    Gaussian far from the quadratic's center) never materializes.  Core
-    sections of moderate length use erf-moment closed forms.
-    """
-    n = ell.n
-    if order is None:
-        order = 48 if n == 2 else 32
-    L2 = 2.0 * chol_cov_half
-    Qe = ell.shape
-    rho = ell.level
-    cv = np.linalg.solve(L2, ell.center - mean)
-    Aq = L2.T @ Qe @ L2
-    Aq = 0.5 * (Aq + Aq.T)
-    R = _normal_frame(Aq, cv, rho)
-    S = L2 @ R                       # x = mean + S w
-    E00 = mean - ell.center          # offset from the ellipsoid center
-    D0 = mean - q_center             # offset from the quadratic center
-    if lin is not None:
-        lin = np.asarray(lin, dtype=float)
-
-    A = S.T @ Qe @ S
-    A = 0.5 * (A + A.T)
-    bvec = 2.0 * (S.T @ (Qe @ E00))
-    alpha = float(A[0, 0])
-    s1 = S[:, 0]
-    Srest = S[:, 1:]
-    Ms1 = M @ s1
-    cc2 = float(s1 @ Ms1)
-    Qs1 = Qe @ s1
-
-    def segment_values(w_rest: np.ndarray) -> np.ndarray:
-        """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section.
-
-        Section endpoints come from the vertex form: the quadratic's minimum
-        along w1 is evaluated geometrically (vector sums in x-space), which
-        stays accurate where the textbook discriminant cancels to nothing.
-        """
-        K = w_rest.shape[0]
-        offs = E00 + w_rest @ Srest.T            # (K, n) w1 = 0 point vs ellipsoid center
-        w1s = -(offs @ Qs1) / alpha              # vertex of the section quadratic
-        offp = offs + w1s[:, None] * s1          # vertex point vs ellipsoid center
-        lev = rho - np.einsum("ij,jk,ik->i", offp, Qe, offp)
-        mask = lev > 0.0
-        half = np.sqrt(np.where(mask, lev, 0.0) / alpha)
-        lo = np.clip(w1s - half, -_WINDOW, _WINDOW)
-        hi = np.clip(w1s + half, -_WINDOW, _WINDOW)
-        mask = mask & (hi > lo)
-        out = np.zeros(K)
-        if not np.any(mask):
-            return out
-        dif0 = D0 + w_rest @ Srest.T             # (K, n) w1 = 0 point vs quadratic center
-        width = hi - lo
-        core = (lo <= 0.8) & (hi >= -0.8)
-        cf = mask & core & (width > 1.2)
-        glm = mask & ~cf
-
-        if np.any(cf):
-            F0, F1, F2 = _erf_moments(lo[cf], hi[cf])
-            d_cf = dif0[cf]
-            c0_tot = np.einsum("ij,jk,ik->i", d_cf, M, d_cf) + const
-            c1_tot = 2.0 * (d_cf @ Ms1)
-            if lin is not None:
-                c0_tot = c0_tot + d_cf @ lin
-                c1_tot = c1_tot + float(lin @ s1)
-            out[cf] = c0_tot * F0 + c1_tot * F1 + cc2 * F2
-
-        if np.any(glm):
-            lo_g, hi_g = lo[glm], hi[glm]
-            d_g = dif0[glm]
-            short = (hi_g - lo_g) <= 1.2
-            nodes_list, wts_list, rows = [], [], []
-            idx_g = np.nonzero(glm)[0]
-            y16, w16 = _leggauss01(16)
-            if np.any(short):
-                a = lo_g[short][:, None]
-                bb = hi_g[short][:, None]
-                nodes_list.append(a + (bb - a) * y16)
-                wts_list.append((bb - a) * w16 * np.ones_like(y16))
-                rows.append(idx_g[short])
-            far = ~short
-            if np.any(far):
-                a = lo_g[far]
-                bb = hi_g[far]
-                # anchor panels at the endpoint nearest zero, truncate the far tail
-                neg = bb < 0.0
-                a2 = np.where(neg, -bb, a)
-                b2 = np.where(neg, -a, bb)
-                b2 = np.minimum(b2, np.sqrt(a2 * a2 + 20.0))
-                fr, y, wy = _tail_gl(16)
-                edges = a2[:, None] + (b2 - a2)[:, None] * fr[None, :]
-                pan_nodes = []
-                pan_wts = []
-                for j in range(3):
-                    e0 = edges[:, j][:, None]
-                    e1 = edges[:, j + 1][:, None]
-                    pan_nodes.append(e0 + (e1 - e0) * y)
-                    pan_wts.append((e1 - e0) * wy * np.ones_like(y))
-                nds = np.concatenate(pan_nodes, axis=1)
-                wt = np.concatenate(pan_wts, axis=1)
-                nds = np.where(neg[:, None], -nds, nds)
-                nodes_list.append(nds)
-                wts_list.append(wt)
-                rows.append(idx_g[far])
-            for nds, wt, rr in zip(nodes_list, wts_list, rows):
-                d_loc = dif0[rr]
-                diffs = d_loc[:, None, :] + nds[:, :, None] * s1[None, None, :]
-                qv = np.einsum("kjn,nm,kjm->kj", diffs, M, diffs)
-                if lin is not None:
-                    qv = qv + diffs @ lin
-                if const:
-                    qv = qv + const
-                out[rr] = np.einsum("kj,kj->k", wt * np.exp(-nds ** 2), qv)
-        return out
-
-    if n == 1:
-        return math.pi ** (-0.5) * float(segment_values(np.zeros((1, 0)))[0])
-
-    # coordinate ranges of the domain in w, from support functions (stable)
-    Sinv = np.linalg.inv(S)
-    c_w = -(Sinv @ E00)  # ellipsoid center in w-coordinates
-    Qinv = np.linalg.inv(Qe)
-
-    def support(idx: int) -> float:
-        g = Sinv[idx, :]
-        return math.sqrt(max(rho * float(g @ Qinv @ g), 0.0))
-
-    if n == 2:
-        h2 = support(1)
-        lo_c, hi_c = max(c_w[1] - h2, -_WINDOW), min(c_w[1] + h2, _WINDOW)
-        if hi_c <= lo_c:
-            return 0.0
-        nodes, wts = _compressed_nodes(lo_c, hi_c, order)
-        vals = segment_values(nodes[:, None])
-        return math.pi ** (-1.0) * float(wts @ (np.exp(-nodes ** 2) * vals))
-
-    if n == 3:
-        # Schur data of the projection onto the rest-plane (eliminate w1)
-        A_p = A[1:, 1:] - np.outer(A[0, 1:], A[0, 1:]) / alpha
-        ext = np.array([support(1), support(2)])
-        oi = int(np.argmax(ext))  # outer index within the rest-plane
-        ii = 1 - oi
-        lo_c = max(c_w[1 + oi] - ext[oi], -_WINDOW)
-        hi_c = min(c_w[1 + oi] + ext[oi], _WINDOW)
-        if hi_c <= lo_c:
-            return 0.0
-        o_nodes, o_wts = _compressed_nodes(lo_c, hi_c, order)  # (K,)
-        s_mid = Srest[:, ii]
-        s_out = Srest[:, oi]
-        # vertex of the projected quadratic in the middle coordinate, then its
-        # value evaluated geometrically through the doubly-minimizing point
-        b_p = bvec[1:] - bvec[0] * A[0, 1:] / alpha
-        beta_p = b_p[ii] + 2.0 * A_p[ii, oi] * o_nodes
-        m_star = -beta_p / (2.0 * A_p[ii, ii])
-        offs_mo = E00 + np.outer(m_star, s_mid) + np.outer(o_nodes, s_out)
-        w1_star = -(offs_mo @ Qs1) / alpha
-        offp = offs_mo + w1_star[:, None] * s1
-        lev_m = rho - np.einsum("ij,jk,ik->i", offp, Qe, offp)
-        okm = lev_m > 0.0
-        if not np.any(okm):
-            return 0.0
-        half_m = np.sqrt(lev_m[okm] / A_p[ii, ii])
-        m_lo = np.clip(m_star[okm] - half_m, -_WINDOW, _WINDOW)
-        m_hi = np.clip(m_star[okm] + half_m, -_WINDOW, _WINDOW)
-        keep = m_hi > m_lo
-        if not np.any(keep):
-            return 0.0
-        o_nodes = o_nodes[okm][keep]
-        o_wts = o_wts[okm][keep]
-        m_nodes, m_wts = _compressed_nodes(m_lo[keep], m_hi[keep], order)  # (K, 2J)
-        K, J2 = m_nodes.shape
-        w_rest = np.empty((K, J2, 2))
-        w_rest[:, :, ii] = m_nodes
-        w_rest[:, :, oi] = o_nodes[:, None]
-        vals = segment_values(w_rest.reshape(-1, 2)).reshape(K, J2)
-        inner_sum = np.einsum("kj,kj->k", m_wts * np.exp(-m_nodes ** 2), vals)
-        total = float((o_wts * np.exp(-o_nodes ** 2)) @ inner_sum)
-        return math.pi ** (-1.5) * total
-
-    raise NotImplementedError(f"tensor engine not implemented for n={n}")
+    """The tensor rule of ``gaussian_quadratic_stack`` on one slice, unclassified."""
+    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
+    return float(_gauss_tensor_stack(const=const, order=order, **args)[0])
 
 
 def gaussian_quadratic_auto(
@@ -687,31 +691,9 @@ def gaussian_quadratic_auto(
     const: float = 0.0,
     lin: np.ndarray | None = None,
 ) -> float:
-    """Production entry point for Gaussian x quadratic slice integrals.
-
-    In every dimension the whitened domain is classified first: a boundary
-    everywhere beyond the Gaussian window collapses to the closed-form
-    full-space moment (or to zero when the center is outside), and everything
-    else goes to the normal-aligned tensor engine.
-    """
-    Qe = ell.shape
-    rho = ell.level
-    E00 = mean - ell.center
-    h0 = math.sqrt(max(float(E00 @ Qe @ E00) / rho, 0.0))
-    # conservative whitened distance from the Gaussian center to the domain
-    # boundary: |Mahalanobis - 1| times the smallest whitened semiaxis, which
-    # is at least sqrt(rho / tr(L2^T Q L2))
-    L2 = 2.0 * chol_cov_half
-    tr = float(np.sum((Qe @ L2) * L2))
-    amin = math.sqrt(rho / tr) if tr > 0 else 0.0
-    if abs(h0 - 1.0) * amin >= _WINDOW:
-        if h0 < 1.0:
-            cov = 2.0 * (chol_cov_half @ chol_cov_half.T)
-            return gaussian_quadratic_fullspace(mean, cov, M, q_center,
-                                                const=const, lin=lin)
-        return 0.0
-    return gaussian_quadratic_tensor(ell, mean, chol_cov_half, M, q_center,
-                                     const=const, lin=lin)
+    """``gaussian_quadratic_stack`` on one slice."""
+    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
+    return float(gaussian_quadratic_stack(const=const, **args)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_translation_commutes_with_membership(proto, balls):
         t = rng.uniform(-1.2, 0.1)
         z = proto.point(x, t)
         lhs = ball.contains(z)
-        rhs = moved.contains(kp.group_compose(z, z0, proto))
+        rhs = moved.contains(kp.group_compose(z0, z, proto))
         assert lhs == rhs
 
 
@@ -141,7 +141,7 @@ def test_boxes_shrink_with_radius(heat1):
 def test_ball_contains_translated_center(proto):
     z0 = proto.point([1.0, 2.0], 5.0)
     ball = kp.lball(proto, PROTO_R, z0)
-    inside = kp.group_compose(proto.point([0.0, 0.0], -0.5), z0, proto)
+    inside = kp.group_compose(z0, proto.point([0.0, 0.0], -0.5), proto)
     assert ball.contains(inside)
     assert not ball.contains(z0)
 
@@ -161,3 +161,40 @@ def test_export_slices_csv(tmp_path, balls):
     assert len(lines) == 26
     first = [float(v) for v in lines[1].split(",")]
     assert 0.0 < first[0] < balls["proto"].s_max
+
+
+def test_off_origin_ball_contains_agrees_with_slices(proto, evaluators):
+    # membership Gamma(z0, z) > 1/r against the stacked global slices and the
+    # origin-frame slice of z0^{-1} o z, at a center off the origin
+    ev = evaluators["proto"]
+    ball = kp.lball(proto, PROTO_R, proto.point([0.3, 0.5], -0.4), ev)
+    lo, hi = kp.ball_bounding_box(ball)
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(2000):
+        u = lo + (hi - lo) * (1.2 * rng.random(3) - 0.1)
+        z = proto.point(u[:-1], u[-1])
+        cls = ball.classify(z)
+        if cls == "boundary":
+            continue
+        sl = ball.slices(ball.t0 - z.t)
+        in_slice = False
+        if sl.idx.size:
+            d = z.x - sl.center[0]
+            in_slice = bool(d @ sl.shape[0] @ d < sl.rho[0])
+            w = ball.to_origin_frame(z)
+            assert bool(ball.slice_at(ball.t0 - z.t).contains(w.x[None, :])[0]) == in_slice
+            assert ball.from_origin_frame(w).x == pytest.approx(z.x, abs=1e-12)
+        assert in_slice == (cls == "inside")
+        checked += 1
+    assert checked > 1900
+
+
+def test_translation_of_an_off_origin_ball(proto, balls):
+    ball = kp.ball_translate(balls["proto"], proto.point([0.3, 0.5], -0.4))
+    w = proto.point([-0.2, 0.6], 0.25)
+    moved = kp.ball_translate(ball, w)
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        z = proto.point(0.8 * rng.standard_normal(2), rng.uniform(-1.6, -0.3))
+        assert moved.contains(kp.group_compose(w, z, proto)) == ball.contains(z)

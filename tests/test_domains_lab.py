@@ -266,3 +266,12 @@ def test_indicator_domain_mc_paths(balls):
     lp = lp_condition_norm(domain, ball, 3, cfg)
     assert "mc_indicator_domain" in lp.flags
     assert math.isfinite(lp.norm)
+
+
+def test_potential_identity_off_origin_ball(proto, evaluators, quad_cfg):
+    ball = kp.lball(proto, 2.0 * math.pi / math.sqrt(3.0), proto.point([0.3, 0.5], -0.4),
+                    evaluators["proto"])
+    domain = ExactBall(ball)
+    pts = [p for p in exterior_test_points(domain, ball, 6, seed=31) if p[1] != "future"]
+    rep = potential_identity_residual(domain, ball, pts[:3], quad_cfg)
+    assert rep.sup_rel_residual < 1e-5

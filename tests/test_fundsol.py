@@ -47,7 +47,7 @@ def test_left_invariance(all_specs, evaluators):
             z = spec.point(rng.standard_normal(spec.n), rng.uniform(0.5, 2.0))
             zeta = spec.point(rng.standard_normal(spec.n), rng.uniform(-1.0, 0.4))
             w = spec.point(rng.standard_normal(spec.n), rng.standard_normal())
-            lhs = ev.Gamma(kp.group_compose(z, w, spec), kp.group_compose(zeta, w, spec))
+            lhs = ev.Gamma(kp.group_compose(w, z, spec), kp.group_compose(w, zeta, spec))
             rhs = ev.Gamma(z, zeta)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-300)
 
@@ -119,3 +119,30 @@ def test_kernel_dilation_homogeneity(all_specs, evaluators):
 
 def test_gamma_underflow_returns_exact_zero(heat1, evaluators):
     assert evaluators["heat1"].gamma(heat1.point([100.0], 1e-3)) == 0.0
+
+
+def test_gamma_solves_the_equation_off_origin(proto, evaluators):
+    # L u = div(A grad u) + <B x, grad u> - du/dt applied to u = Gamma(., zeta) by
+    # central differences; the pole zeta is off the origin, where the side of
+    # the group law in Gamma(z, zeta) = gamma(zeta^{-1} o z) matters
+    ev = evaluators["proto"]
+    zeta = proto.point([0.3, 0.5], -0.4)
+    h = 1e-4
+
+    def u(x, t):
+        return ev.Gamma(proto.point(x, t), zeta)
+
+    for x, t in (([0.2, 0.1], 0.3), ([-0.4, 0.9], 0.8)):
+        x = np.asarray(x)
+        grad = np.zeros(2)
+        hess = np.zeros((2, 2))
+        for i in range(2):
+            e = h * np.eye(2)[i]
+            grad[i] = (u(x + e, t) - u(x - e, t)) / (2 * h)
+            for j in range(2):
+                f = h * np.eye(2)[j]
+                hess[i, j] = (u(x + e + f, t) - u(x + e - f, t) - u(x - e + f, t)
+                              + u(x - e - f, t)) / (4 * h * h)
+        dt = (u(x, t + h) - u(x, t - h)) / (2 * h)
+        Lu = np.sum(proto.A * hess) + (proto.B @ x) @ grad - dt
+        assert abs(Lu) < 1e-5 * u(x, t)

@@ -16,7 +16,6 @@ from kolpot.quadrature import (
     ellipsoid_polynomial_integral,
     ellipsoid_quadratic_integral,
     gaussian_quadratic_auto,
-    gaussian_quadratic_ellipsoid,
     gaussian_quadratic_fullspace,
     gaussian_quadratic_tensor,
     integrate_over_ball,
@@ -24,6 +23,7 @@ from kolpot.quadrature import (
     mc_sample_ball,
     unit_ball_moment,
 )
+from oracles import gaussian_quadratic_ellipsoid
 
 
 def test_unit_ball_moments_basic():
