@@ -91,26 +91,14 @@ class Ellipsoid:
             / math.sqrt(np.linalg.det(self.shape))
         )
 
-    def cholesky(self) -> np.ndarray:
-        """Lower factor L with shape = L L^T."""
-        return np.linalg.cholesky(self.shape)
-
     def ball_map(self) -> np.ndarray:
         """Matrix T mapping the open unit ball onto the centered ellipsoid, x = c + T u."""
-        L = self.cholesky()
-        return math.sqrt(self.level) * np.linalg.inv(L).T
+        return math.sqrt(self.level) * np.linalg.inv(np.linalg.cholesky(self.shape)).T
 
     def axis_extents(self) -> np.ndarray:
         """Half-width of the axis-aligned bounding box along each coordinate."""
         Minv = np.linalg.inv(self.shape)
         return np.sqrt(self.level * np.diag(Minv))
-
-    def scaled(self, factor: float) -> "Ellipsoid":
-        """Similar ellipsoid with linear size multiplied by ``factor``."""
-        return Ellipsoid(self.center, self.shape, self.level * factor ** 2)
-
-    def shifted(self, h: np.ndarray) -> "Ellipsoid":
-        return Ellipsoid(self.center + np.asarray(h, dtype=float), self.shape, self.level)
 
 
 def ball_time_extent(r: float, spec: OperatorSpec, ev: GammaEvaluator | None = None) -> float:

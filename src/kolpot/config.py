@@ -51,6 +51,10 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _reject_unknown(section: str, data: dict, allowed: set):
     unknown = set(data) - allowed
     if unknown:
@@ -132,18 +136,19 @@ def _parse_experiments(data) -> list[dict]:
             raise SchemaError(f"unknown experiment '{name}'")
         _reject_unknown(f"experiments[{i}]", {k: v for k, v in exp.items() if k != "name"},
                         _EXPERIMENTS[name])
-        if name == "rigidity":
-            for pert in exp.get("perturbations", []):
-                if not isinstance(pert, dict) or pert.get("kind") not in _PERTURBATION_KINDS:
-                    raise SchemaError(
-                        f"rigidity perturbations need a kind in {sorted(_PERTURBATION_KINDS)}")
-                if not 0.0 < float(pert.get("magnitude", 0.0)) < 1.0:
-                    raise SchemaError("perturbation magnitude must be in (0, 1)")
-        if name == "lp_check":
-            pert = exp.get("perturbation")
-            if pert is not None and (not isinstance(pert, dict)
-                                     or pert.get("kind") not in _PERTURBATION_KINDS):
-                raise SchemaError("lp_check.perturbation needs a known kind")
+        perts = exp.get("perturbations") or []
+        if exp.get("perturbation") is not None:
+            perts = [exp["perturbation"]]
+        if not isinstance(perts, list):
+            raise SchemaError("rigidity.perturbations must be a list")
+        for pert in perts:
+            if not isinstance(pert, dict) or pert.get("kind") not in _PERTURBATION_KINDS:
+                raise SchemaError(
+                    f"{name} perturbations need a kind in {sorted(_PERTURBATION_KINDS)}")
+            if not (_is_real(pert.get("magnitude")) and 0.0 < pert["magnitude"] < 1.0):
+                raise SchemaError(f"{name} perturbation magnitude must be a number in (0, 1)")
+        if exp.get("p") is not None and not (_is_real(exp["p"]) and exp["p"] > 0.0):
+            raise SchemaError("lp_check.p must be a number > 0")
         out.append(dict(exp))
     return out
 

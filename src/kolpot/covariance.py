@@ -70,12 +70,6 @@ class MatrixPolynomial:
             out = out * tt + self.coeffs[k]
         return out
 
-    def derivative(self) -> "MatrixPolynomial":
-        if self.degree == 0:
-            return MatrixPolynomial(np.zeros((1,) + self.coeffs.shape[1:]))
-        d = self.coeffs[1:] * np.arange(1, self.degree + 1)[:, None, None]
-        return MatrixPolynomial(d)
-
 
 def exponential_polynomial(spec: OperatorSpec) -> MatrixPolynomial:
     """E(s) = sum_{k<=r} (-s)^k B^k / k! as an exact matrix polynomial."""
@@ -115,21 +109,17 @@ def _spd_inverse(M: np.ndarray) -> np.ndarray:
 
 
 def covariance_inverse_at(t: float, spec: OperatorSpec) -> np.ndarray:
-    """C(t)^{-1} via symmetric (Cholesky) factorization; sign-aware for t < 0.
+    """C(t)^{-1} from ``CovarianceModel.C_inverse``; sign-aware for t < 0.
 
     Raises SingularAtZero at t = 0.  Condition numbers above 1e14 are reported
     through an IllConditionedWarning but the inverse is still returned.
     """
-    if t == 0.0:
-        raise SingularAtZero("C(0) = 0 has no inverse")
-    C = covariance_at(t, spec)
-    sign = 1.0 if t > 0 else -1.0
-    inv = sign * _spd_inverse(sign * C)
-    cond = np.linalg.cond(C)
+    model = CovarianceModel(spec)
+    inv = model.C_inverse(t)
+    cond = np.linalg.cond(model.C(t))
     if cond > 1e14:
-        warnings.warn(
-            f"C({t:g}) has condition number {cond:.3g} > 1e14", IllConditionedWarning
-        )
+        warnings.warn(f"C({t:g}) has condition number {cond:.3g} > 1e14",
+                      IllConditionedWarning)
     return inv
 
 

@@ -55,6 +55,17 @@ class SignedSliceStack(NamedTuple):
     shape: np.ndarray   # (m, n, n)
     level: np.ndarray   # (m,)
 
+    def holds(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Membership of the points X[k] (X has shape (m, q, n)) at input time
+        node[k]: a point lies in the domain when the signed count of the
+        slices holding it is positive."""
+        i, j = np.nonzero(node[:, None] == self.node[None, :])
+        Y = X[i] - self.center[j][:, None, :]
+        inside = np.einsum("pqi,pij,pqj->pq", Y, self.shape[j], Y) < self.level[j][:, None]
+        count = np.zeros(X.shape[:2])
+        np.add.at(count, i, self.sign[j][:, None] * inside)
+        return count > 0.0
+
 
 def _ball_stack(sl: SliceStack) -> SignedSliceStack:
     # every kept slice has rho > 0, so np.sign gives the +1 signs (cheaper than np.ones)
@@ -85,11 +96,8 @@ class SlicedDomain:
         t_lo, t_hi = self.time_interval
         if not t_lo < z.t < t_hi:
             return False
-        total = 0.0
-        for sign, ell in self.signed_slices(z.t):
-            if ell.contains(z.x[None, :])[0]:
-                total += sign
-        return total > 0.0
+        st = self.signed_slice_stack(z.t)
+        return bool(st.holds(z.x[None, None, :], np.zeros(1, dtype=int))[0, 0])
 
     def bounding_box(self):
         return ball_bounding_box(self.ball)

@@ -35,6 +35,11 @@ class GammaEvaluator:
         self.spec = spec
         self.cov = cov if cov is not None else CovarianceModel(spec)
         self.norm = (4.0 * math.pi) ** (-0.5 * spec.n)
+        self._W_unit = {}
+        for sign in (1.0, -1.0):
+            Cinv = self.cov.C_inverse(sign)
+            M = 0.25 * Cinv @ spec.A @ Cinv
+            self._W_unit[sign] = 0.5 * (M + M.T)
 
     # -- pointwise API ----------------------------------------------------
 
@@ -54,11 +59,7 @@ class GammaEvaluator:
 
     def W(self, z: GroupPoint) -> float:
         """Mean-value kernel at a single point; raises TimeZero at t = 0."""
-        if z.t == 0.0:
-            raise TimeZero("kernel W is undefined on R^n x {0}")
-        Cinv = self.cov.C_inverse(z.t)
-        y = Cinv @ z.x
-        return 0.25 * float(y @ self.spec.A @ y)
+        return float(z.x @ self.W_quadratic(z.t) @ z.x)
 
     # -- vectorized slice API (fixed time, many spatial points) -----------
 
@@ -75,19 +76,17 @@ class GammaEvaluator:
         out[ok] = self.norm / math.sqrt(self.cov.detC(t)) * np.exp(expo[ok])
         return out
 
-    def W_slice(self, X: np.ndarray, t: float) -> np.ndarray:
-        """W((x_i, t)) for rows x_i of X, at one common nonzero time t."""
-        if t == 0.0:
-            raise TimeZero("kernel W is undefined on R^n x {0}")
-        X = np.atleast_2d(X)
-        Y = X @ self.cov.C_inverse(t)
-        return 0.25 * np.einsum("ij,jk,ik->i", Y, self.spec.A, Y)
+    def W_quadratic(self, t):
+        """Matrix M with W(x, t) = x^T M x, i.e. M = C(t)^{-1} A C(t)^{-1} / 4.
 
-    def W_quadratic(self, t: float) -> np.ndarray:
-        """Matrix M with W(x, t) = x^T M x, i.e. M = C^{-1} A C^{-1} / 4."""
-        if t == 0.0:
+        ``t`` is a time or an array of times (then M is stacked, shape
+        (m, n, n)).  Homogeneity gives W(t) = D W(sign t) D / |t| with
+        D = D(|t|^{-1/2}), so only W(+-1) is ever formed from C^{-1}.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(t == 0.0):
             raise TimeZero("kernel W is undefined on R^n x {0}")
-        Cinv = self.cov.C_inverse(t)
-        M = 0.25 * Cinv @ self.spec.A @ Cinv
-        return 0.5 * (M + M.T)
-
+        a = np.abs(t)[..., None]
+        d = a ** -self.cov.half_weights
+        return (np.where((t > 0.0)[..., None, None], self._W_unit[1.0], self._W_unit[-1.0])
+                * (d[..., :, None] * d[..., None, :]) / a[..., None])

@@ -12,7 +12,9 @@ signed slice ellipsoids, and each call of the adaptive compressed time rule's
 profile stacks the slices of all its nodes into one Gaussian x quadratic
 engine call.  For the exact ball and z outside, P equals r Gamma(z0, z); the
 rigidity experiments measure how strongly perturbed domains break that
-identity.
+identity.  The L^p gluing check integrates W^p over the symmetric difference
+of a domain and the ball the same way: one stacked pass over the signed
+slices of both at all nodes of a time cell.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__ as _version
-from .balls import LBall, ball_bounding_box
+from .balls import LBall, ball_bounding_box, unit_ball_volume
 from .domains import (
     BittenBall,
     ExactBall,
     IndicatorDomain,
     RadiusMismatchBall,
     ScaledBall,
+    SignedSliceStack,
     SlicedDomain,
 )
-from .errors import PointNotInterior, TestPointInsideDomain, TimeZero
+from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
 from .quadrature import (
     IntegralResult,
@@ -71,14 +74,13 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
     At a node tau with delta = tau - z.t > 0 the integrand is the Gaussian of
     covariance 2 C(delta) centred at E(delta) z.x, whose Cholesky factor is
     D(sqrt delta) L1, times the quadratic W(u), u = tau - t0, centred at
-    E(u) x0; homogeneity gives W(u) = D(|u|^{-1/2}) W(sign u) D(|u|^{-1/2}) / |u|.
-    All nodes of a call take their slices from one ``signed_slice_stack``
-    call and go through one ``gaussian_quadratic_stack`` call.
+    E(u) x0 (``GammaEvaluator.W_quadratic`` over the stacked u).  All nodes of
+    a call take their slices from one ``signed_slice_stack`` call and go
+    through one ``gaussian_quadratic_stack`` call.
     """
     ev = ball.ev
     cov = ev.cov
     x0, t0 = ball.z0.x, ball.z0.t
-    W_unit = {1.0: ev.W_quadratic(1.0), -1.0: ev.W_quadratic(-1.0)}
 
     def profile(tau_arr):
         tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
@@ -89,16 +91,11 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
             return np.zeros(tau.size)
         delta = tau[node] - z.t
         u = tau[node] - t0
-        if np.any(u == 0.0):
-            raise TimeZero("kernel W is undefined on R^n x {0}")
-        d = np.abs(u)[:, None] ** -cov.half_weights
-        MW = (np.where((u > 0.0)[:, None, None], W_unit[1.0], W_unit[-1.0])
-              * (d[:, :, None] * d[:, None, :]) / np.abs(u)[:, None, None])
         vals = gaussian_quadratic_stack(
             st.center, st.shape, st.level,
             mean=cov.E(delta) @ z.x,
             chol_cov_half=(delta[:, None] ** cov.half_weights)[:, :, None] * cov.L1,
-            M=MW,
+            M=ev.W_quadratic(u),
             q_center=cov.E(u) @ x0,
         )
         return np.bincount(node, weights=st.sign * vals, minlength=tau.size)
@@ -460,28 +457,98 @@ class LpCheck:
         }
 
 
-def _slice_power_integral(ell, MW, cW, p: int, n: int) -> float:
-    """Exact integral of W^p over one ellipsoid via a degree-2p ball rule."""
-    nodes, weights = ball_rule(n, 2 * p)
-    T = ell.ball_map()
-    X = ell.center + nodes @ T.T
-    Y = X - cW
-    w = np.einsum("ij,jk,ik->i", Y, MW, Y)
-    jac = ell.level ** (n / 2.0) / math.sqrt(np.linalg.det(ell.shape))
-    return jac * float(weights @ np.clip(w, 0.0, None) ** p)
+def _ball_maps(st):
+    """Maps x = c + T u of the unit ball onto every slice of a stack, and their
+    Jacobians |det T|."""
+    T = np.sqrt(st.level)[:, None, None] * np.linalg.inv(
+        np.linalg.cholesky(st.shape)).transpose(0, 2, 1)
+    jac = st.level ** (st.center.shape[1] / 2.0) / np.sqrt(np.linalg.det(st.shape))
+    return T, jac
+
+
+def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
+    """Profile tau -> int of W(z0^{-1} o .)^p over the slices of the symmetric
+    difference of the domain and the ball, one call per time cell.
+
+    Each call takes both stacks from one ``signed_slice_stack`` call each and
+    the kernel W(u), u = tau - t0, centred at E(u) x0, from one
+    ``W_quadratic`` call over the nodes that have a slice.  For nested
+    families at integer p the value is |int_D W^p - int_ball W^p|, each a
+    signed sum of exact degree-2p ``ball_rule`` integrals.  Otherwise every
+    +1 slice of either domain carries 512 uniform samples from a per-node
+    Philox stream, and a sample counts where it lies in its own domain and
+    not in the other.
+    """
+    n = ball.spec.n
+    ev = ball.ev
+    x0, t0 = ball.z0.x, ball.z0.t
+    base = ExactBall(ball)
+    p_int = int(round(p))
+    nested = isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
+    exact = abs(p - p_int) < 1e-12 and p_int >= 1 and nested
+
+    def profile(tau_arr):
+        tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
+        sb = base.signed_slice_stack(tau)
+        sd = domain.signed_slice_stack(tau)
+        live = np.union1d(sb.node, sd.node)
+        if live.size == 0:
+            return np.zeros(tau.size)
+        u = tau[live] - t0
+        MW = ev.W_quadratic(u)
+        cW = ev.cov.E(u) @ x0
+
+        def w_power(X, node):
+            k = np.searchsorted(live, node)
+            Y = X - cW[k][:, None, :]
+            return np.clip(np.einsum("mqi,mij,mqj->mq", Y, MW[k], Y), 0.0, None) ** p
+
+        def exact_value(st):
+            nodes, weights = ball_rule(n, 2 * p_int)
+            T, jac = _ball_maps(st)
+            X = st.center[:, None, :] + nodes @ T.transpose(0, 2, 1)
+            # a per-row sum, so a slice shared by both stacks integrates to the
+            # same bits in each and cancels exactly
+            vals = st.sign * jac * np.sum(w_power(X, st.node) * weights, axis=1)
+            return np.bincount(st.node, weights=vals, minlength=tau.size)
+
+        def mc_value(src, other, salt):
+            pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
+            if pos.node.size == 0:
+                return np.zeros(tau.size)
+            keys = [((int(seed) & 0xFFFFFFFF) << 28) ^ (int(abs(t) * 1e7) & 0xFFFFFFF) ^ salt
+                    for t in tau[pos.node]]
+            U = np.stack([np.random.Generator(np.random.Philox(key=k)).random((512, n + 1))
+                          for k in keys])
+            v = ndtri(np.clip(U[..., :n], 1e-12, 1 - 1e-12))
+            v = v / np.linalg.norm(v, axis=2, keepdims=True) * U[..., n:] ** (1.0 / n)
+            T, jac = _ball_maps(pos)
+            X = pos.center[:, None, :] + v @ T.transpose(0, 2, 1)
+            keep = src.holds(X, pos.node) & ~other.holds(X, pos.node)
+            vals = unit_ball_volume(n) * jac * np.mean(w_power(X, pos.node) * keep, axis=1)
+            return np.bincount(pos.node, weights=vals, minlength=tau.size)
+
+        if exact:
+            return np.abs(exact_value(sd) - exact_value(sb))
+        return mc_value(sb, sd, 1) + mc_value(sd, sb, 2)
+
+    return profile
 
 
 def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
                       cfg: QuadratureConfig) -> LpCheck:
-    """L^p norm of (1_D - 1_ball) W(z0^{-1} o .) over R^{n+1}.
+    """L^p norm of (1_D - 1_ball) W(z0^{-1} o .) over R^{n+1}, for p > 0.
 
-    Zero for the exact ball.  For nested-slice perturbations the symmetric
-    difference is a signed combination of ellipsoid integrals of W^p (exact
-    per slice, p integer); spatially shifted domains fall back to per-slice
+    Zero for the exact ball.  The time integral runs over a profile that
+    handles all nodes of a time cell in one stacked pass (``_lp_profile``):
+    exact degree-2p cubature for nested-slice perturbations at integer p,
+    Monte Carlo on the slices otherwise; indicator domains fall back to box
     Monte Carlo.  When the tail toward the pole keeps growing under floor
     refinement the estimate is flagged uncertified: the gluing condition
     fails and the true norm is infinite.
     """
+    if not p > 0.0:
+        raise ValueError(f"p must be positive, got {p}")
     flags = []
     if p <= ball.spec.Q / 2.0:
         flags.append("p_not_above_Q_half")
@@ -493,61 +560,7 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
         return LpCheck(p, integral ** (1.0 / p) if integral > 0 else 0.0,
                        integral, False, tuple(flags))
 
-    spec = ball.spec
-    ev = ball.ev
-    t0 = ball.z0.t
-    x0 = ball.z0.x
-    p_int = int(round(p))
-    exact_power = abs(p - p_int) < 1e-12 and p_int >= 1 and _nested_family(domain)
-    base = ExactBall(ball)
-
-    def mc_slice_symdiff(b_sl, d_sl, MW, cW, tau):
-        """Per-slice MC for non-nested slices: W^p over the symmetric difference."""
-
-        def region_value(src_slices, other_slices, salt):
-            total = 0.0
-            for sign, ell in src_slices:
-                if sign <= 0:
-                    continue
-                m = 512
-                key = ((int(cfg.seed) & 0xFFFFFFFF) << 28) ^ (
-                    int(abs(tau) * 1e7) & 0xFFFFFFF) ^ salt
-                rr = np.random.Generator(np.random.Philox(key=key))
-                U = rr.random((m, spec.n + 1))
-                v = ndtri(np.clip(U[:, : spec.n], 1e-12, 1 - 1e-12))
-                nv = np.linalg.norm(v, axis=1, keepdims=True)
-                rad = U[:, spec.n] ** (1.0 / spec.n)
-                T = ell.ball_map()
-                X = ell.center + (v / nv * rad[:, None]) @ T.T
-                outside = np.ones(m, dtype=bool)
-                for s2, e2 in other_slices:
-                    if s2 > 0:
-                        outside &= ~e2.contains(X)
-                Y = X - cW
-                w = np.clip(np.einsum("ij,jk,ik->i", Y, MW, Y), 0.0, None)
-                total += ell.volume() * float(np.mean(w ** p * outside))
-            return total
-
-        return region_value(b_sl, d_sl, 1) + region_value(d_sl, b_sl, 2)
-
-    def slice_symdiff(tau: float) -> float:
-        MW = ev.W_quadratic(tau - t0)
-        cW = transport_matrix(tau - t0, spec) @ x0
-        b_sl = base.signed_slices(tau)
-        d_sl = domain.signed_slices(tau)
-        if not b_sl and not d_sl:
-            return 0.0
-        if exact_power:
-            vb = sum(sign * _slice_power_integral(e, MW, cW, p_int, spec.n)
-                     for sign, e in b_sl)
-            vd = sum(sign * _slice_power_integral(e, MW, cW, p_int, spec.n)
-                     for sign, e in d_sl)
-            return abs(vd - vb)
-        return mc_slice_symdiff(b_sl, d_sl, MW, cW, tau)
-
-    def profile(tau_arr):
-        return np.array([slice_symdiff(float(t)) for t in np.atleast_1d(tau_arr)])
-
+    profile = _lp_profile(domain, ball, p, cfg.seed)
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo
@@ -563,10 +576,6 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     integral = vals[1]
     norm = integral ** (1.0 / p) if integral > 0 else 0.0
     return LpCheck(p, norm, integral, certified, tuple(flags))
-
-
-def _nested_family(domain: SlicedDomain) -> bool:
-    return isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
 
 
 def _mc_box_lp(domain: SlicedDomain, ball: LBall, p: float,

@@ -1004,9 +1004,9 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
     for i in range(cfg.mc_samples):
         fx[i] = f(X[i], t[i])
     if kernel:
-        # W(x, -s) = (D^{-1} y)^T W_quadratic(-1) (D^{-1} y) / s with y = x - c(s)
-        Z = (X - ball.slices(s).center) * s[:, None] ** -ball.ev.cov.half_weights
-        fx = fx * (np.einsum("ij,jk,ik->i", Z, ball.ev.W_quadratic(-1.0), Z) / s)
+        # W(x, -s) = y^T W_quadratic(-s) y with y = x - c(s)
+        Y = X - ball.slices(s).center
+        fx = fx * np.einsum("ij,ijk,ik->i", Y, ball.ev.W_quadratic(-s), Y)
     contrib = fx / p
     value = float(np.mean(contrib))
     err = float(np.std(contrib, ddof=1) / math.sqrt(cfg.mc_samples))

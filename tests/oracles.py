@@ -10,6 +10,12 @@
 * The per-node reference of the kernel-weighted Gamma profile
   (``reference_kernel_gamma_profile``), which builds each domain's signed
   slices per node from ``LBall.slice_at`` and ``LBall.slice_center``.
+* The per-node reference of the L^p gluing profile (``reference_lp_profile``),
+  the library's profile before it was stacked: one ellipsoid at a time, and a
+  Monte Carlo symmetric difference that only reads +1 slices (correct for
+  every family except the bitten ball at non-integer p).
+* ``reference_W_quadratic``: the kernel matrix C^{-1} A C^{-1} / 4 from the
+  covariance inverse at t, without the kernel's own homogeneity scaling.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, ndtri
 
 from kolpot.balls import Ellipsoid
 from kolpot.domains import (
@@ -37,6 +43,7 @@ from kolpot.quadrature import (
     _erf_moments,
     _leggauss01,
     _tail_gl,
+    ball_rule,
     gaussian_quadratic_fullspace,
 )
 
@@ -474,9 +481,9 @@ def reference_signed_slices(domain, t):
     if isinstance(domain, ScaledBall):
         f = domain.factor
         f = float(f(s / ball.s_max)) if callable(f) else float(f)
-        return [(1.0, ell.scaled(f))] if f > 0.0 else []
+        return [(1.0, Ellipsoid(ell.center, ell.shape, ell.level * f ** 2))] if f > 0.0 else []
     if isinstance(domain, ShiftedBall):
-        return [(1.0, ell.shifted(domain.h))]
+        return [(1.0, Ellipsoid(ell.center + domain.h, ell.shape, ell.level))]
     if isinstance(domain, BittenBall):
         u = s / ball.s_max
         a, b = domain.s_range
@@ -507,12 +514,92 @@ def reference_kernel_gamma_profile(domain, ball, z):
             return 0.0
         L = ev.cov.C_cholesky(delta)
         mean = transport_matrix(delta, spec) @ z.x
-        MW = ev.W_quadratic(tau - t0)
+        MW = reference_W_quadratic(ev, tau - t0)
         cW = transport_matrix(tau - t0, spec) @ x0
         val = 0.0
         for sign, ell in slices:
             val += sign * reference_gaussian_quadratic_auto(ell, mean, L, MW, cW)
         return val
+
+    def profile(tau_arr):
+        return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])
+
+    return profile
+
+
+def reference_W_quadratic(ev, t: float) -> np.ndarray:
+    """W(x, t) = x^T M x with M = C(t)^{-1} A C(t)^{-1} / 4, at one time."""
+    Cinv = ev.cov.C_inverse(t)
+    M = 0.25 * Cinv @ ev.spec.A @ Cinv
+    return 0.5 * (M + M.T)
+
+
+# ---------------------------------------------------------------------------
+# per-node reference of the L^p gluing profile
+# ---------------------------------------------------------------------------
+
+
+def _reference_slice_power_integral(ell, MW, cW, p: int, n: int) -> float:
+    """Exact integral of W^p over one ellipsoid via a degree-2p ball rule."""
+    nodes, weights = ball_rule(n, 2 * p)
+    T = ell.ball_map()
+    X = ell.center + nodes @ T.T
+    Y = X - cW
+    w = np.einsum("ij,jk,ik->i", Y, MW, Y)
+    jac = ell.level ** (n / 2.0) / math.sqrt(np.linalg.det(ell.shape))
+    return jac * float(weights @ np.clip(w, 0.0, None) ** p)
+
+
+def reference_lp_profile(domain, ball, p: float, seed: int):
+    """tau -> int of W^p over the slices of the symmetric difference, node by node."""
+    spec = ball.spec
+    ev = ball.ev
+    t0 = ball.z0.t
+    x0 = ball.z0.x
+    p_int = int(round(p))
+    nested = isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
+    exact_power = abs(p - p_int) < 1e-12 and p_int >= 1 and nested
+    base = ExactBall(ball)
+
+    def region_value(src_slices, other_slices, salt, MW, cW, tau):
+        total = 0.0
+        for sign, ell in src_slices:
+            if sign <= 0:
+                continue
+            m = 512
+            key = ((int(seed) & 0xFFFFFFFF) << 28) ^ (
+                int(abs(tau) * 1e7) & 0xFFFFFFF) ^ salt
+            rr = np.random.Generator(np.random.Philox(key=key))
+            U = rr.random((m, spec.n + 1))
+            v = ndtri(np.clip(U[:, : spec.n], 1e-12, 1 - 1e-12))
+            nv = np.linalg.norm(v, axis=1, keepdims=True)
+            rad = U[:, spec.n] ** (1.0 / spec.n)
+            T = ell.ball_map()
+            X = ell.center + (v / nv * rad[:, None]) @ T.T
+            outside = np.ones(m, dtype=bool)
+            for s2, e2 in other_slices:
+                if s2 > 0:
+                    outside &= ~e2.contains(X)
+            Y = X - cW
+            w = np.clip(np.einsum("ij,jk,ik->i", Y, MW, Y), 0.0, None)
+            total += ell.volume() * float(np.mean(w ** p * outside))
+        return total
+
+    def one(tau: float) -> float:
+        b_sl = reference_signed_slices(base, tau)
+        d_sl = reference_signed_slices(domain, tau)
+        if not b_sl and not d_sl:
+            return 0.0
+        MW = reference_W_quadratic(ev, tau - t0)
+        cW = transport_matrix(tau - t0, spec) @ x0
+        if exact_power:
+            vb = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
+                     for sign, e in b_sl)
+            vd = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
+                     for sign, e in d_sl)
+            return abs(vd - vb)
+        return (region_value(b_sl, d_sl, 1, MW, cW, tau)
+                + region_value(d_sl, b_sl, 2, MW, cW, tau))
 
     def profile(tau_arr):
         return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])

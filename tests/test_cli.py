@@ -71,6 +71,41 @@ def test_schema_rejects_dimension_above_three(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+_LP = {"name": "lp_check", "perturbation": {"kind": "bite", "magnitude": 0.1}, "p": 3}
+_RIGIDITY = {"name": "rigidity", "perturbations": [{"kind": "bite", "magnitude": 0.1}]}
+
+
+@pytest.mark.parametrize("experiment", [
+    dict(_LP, p="abc"),
+    dict(_LP, p=0),
+    dict(_LP, p=-1.5),
+    dict(_LP, p=True),
+    dict(_LP, perturbation={"kind": "bite"}),
+    dict(_LP, perturbation={"kind": "bite", "magnitude": 1.0}),
+    dict(_RIGIDITY, perturbations=[{"kind": "bite", "magnitude": "abc"}]),
+    dict(_RIGIDITY, perturbations=[{"kind": "bite", "magnitude": 0.0}]),
+    dict(_RIGIDITY, perturbations=[{"kind": "bite"}]),
+    dict(_RIGIDITY, perturbations=5),
+], ids=["p_string", "p_zero", "p_negative", "p_bool", "lp_magnitude_missing",
+        "lp_magnitude_one", "rigidity_magnitude_string", "rigidity_magnitude_zero",
+        "rigidity_magnitude_missing", "rigidity_perturbations_not_list"])
+def test_schema_rejects_bad_lp_and_perturbation_inputs(tmp_path, experiment):
+    payload = _tiny_config(tmp_path / "o")
+    payload["experiments"] = [experiment]
+    path = _write(tmp_path, payload)
+    with pytest.raises(SchemaError):
+        load_config(path)
+    assert run(str(path)) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_schema_accepts_lp_and_rigidity_inputs(tmp_path):
+    payload = _tiny_config(tmp_path / "o")
+    payload["experiments"] = [_LP, dict(_LP, p=3.5, perturbation=None), _RIGIDITY]
+    cfg = load_config(_write(tmp_path, payload))
+    assert [e["name"] for e in cfg.experiments] == ["lp_check", "lp_check", "rigidity"]
+
+
 def test_schema_requires_all_sections(tmp_path):
     payload = _tiny_config(tmp_path / "o")
     del payload["output"]
