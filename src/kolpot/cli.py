@@ -113,11 +113,13 @@ def run(config_path: str, seed: int | None = None, out_dir: str | None = None,
         for exp in cfg.experiments:
             report = run_experiment(exp, cfg.spec, cfg.z0, cfg.radii, quad)
             name = exp["name"]
+            k = sum(e["name"] == name for e in summary["experiments"])
+            stem = f"{name}-{k}" if k else name
             if fmt in ("json", "both"):
-                _atomic_write(os.path.join(out_dir, f"{name}.json"), _dump_json(report))
+                _atomic_write(os.path.join(out_dir, f"{stem}.json"), _dump_json(report))
             if fmt in ("csv", "both"):
-                _write_csv(os.path.join(out_dir, f"{name}.csv"), _flatten_rows(report))
-            summary["experiments"].append({"name": name, "passed": report["passed"]})
+                _write_csv(os.path.join(out_dir, f"{stem}.csv"), _flatten_rows(report))
+            summary["experiments"].append(dict(name=name, passed=report["passed"], report=stem))
             summary["passed"] = summary["passed"] and report["passed"]
             status = "PASS" if report["passed"] else "FAIL"
             print(f"[{status}] {name}")

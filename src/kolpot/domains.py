@@ -57,14 +57,14 @@ class SignedSliceStack(NamedTuple):
 
     def holds(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Membership of the points X[k] (X has shape (m, q, n)) at input time
-        node[k]: a point lies in the domain when the signed count of the
-        slices holding it is positive."""
+        node[k]: a point lies in the domain when the signed count of the slices
+        holding it, one bincount over all (row, point) pairs, is positive."""
         i, j = np.nonzero(node[:, None] == self.node[None, :])
         Y = X[i] - self.center[j][:, None, :]
-        inside = np.einsum("pqi,pij,pqj->pq", Y, self.shape[j], Y) < self.level[j][:, None]
-        count = np.zeros(X.shape[:2])
-        np.add.at(count, i, self.sign[j][:, None] * inside)
-        return count > 0.0
+        inside = np.einsum("pqi,pqi->pq", Y @ self.shape[j], Y) < self.level[j][:, None]
+        count = np.bincount((i[:, None] * X.shape[1] + np.arange(X.shape[1])).ravel(),
+                            (self.sign[j][:, None] * inside).ravel(), X.shape[0] * X.shape[1])
+        return count.reshape(X.shape[:2]) > 0.0
 
 
 def _ball_stack(sl: SliceStack) -> SignedSliceStack:

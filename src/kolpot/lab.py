@@ -466,6 +466,20 @@ def _ball_maps(st):
     return T, jac
 
 
+def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int) -> np.ndarray:
+    """Generator(Philox(key=k)).random((512, n + 1)) for each time's key k, from ``gen``
+    re-keyed per time: a key, a zero counter and an empty buffer fix a Philox stream."""
+    state = dict(gen.bit_generator.state, buffer_pos=4, has_uint32=0)
+    state["state"]["counter"][:] = 0
+    U = np.empty((len(taus), 512, n + 1))
+    for r, t in enumerate(taus):
+        key = ((int(seed) & 0xFFFFFFFF) << 28) ^ (int(abs(t) * 1e7) & 0xFFFFFFF) ^ salt
+        state["state"]["key"][:] = key, 0
+        gen.bit_generator.state = state
+        gen.random(out=U[r])
+    return U
+
+
 def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     """Profile tau -> int of W(z0^{-1} o .)^p over the slices of the symmetric
     difference of the domain and the ball, one call per time cell.
@@ -475,9 +489,9 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     ``W_quadratic`` call over the nodes that have a slice.  For nested
     families at integer p the value is |int_D W^p - int_ball W^p|, each a
     signed sum of exact degree-2p ``ball_rule`` integrals.  Otherwise every
-    +1 slice of either domain carries 512 uniform samples from a per-node
-    Philox stream, and a sample counts where it lies in its own domain and
-    not in the other.
+    +1 slice of either domain carries 512 uniform samples from its node's
+    Philox stream (``_node_uniforms``, one re-keyed generator per profile),
+    and a sample counts where it lies in its own domain and not in the other.
     """
     n = ball.spec.n
     ev = ball.ev
@@ -486,6 +500,7 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     p_int = int(round(p))
     nested = isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
     exact = abs(p - p_int) < 1e-12 and p_int >= 1 and nested
+    gen = np.random.Generator(np.random.Philox(key=0))
 
     def profile(tau_arr):
         tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
@@ -501,7 +516,7 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
         def w_power(X, node):
             k = np.searchsorted(live, node)
             Y = X - cW[k][:, None, :]
-            return np.clip(np.einsum("mqi,mij,mqj->mq", Y, MW[k], Y), 0.0, None) ** p
+            return np.clip(np.einsum("mqi,mqi->mq", Y @ MW[k], Y), 0.0, None) ** p
 
         def exact_value(st):
             nodes, weights = ball_rule(n, 2 * p_int)
@@ -516,10 +531,7 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
             pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
             if pos.node.size == 0:
                 return np.zeros(tau.size)
-            keys = [((int(seed) & 0xFFFFFFFF) << 28) ^ (int(abs(t) * 1e7) & 0xFFFFFFF) ^ salt
-                    for t in tau[pos.node]]
-            U = np.stack([np.random.Generator(np.random.Philox(key=k)).random((512, n + 1))
-                          for k in keys])
+            U = _node_uniforms(gen, seed, tau[pos.node], salt, n)
             v = ndtri(np.clip(U[..., :n], 1e-12, 1 - 1e-12))
             v = v / np.linalg.norm(v, axis=2, keepdims=True) * U[..., n:] ** (1.0 / n)
             T, jac = _ball_maps(pos)
@@ -545,7 +557,8 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     Monte Carlo on the slices otherwise; indicator domains fall back to box
     Monte Carlo.  When the tail toward the pole keeps growing under floor
     refinement the estimate is flagged uncertified: the gluing condition
-    fails and the true norm is infinite.
+    fails and the true norm is infinite.  A floor integral that stops at its
+    cell budget adds the flag ``tolerance_not_met``.
     """
     if not p > 0.0:
         raise ValueError(f"p must be positive, got {p}")
@@ -564,12 +577,12 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo
-    vals = []
-    for floor in (1e-5, 1e-7):
-        res = integrate_time_profile(profile, lo, hi - floor * span,
-                                     order=cfg.time_order, rel_tol=1e-6,
-                                     abs_tol=0.0, max_depth=30, max_cells=600)
-        vals.append(res.value)
+    res = [integrate_time_profile(profile, lo, hi - floor * span, order=cfg.time_order,
+                                  rel_tol=1e-6, abs_tol=0.0, max_depth=30, max_cells=600)
+           for floor in (1e-5, 1e-7)]
+    if not all(r.converged for r in res):
+        flags.append("tolerance_not_met")
+    vals = [r.value for r in res]
     certified = abs(vals[1] - vals[0]) <= 2e-2 * max(abs(vals[1]), 1e-300)
     if not certified:
         flags.append("tail_divergence_suspected")

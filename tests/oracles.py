@@ -16,6 +16,9 @@
   every family except the bitten ball at non-integer p).
 * ``reference_W_quadratic``: the kernel matrix C^{-1} A C^{-1} / 4 from the
   covariance inverse at t, without the kernel's own homogeneity scaling.
+* ``reference_holds``: signed-slice membership as ``SignedSliceStack.holds``
+  computed it before its count became one bincount: a three-operand einsum
+  and an unbuffered ``np.add.at`` over the rows.
 """
 
 from __future__ import annotations
@@ -605,3 +608,13 @@ def reference_lp_profile(domain, ball, p: float, seed: int):
         return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])
 
     return profile
+
+
+def reference_holds(stack, X: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Membership of the points X[k] at input time node[k] in a signed slice stack."""
+    i, j = np.nonzero(node[:, None] == stack.node[None, :])
+    Y = X[i] - stack.center[j][:, None, :]
+    inside = np.einsum("pqi,pij,pqj->pq", Y, stack.shape[j], Y) < stack.level[j][:, None]
+    count = np.zeros(X.shape[:2])
+    np.add.at(count, i, stack.sign[j][:, None] * inside)
+    return count > 0.0

@@ -209,3 +209,18 @@ def test_csv_output(tmp_path):
     assert run(str(_write(tmp_path, payload))) == 0
     text = (out / "potential_identity.csv").read_text()
     assert text.splitlines()[0].count(",") >= 4
+
+
+def test_repeated_experiments_write_their_own_reports(tmp_path):
+    # two heat1 bite checks on the exact path; the repeat must not overwrite
+    out = tmp_path / "out"
+    payload = _tiny_config(out)
+    payload["output"]["format"] = "both"
+    payload["experiments"] = [_LP, dict(_LP, p=4)]
+    assert run(str(_write(tmp_path, payload))) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(e["name"], e["report"]) for e in summary["experiments"]] == [
+        ("lp_check", "lp_check"), ("lp_check", "lp_check-1")]
+    for stem, p in (("lp_check", 3.0), ("lp_check-1", 4.0)):
+        assert json.loads((out / f"{stem}.json").read_text())["p"] == p
+        assert (out / f"{stem}.csv").read_text().splitlines()[1].count(",") >= 4

@@ -140,6 +140,21 @@ def test_lp_norm_mismatch_detects_divergence(balls, quad_cfg):
     assert "tail_divergence_suspected" in lp.flags
 
 
+def test_lp_norm_flags_a_floor_integral_that_hits_its_budget(balls, quad_cfg):
+    # the spatial shift of the bundled rigidity config: the 1e-5 floor stops at
+    # 600 cells unconverged, the 1e-7 floor converges
+    ball = kp.lball(kp.kolmogorov_prototype(), 3.6275987284684357)
+    domain = make_perturbation(ball, "spatial_shift", 0.1)
+    with pytest.warns(errors.ToleranceWarning):
+        lp = lp_condition_norm(domain, ball, 4, QuadratureConfig(time_tol=1e-8, seed=31415))
+    assert "tolerance_not_met" in lp.flags
+    assert math.isfinite(lp.norm) and lp.norm > 0.0
+    # a check whose floors both converge carries no such flag
+    heat1 = balls["heat1"]
+    lp = lp_condition_norm(make_perturbation(heat1, "bite", 0.1), heat1, 3, quad_cfg)
+    assert "tolerance_not_met" not in lp.flags
+
+
 def test_perturbed_domains_memberships(balls):
     ball = balls["proto"]
     rng = np.random.default_rng(2)

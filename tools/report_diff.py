@@ -1,0 +1,119 @@
+"""Compare two kolpot output directories, report by report.
+
+    python tools/report_diff.py OLD NEW
+
+For every ``.json`` and ``.csv`` file in either directory it prints, per
+numeric field (list indices folded to ``[*]``), the largest relative change
+|a - b| / max(|a|, |b|) over the field's occurrences, and it lists every bool,
+string or list field that differs, every field found on one side only and
+every file missing from one side.  Lists of numbers compare element by element;
+other lists of scalars, such as ``flags``, compare as a whole.
+
+Exit codes: 0 when only numbers changed, 1 when a non-numeric field differs or
+a file is missing, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _flatten(obj, path: str, out: dict) -> None:
+    if isinstance(obj, dict) and obj:
+        for key, val in obj.items():
+            _flatten(val, f"{path}.{key}" if path else str(key), out)
+    elif isinstance(obj, list) and obj and (all(_is_number(v) for v in obj)
+                                            or any(isinstance(v, (dict, list)) for v in obj)):
+        for k, val in enumerate(obj):
+            _flatten(val, f"{path}[{k}]", out)
+    else:
+        out[path] = obj
+
+
+def _csv_cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    try:
+        # cli._write_csv writes dicts and lists as JSON with ";" for ","
+        return json.loads(text.replace(";", ","))
+    except ValueError:
+        return text
+
+
+def _load(path: Path) -> dict:
+    if path.suffix == ".json":
+        obj = json.loads(path.read_text())
+    else:
+        with path.open(newline="") as fh:
+            obj = [{k: _csv_cell(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    out: dict = {}
+    _flatten(obj, "", out)
+    return out
+
+
+def _rel_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_file(old: Path, new: Path) -> tuple[dict, list[str]]:
+    """Largest relative change per numeric field, and the non-numeric differences."""
+    a, b = _load(old), _load(new)
+    changes: dict[str, float] = {}
+    differ = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in b or key not in a:
+            side = "OLD" if key in a else "NEW"
+            differ.append(f"{key}: only in {side} ({json.dumps(a.get(key, b.get(key)))})")
+        elif _is_number(a[key]) and _is_number(b[key]):
+            field = re.sub(r"\[\d+\]", "[*]", key)
+            changes[field] = max(changes.get(field, 0.0), _rel_change(a[key], b[key]))
+        elif a[key] != b[key]:
+            differ.append(f"{key}: {json.dumps(a[key])} -> {json.dumps(b[key])}")
+    return changes, differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    for d in (args.old, args.new):
+        if not d.is_dir():
+            parser.error(f"not a directory: {d}")
+    names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir()
+                    if p.suffix in (".json", ".csv")})
+    failed = False
+    for name in names:
+        old, new = args.old / name, args.new / name
+        if not (old.is_file() and new.is_file()):
+            print(f"{name}: missing in {'NEW' if old.is_file() else 'OLD'}")
+            failed = True
+            continue
+        changes, differ = compare_file(old, new)
+        print(name)
+        for field, rel in sorted(changes.items(), key=lambda kv: (-kv[1], kv[0])):
+            print(f"  {rel:9.2e}  {field}")
+        for line in differ:
+            print(f"  DIFFERS    {line}")
+        failed = failed or bool(differ)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
