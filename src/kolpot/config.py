@@ -9,12 +9,12 @@ seed is mandatory whenever any requested experiment consumes randomness
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigParseError, SchemaError
+from .errors import ConfigParseError, OperatorValidationError, SchemaError
 from .operators import OperatorSpec, validate_operator
 from .quadrature import QuadratureConfig
 
@@ -37,6 +37,7 @@ _EXPERIMENTS = {
 _NEEDS_SEED = {"potential_identity", "interior_inequality", "rigidity", "lp_check"}
 _PERTURBATION_KINDS = {"spatial_shift", "radius_mismatch", "slice_scale", "bite"}
 _MAX_N = 3  # the slice cubature rules (quadrature.ball_rule) cover n = 1, 2, 3
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -52,7 +53,15 @@ class ExperimentConfig:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """A rectangular list (of lists) of finite numbers as a float array, else SchemaError."""
+    if not isinstance(value, list) or not all(
+            _is_real(v) for v in np.array(value, dtype=object).ravel()):
+        raise SchemaError(f"{name} must be a rectangular list of finite numbers")
+    return np.array(value, dtype=float)
 
 
 def _reject_unknown(section: str, data: dict, allowed: set):
@@ -65,24 +74,28 @@ def _parse_operator(data: dict) -> OperatorSpec:
     if not isinstance(data, dict):
         raise SchemaError("section 'operator' must be an object")
     block_sizes = data.get("block_sizes")
-    if not isinstance(block_sizes, list) or not block_sizes:
+    if (not isinstance(block_sizes, list) or not block_sizes
+            or not all(_is_real(p) and float(p).is_integer() for p in block_sizes)):
         raise SchemaError("operator.block_sizes must be a nonempty list of integers")
     r = len(block_sizes) - 1
     allowed = _OPERATOR_KEYS | {f"B{j}" for j in range(1, r + 1)}
     _reject_unknown("operator", data, allowed)
     if "A0" not in data:
         raise SchemaError("operator.A0 is required")
-    A0 = np.asarray(data["A0"], dtype=float)
+    A0 = _real_array(data["A0"], "operator.A0")
     blocks = []
     for j in range(1, r + 1):
         key = f"B{j}"
         if key not in data:
             raise SchemaError(f"operator.{key} is required for {r} drift blocks")
-        blocks.append(np.asarray(data[key], dtype=float))
+        blocks.append(_real_array(data[key], f"operator.{key}"))
     n = int(sum(block_sizes))
     if n > _MAX_N:
         raise SchemaError(f"operator dimension n = {n} is not supported (n <= {_MAX_N})")
-    return validate_operator(n, block_sizes, A0, blocks)
+    try:
+        return validate_operator(n, block_sizes, A0, blocks)
+    except OperatorValidationError as exc:
+        raise SchemaError(f"invalid operator: {exc}") from exc
 
 
 def _parse_ball(data: dict, n: int):
@@ -91,18 +104,18 @@ def _parse_ball(data: dict, n: int):
     _reject_unknown("ball", data, _BALL_KEYS)
     if "r" not in data:
         raise SchemaError("ball.r is required")
-    r = float(data["r"])
-    if r <= 0.0:
-        raise SchemaError("ball.r must be positive")
-    z0 = data.get("z0", [0.0] * (n + 1))
-    if not isinstance(z0, list) or len(z0) != n + 1:
+    r = data["r"]
+    if not (_is_real(r) and r > 0.0):
+        raise SchemaError("ball.r must be a finite number > 0")
+    z0 = _real_array(data.get("z0", [0.0] * (n + 1)), "ball.z0")
+    if z0.shape != (n + 1,):
         raise SchemaError(f"ball.z0 must be a list of {n + 1} coordinates (space then time)")
-    factors = data.get("r_factors", [1.0])
-    if not isinstance(factors, list) or not factors:
+    factors = _real_array(data.get("r_factors", [1.0]), "ball.r_factors")
+    if factors.ndim != 1 or not factors.size:
         raise SchemaError("ball.r_factors must be a nonempty list")
     radii = tuple(r * float(f) for f in factors)
-    if any(x <= 0 for x in radii):
-        raise SchemaError("all ball radii must be positive")
+    if not all(0.0 < x <= _FLOAT_MAX for x in radii):
+        raise SchemaError("all ball radii must be positive and finite")
     return tuple(float(v) for v in z0), radii
 
 
@@ -117,6 +130,8 @@ def _parse_quadrature(data: dict, needs_seed: bool) -> QuadratureConfig:
                       ("endpoint_depth", int), ("max_cells", int),
                       ("mc_samples", int), ("seed", int), ("workers", int)):
         if key in data:
+            if not _is_real(data[key]):
+                raise SchemaError(f"quadrature.{key} must be a finite number")
             kwargs[key] = cast(data[key])
     try:
         return QuadratureConfig(**kwargs)
@@ -187,8 +202,6 @@ def load_config(path) -> ExperimentConfig:
     needs_seed = any(e["name"] in _NEEDS_SEED for e in experiments)
     quad = _parse_quadrature(raw["quadrature"], needs_seed)
     out_dir, fmt = _parse_output(raw["output"])
-    if any(not math.isfinite(v) for v in z0):
-        raise SchemaError("ball.z0 must be finite")
     return ExperimentConfig(
         spec=spec, z0=z0, radii=radii, quadrature=quad,
         experiments=experiments, output_dir=out_dir, output_format=fmt, raw=raw,

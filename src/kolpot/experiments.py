@@ -76,7 +76,7 @@ def run_mvf(exp: dict, spec, z0, radii, cfg) -> dict:
                 target = u(z0p)
                 got = mean_value(u, ball, cfg)
                 dev = abs(got.value - target) / (1.0 + abs(target))
-                worst = max(worst, dev)
+                worst = float(np.maximum(worst, dev))  # a NaN stays NaN and fails
                 rows.append({
                     "center": list(center),
                     "r": r,
@@ -107,7 +107,7 @@ def run_kernel_mass(exp: dict, spec, z0, radii, cfg) -> dict:
     for ball in _balls(spec, z0, radii, ev):
         res = integrate_over_ball(one, ball, cfg, kernel=True)
         dev = abs(res.value - ball.r) / ball.r
-        worst = max(worst, dev)
+        worst = float(np.maximum(worst, dev))  # a NaN stays NaN and fails
         rows.append({"r": ball.r, "kernel_integral": res.value, "relative_deviation": dev})
     rep = _base_report("kernel_mass", spec, cfg)
     rep.update({"tolerance": tol, "worst_deviation": worst,
@@ -126,7 +126,7 @@ def run_potential_identity(exp: dict, spec, z0, radii, cfg) -> dict:
         domain = ExactBall(ball)
         pts = exterior_test_points(domain, ball, count, cfg.seed)
         rep = potential_identity_residual(domain, ball, pts, cfg, seed=cfg.seed)
-        worst = max(worst, rep.sup_rel_residual)
+        worst = float(np.maximum(worst, rep.sup_rel_residual))
         reports.append(rep.to_dict())
     out = _base_report("potential_identity", spec, cfg)
     out.update({"tolerance": tol, "worst_sup_rel_residual": worst,

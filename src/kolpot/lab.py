@@ -389,8 +389,8 @@ def potential_identity_residual(domain: SlicedDomain, ball: LBall,
                                     abs_scale=max(rhs, 1e-300))
         abs_res = abs(res.value - rhs)
         rel_res = abs_res / rhs if rhs > 1e-12 else abs_res
-        sup_abs = max(sup_abs, abs_res)
-        sup_rel = max(sup_rel, rel_res)
+        sup_abs = float(np.maximum(sup_abs, abs_res))  # a NaN residual stays NaN
+        sup_rel = float(np.maximum(sup_rel, rel_res))
         report.points.append({
             "index": idx,
             "category": cat,

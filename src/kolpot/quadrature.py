@@ -8,9 +8,9 @@ Three layers:
   engine, ``gaussian_quadratic_stack``, which integrates a whole stack of
   slices (a leading slice axis; all nodes of a time cell) per call: a
   closed-form full-space or zero classification, then a normal-aligned
-  tensor rule whose sections carry their quadratic coefficients
-  (``gaussian_quadratic_auto`` and ``gaussian_quadratic_tensor`` are its
-  one-slice calls);
+  tensor rule whose sections lie on lines carrying their Schur-vertex data
+  once, with a width-graded Gauss-Legendre order (``gaussian_quadratic_auto``
+  and ``gaussian_quadratic_tensor`` are its one-slice calls);
 * a 1-d adaptive time integrator with square-root compression at both
   endpoints, which tames the integrable kernel blow-up near the pole and the
   degenerating slices at the far end;
@@ -77,6 +77,8 @@ class QuadratureConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.time_order < 1:
+            raise ValueError("time order must be at least 1")
         if self.time_tol <= 0.0:
             raise ValueError("time tolerance must be positive")
         if self.mc_samples <= 0:
@@ -286,7 +288,7 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 
 
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
-_BLOCK = 1024  # sections per sweep block; keeps the (sections x nodes) temporaries small
+_BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -367,139 +369,209 @@ def _tail_gl(order: int):
     return fr, y, wy
 
 
-class _Sections(NamedTuple):
-    """Per-slice data of the whitened, normal-aligned problem (x = mean + S w)."""
-
-    E00: np.ndarray     # (K, n) Gaussian center minus ellipsoid center
-    D0: np.ndarray      # (K, n) Gaussian center minus quadratic center
-    s1: np.ndarray      # (K, n) first frame column of S
-    Srest: np.ndarray   # (K, n, n-1) the other columns
-    Qs1: np.ndarray     # (K, n) shape @ s1
-    alpha: np.ndarray   # (K,) s1^T shape s1
-    shape: np.ndarray   # (K, n, n)
-    level: np.ndarray   # (K,)
-    M: np.ndarray       # (K, n, n) quadratic, symmetric
-    Ms1: np.ndarray     # (K, n)
-    cc2: np.ndarray     # (K,) s1^T M s1
-    const: np.ndarray   # (K,)
-    lin: np.ndarray | None     # (K, n)
-    lin_s1: np.ndarray | None  # (K,)
+def _vertex_scalars(D, sv, s1, M, const, lin) -> np.ndarray:
+    """(P, Pv, P1, Qvv, Qv1, cc2) per row, stacked, with the offsets D from
+    the quadratic's centre: q(D + dv sv + d1 s1) = P + Pv dv + P1 d1
+    + Qvv dv^2 + 2 Qv1 dv d1 + cc2 d1^2."""
+    MD, Ms1 = np.einsum("kij,kj->ki", M, D), np.einsum("kij,kj->ki", M, s1)
+    P = np.einsum("ki,ki->k", D, MD) + const
+    Pv, P1 = 2.0 * np.einsum("ki,ki->k", sv, MD), 2.0 * np.einsum("ki,ki->k", s1, MD)
+    if lin is not None:
+        P, Pv, P1 = (P + np.einsum("ki,ki->k", lin, D), Pv + np.einsum("ki,ki->k", lin, sv),
+                     P1 + np.einsum("ki,ki->k", lin, s1))
+    return np.stack([P, Pv, P1, np.einsum("ki,kij,kj->k", sv, M, sv),
+                     np.einsum("ki,ki->k", sv, Ms1), np.einsum("ki,ki->k", s1, Ms1)])
 
 
-def _qform(d: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """d[k]^T Q[k] d[k] per row."""
-    return np.einsum("ki,ki->k", np.einsum("kij,kj->ki", Q, d), d)
+def _span(c, half):
+    """The interval c -/+ half, clipped to the Gaussian window."""
+    return np.clip(c - half, -_WINDOW, _WINDOW), np.clip(c + half, -_WINDOW, _WINDOW)
 
 
-def _coefficients(sec: _Sections, d: np.ndarray):
-    """(b0, b1) with q(d + y s1) = b0 + b1 y + cc2 y^2 per section, d the
-    sections' offsets from the quadratic center in x-space."""
-    b0 = _qform(d, sec.M) + sec.const
-    b1 = 2.0 * np.einsum("ki,ki->k", d, sec.Ms1)
-    if sec.lin is not None:
-        b0 = b0 + np.einsum("ki,ki->k", d, sec.lin)
-        b1 = b1 + sec.lin_s1
-    return b0, b1
+@lru_cache(maxsize=None)
+def _w1_rule(order: int):
+    """Gauss-Legendre nodes tau = t - 1/2 on the unit interval, as a column,
+    and the rows w tau^k (k = 0, 1, 2) that give the moments."""
+    t, wt = _leggauss01(order)
+    tau = t - 0.5
+    return tau[:, None], np.stack([wt, wt * tau, wt * tau * tau])
 
 
-def _section_integrals(sec: _Sections, g: np.ndarray, w_rest: np.ndarray) -> np.ndarray:
-    """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section, per section.
+def _gauss_inplace(x: np.ndarray) -> np.ndarray:
+    """e^{-x^2}, written over x."""
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    return np.exp(x, out=x)
 
-    Section k belongs to slice g[k] and sits at the rest-coordinates
-    w_rest[k].  Its endpoints come from the vertex form: the domain
-    quadratic's minimum along w1 is evaluated geometrically (vector sums in
-    x-space), which stays accurate where the textbook discriminant cancels
-    to nothing.  Core sections of moderate length use erf-moment closed
-    forms; short and tail sections use Gauss-Legendre nodes against the
-    section's quadratic coefficients, expanded about the section midpoint m
-    (q = b0 + b1 y + cc2 y^2, y = w1 - m, |y| at most half the section), so
-    the huge-coefficient cancellation of an expansion about a far point
-    (narrow Gaussian far from the quadratic's center) never materializes.
+
+def _w1_integrals(lo, hi, w0, b0, b1, c2) -> np.ndarray:
+    """int_lo^hi e^{-w^2} (b0 + b1 (w - w0) + c2 (w - w0)^2) dw, elementwise.
+
+    ``lo``, ``hi`` have the sections' shape (hi == lo: empty); the rest
+    broadcast to it.  The moments F_k = int (w - mid)^k e^{-w^2} are taken
+    about each section's midpoint (0 for the closed forms), so a narrow
+    Gaussian far from the quadratic's centre never meets the cancellation of
+    a far expansion point.  Sections wider than 1.2 use erf closed forms if
+    they reach the Gaussian core, else (tails) three Gauss-Legendre panels.
+    A short section uses one Gauss-Legendre rule: e^{-w^2} = e^{-mid^2}
+    e^{-2 mid y - y^2} (y = w - mid) varies by at most kappa = width (|mid|
+    + width) in the exponent, and for kappa <= 0.5 the 8-node remainder, of
+    order (2 kappa)^16 (8!)^4 / (17 (16!)^3), is far below roundoff, so 8
+    nodes serve there and 16 elsewhere.  Its offsets from mid are formed
+    from the width, (t - 1/2) width: a thin section keeps all their digits.
     """
-    K = g.size
-    # the per-slice data of every section, gathered once
-    sec = _Sections(*(None if a is None else np.take(a, g, axis=0) for a in sec))
-    shift = np.zeros((K, sec.E00.shape[1]))
-    for j in range(w_rest.shape[1]):
-        shift += sec.Srest[:, :, j] * w_rest[:, j, None]
-    offs = sec.E00 + shift                     # w1 = 0 point vs ellipsoid center
-    w1s = -np.einsum("kn,kn->k", offs, sec.Qs1) / sec.alpha  # vertex of the section quadratic
-    offp = offs + w1s[:, None] * sec.s1        # vertex point vs ellipsoid center
-    lev = sec.level - _qform(offp, sec.shape)
-    mask = lev > 0.0
-    half = np.sqrt(np.where(mask, lev, 0.0) / sec.alpha)
-    lo = np.clip(w1s - half, -_WINDOW, _WINDOW)
-    hi = np.clip(w1s + half, -_WINDOW, _WINDOW)
-    mask = mask & (hi > lo)
-    out = np.zeros(K)
-    if not np.any(mask):
-        return out
-    closed = (lo <= 0.8) & (hi >= -0.8) & (hi - lo > 1.2)  # core and not short
-    cf = np.flatnonzero(mask & closed)
-    glm = np.flatnonzero(mask & ~closed)
-    # the quadratic's coefficients about w1 = m: 0 for the closed forms, the
-    # section midpoint for Gauss-Legendre; D0 + shift + m s1 is that point
-    # against the quadratic's center
-    m = np.where(closed, 0.0, 0.5 * (lo + hi))
-    b0, b1 = _coefficients(sec, sec.D0 + shift + m[:, None] * sec.s1)
+    width = hi - lo
+    wide = width > 1.2
+    closed = wide & (lo <= 0.8) & (hi >= -0.8)
+    mid = np.where(closed, 0.0, 0.5 * (lo + hi))
+    F = np.empty((3, width.size))
+    lo_f, hi_f, mid_f, width_f = lo.ravel(), hi.ravel(), mid.ravel(), width.ravel()
 
+    coarse = width_f * (np.abs(mid_f) + width_f) <= 0.5  # never wide
+    for sel, order in ((coarse, 8), (~(coarse | wide.ravel()), 16)):
+        rows = slice(None) if sel.all() else np.flatnonzero(sel)
+        wd, m = width_f[rows], mid_f[rows]
+        if not wd.size:
+            continue
+        tau, wk = _w1_rule(order)
+        # offsets from mid: wd (tau + r / wd), with r what rounding leaves
+        # between mid and the true midpoint of [lo, hi]
+        r = (lo_f[rows] - m) + 0.5 * wd
+        e = tau * wd
+        e += r
+        e += m
+        S0, T1, T2 = wk @ _gauss_inplace(e)  # sum_j w_j tau_j^k e^{-x_j^2}
+        F[:, rows] = (wd * S0, wd * (wd * T1 + r * S0),
+                      wd * (wd * (wd * T2 + 2.0 * r * T1) + r * r * S0))
+
+    cf = np.flatnonzero(closed)
     if cf.size:
-        F0, F1, F2 = _erf_moments(lo[cf], hi[cf])
-        out[cf] = b0[cf] * F0 + b1[cf] * F1 + sec.cc2[cf] * F2
+        F[:, cf] = _erf_moments(lo_f[cf], hi_f[cf])
+    tf = np.flatnonzero(wide & ~closed)
+    if tf.size:
+        sign = np.where(hi_f[tf] < 0.0, -1.0, 1.0)  # panels built on the positive side
+        a2 = np.where(sign < 0.0, -hi_f[tf], lo_f[tf])
+        # the far tail is cut where e^{-w^2} has fallen by e^{-20}
+        b2 = np.minimum(np.where(sign < 0.0, -lo_f[tf], hi_f[tf]), np.sqrt(a2 * a2 + 20.0))
+        edges = a2 + _tail_gl(16)[0][:, None] * (b2 - a2)
+        h = np.diff(edges, axis=0)  # (panels, tails)
+        c = edges[:-1] + 0.5 * h
+        tau, wk = _w1_rule(16)
+        x = tau[:, :, None] * h
+        x += c
+        S0, T1, T2 = (wk @ _gauss_inplace(x).reshape(tau.size, -1)).reshape(3, *h.shape)
+        y0, g = sign * c - mid_f[tf], sign * h  # node offsets from mid: y0 + g tau
+        F[:, tf] = ((h * S0).sum(axis=0), (h * (y0 * S0 + g * T1)).sum(axis=0),
+                    (h * (y0 * (y0 * S0 + 2.0 * g * T1) + g * g * T2)).sum(axis=0))
 
-    if glm.size:
-        # Gauss-Legendre nodes and weights, (nodes, sections)
-        short = (hi[glm] - lo[glm]) <= 1.2
-        groups = []
-        rs = glm[short]
-        if rs.size:
-            y16, w16 = _leggauss01(16)
-            width = hi[rs] - lo[rs]
-            groups.append((rs, lo[rs] + y16[:, None] * width, w16[:, None] * width))
-        rf = glm[~short]
-        if rf.size:
-            a, bb = lo[rf], hi[rf]
-            # anchor panels at the endpoint nearest zero, truncate the far tail
-            neg = bb < 0.0
-            a2 = np.where(neg, -bb, a)
-            b2 = np.where(neg, -a, bb)
-            b2 = np.minimum(b2, np.sqrt(a2 * a2 + 20.0))
-            fr, y, wy = _tail_gl(16)
-            edges = a2 + fr[:, None] * (b2 - a2)
-            e0, e1 = edges[:-1, None, :], edges[1:, None, :]
-            nds = (e0 + y[:, None] * (e1 - e0)).reshape(-1, rf.size)
-            wts = (wy[:, None] * (e1 - e0)).reshape(-1, rf.size)
-            groups.append((rf, np.where(neg, -nds, nds), wts))
-        for rows, nds, wts in groups:
-            y = nds - m[rows]
-            ew = np.square(nds)
-            np.negative(ew, out=ew)
-            np.exp(ew, out=ew)
-            ew *= wts
-            ewy = ew * y
-            out[rows] = (b0[rows] * ew.sum(axis=0) + b1[rows] * ewy.sum(axis=0)
-                         + sec.cc2[rows] * np.einsum("jk,jk->k", ewy, y))
-    return out
+    F = F.reshape((3,) + width.shape)
+    d = mid - w0
+    return (b0 + d * (b1 + c2 * d)) * F[0] + (b1 + 2.0 * c2 * d) * F[1] + c2 * F[2]
 
 
-def _sweep(sec: _Sections, g, lo, hi, place, order: int) -> np.ndarray:
-    """sum_j wt_j e^{-v_j^2} I(v_j) per item, over compressed nodes on [lo, hi].
+class _Lines(NamedTuple):
+    """The lines of the sweep, one row per line (``quad`` has them on its last axis).
 
-    Item k belongs to slice g[k]; ``place(rows, v)`` gives the
-    rest-coordinates (items, nodes, n - 1) of the sections at nodes v of the
-    items ``rows``, and I is their section integral.  Items go through in
-    blocks of at most _BLOCK sections.
+    A line is a row of w1 sections along one swept coordinate v.  Its vertex
+    point (w1_0, v*) minimises the domain quadratic over the line's plane;
+    with dv = v - v*, d1 = w1 - w1_0, a section's level left is
+    lev0 - a_v dv^2, its centre w1_0 + g1 dv, and its quadratic
+    P + Pv dv + P1 d1 + Qvv dv^2 + 2 Qv1 dv d1 + cc2 d1^2, with the six
+    scalars ``quad`` taken at the vertex point's offset from its centre.
     """
-    J2 = 2 * order
-    out = np.empty(g.size)
-    step = max(_BLOCK // J2, 1)
-    for a in range(0, g.size, step):
-        rows = slice(a, min(a + step, g.size))
-        v, wv = _compressed_nodes(lo[rows], hi[rows], order)
-        w_rest = place(rows, v)
-        vals = _section_integrals(sec, np.repeat(g[rows], J2),
-                                  w_rest.reshape(-1, w_rest.shape[-1]))
-        out[rows] = np.einsum("kj,kj->k", wv * np.exp(-v ** 2), vals.reshape(v.shape))
+
+    slice: np.ndarray   # the slice of the line
+    axis: np.ndarray    # the w-coordinate swept (1 for n = 2)
+    vertex: np.ndarray  # (L, n) the vertex point in w: w1_0 and v* among its coordinates
+    lo: np.ndarray      # the sweep range in v, inside the Gaussian window
+    hi: np.ndarray
+    weight: np.ndarray  # the outer weight: 1 for n = 2, wt e^{-o^2} for n = 3
+    lev0: np.ndarray
+    a_v: np.ndarray
+    g1: np.ndarray
+    alpha: np.ndarray   # the curvature along w1
+    quad: np.ndarray    # (6, L) P, Pv, P1, Qvv, Qv1, cc2
+
+
+def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
+           order: int) -> _Lines:
+    """The lines of a stack of slices (n = 2, 3) in the frame x = mean + S w.
+
+    S whitens each Gaussian and turns its first axis to the domain boundary
+    normal nearest the Gaussian centre.  Once every other coordinate is
+    eliminated, the level left on a rest coordinate r falls as
+    (r - c_r)^2 / (A^-1)_rr about the ellipsoid centre c_w (A = S^T shape S).
+    n = 2 sweeps its one rest coordinate, from the vertex c_w, and n = 3 the
+    one of smaller reach, one line per compressed Gauss-Legendre node of the
+    outer one, o, whose vertex moves from c_w along the conjugate direction
+    u = (k1, km, 1) of (w1, v, o).
+    """
+    K, n = center.shape
+    L2 = 2.0 * chol_cov_half
+    cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
+    Aq = np.swapaxes(L2, 1, 2) @ shape @ L2
+    S = L2 @ _normal_frame(0.5 * (Aq + np.swapaxes(Aq, 1, 2)), cv)
+    A = np.swapaxes(S, 1, 2) @ shape @ S
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    Sinv = np.linalg.inv(S)
+    c_w = np.einsum("kij,kj->ki", Sinv, center - mean)  # ellipsoid centres in w
+    G = Sinv[:, 1:, :]
+    var = np.einsum("kri,kij,krj->kr", G, np.linalg.inv(shape), G)  # (A^-1)_rr
+    ext = np.sqrt(np.maximum(level[:, None] * var, 0.0))
+    D = center - q_center  # ellipsoid centres against the quadratic's centres
+
+    if n == 2:
+        lo, hi = _span(c_w[:, 1], ext[:, 0])
+        k = np.flatnonzero(hi > lo)
+        axis, vertex, D_v = np.ones(k.size, dtype=int), c_w[k], D[k]
+        lo, hi, weight, lev0, a_v = lo[k], hi[k], np.ones(k.size), level[k], 1.0 / var[k, 0]
+    else:
+        rows = np.arange(K)
+        oi = np.argmax(ext, axis=1)  # the outer coordinate is 1 + oi
+        lo, hi = _span(c_w[rows, 1 + oi], ext[rows, oi])
+        kv = np.flatnonzero(hi > lo)
+        co, cm = 1 + oi[kv], 2 - oi[kv]  # outer and swept coordinates
+        o, wo = _compressed_nodes(lo[kv], hi[kv], order)  # (Kv, J2)
+        a11, a1m, a1o = A[kv, 0, 0], A[kv, 0, cm], A[kv, 0, co]
+        a_m = A[kv, cm, cm] - a1m * a1m / a11  # Schur curvature of the swept coordinate
+        km = -(A[kv, cm, co] - a1m * a1o / a11) / a_m
+        k1 = -(a1o + a1m * km) / a11
+        do = o - c_w[kv, co][:, None]
+        lev0 = level[kv, None] - do * do / var[kv, oi[kv]][:, None]
+        m0 = c_w[kv, cm][:, None] + km[:, None] * do
+        m_lo, m_hi = _span(m0, np.sqrt(np.maximum(lev0, 0.0) / a_m[:, None]))
+        pk, jk = np.nonzero(m_hi > m_lo)  # only where lev0 > 0
+        k, axis, do = kv[pk], cm[pk], do[pk, jk]
+        e = np.arange(3)
+        u = k1[pk, None] * (e == 0) + km[pk, None] * (e == axis[:, None]) + (e == co[pk, None])
+        vertex = c_w[k] + do[:, None] * u
+        D_v = D[k] + do[:, None] * np.einsum("kij,kj->ki", S[k], u)
+        lo, hi, lev0, a_v = m_lo[pk, jk], m_hi[pk, jk], lev0[pk, jk], a_m[pk]
+        weight = wo[pk, jk] * np.exp(-o[pk, jk] ** 2)
+
+    sv, s1, a11 = S[k, :, axis], S[k, :, 0], A[k, 0, 0]
+    return _Lines(k, axis, vertex, lo, hi, weight, lev0, a_v, -A[k, 0, axis] / a11, a11,
+                  _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
+
+
+def _line_sweep(ln: _Lines, order: int) -> np.ndarray:
+    """sum_j wt_j e^{-v_j^2} I(v_j) per line, over compressed nodes on [lo, hi],
+    with I(v) the w1 integral of the section at v; lines go in blocks of at
+    most _BLOCK sections."""
+    step = max(_BLOCK // (2 * order), 1)
+    out = np.empty(ln.slice.size)
+    v0, w1_0 = ln.vertex[np.arange(out.size), ln.axis], ln.vertex[:, 0]
+    for a in range(0, out.size, step):
+        r = slice(a, a + step)
+        P, Pv, P1, Qvv, Qv1, cc2 = ln.quad[:, r, None]
+        v, wv = _compressed_nodes(ln.lo[r], ln.hi[r], order)
+        dv = v - v0[r, None]
+        lev = ln.lev0[r, None] - ln.a_v[r, None] * dv * dv
+        lo, hi = _span(w1_0[r, None] + ln.g1[r, None] * dv,
+                       np.sqrt(np.maximum(lev, 0.0) / ln.alpha[r, None]))
+        vals = _w1_integrals(lo, hi, w1_0[r, None], P + dv * (Pv + dv * Qvv),
+                             P1 + 2.0 * Qv1 * dv, cc2)
+        out[r] = np.einsum("kj,kj->k", wv * np.exp(-v ** 2), vals)
     return out
 
 
@@ -507,110 +579,28 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
                         const, lin, order: int | None) -> np.ndarray:
     """The normal-aligned tensor rule for a stack of slices (leading axis).
 
-    Whitens each Gaussian, rotates so that the first axis is the domain
-    boundary normal nearest the Gaussian center, integrates that axis
-    exactly against the quadratic section limits (``_section_integrals``),
-    and sweeps the remaining directions with Gauss-Legendre nodes compressed
-    at true projection edges: one outer sweep for n = 2; for n = 3 an outer
-    sweep in the rest coordinate of larger reach and, after eliminating w1
-    (a Schur complement), an inner sweep between the middle coordinate's
-    section limits.  All section and coefficient data are assembled from
-    x-space offsets.
+    In the whitened frame x = mean + S w, whose first axis is the domain
+    boundary normal nearest the Gaussian centre, the w1 axis is integrated
+    against its exact section limits (``_w1_integrals``), which for n = 1 is
+    the whole integral.  For n = 2 and 3 the sections lie on lines carrying
+    their Schur-vertex data (``_lines``), swept with ``order`` compressed
+    Gauss-Legendre nodes per half line (``_line_sweep``; 48 for n = 2, 32
+    for n = 3 by default).
     """
     K, n = center.shape
     if n > 3:
         raise NotImplementedError(f"tensor engine not implemented for n={n}")
-    if order is None:
-        order = 48 if n == 2 else 32
-    L2 = 2.0 * chol_cov_half
-    cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
-    Aq = np.swapaxes(L2, 1, 2) @ shape @ L2
-    Aq = 0.5 * (Aq + np.swapaxes(Aq, 1, 2))
-    S = L2 @ _normal_frame(Aq, cv)   # x = mean + S w
-    ST = np.swapaxes(S, 1, 2)
-    A = ST @ shape @ S
-    A = 0.5 * (A + np.swapaxes(A, 1, 2))
-    E00 = mean - center                     # offset from the ellipsoid center
-    s1 = S[:, :, 0]
-    Ms1 = np.einsum("kij,kj->ki", M, s1)
-    sec = _Sections(
-        E00=E00,
-        D0=mean - q_center,                 # offset from the quadratic center
-        s1=s1,
-        Srest=S[:, :, 1:],
-        Qs1=np.einsum("kij,kj->ki", shape, s1),
-        alpha=A[:, 0, 0],
-        shape=shape,
-        level=level,
-        M=M,
-        Ms1=Ms1,
-        cc2=np.einsum("ki,ki->k", s1, Ms1),
-        const=np.broadcast_to(np.asarray(const, dtype=float), (K,)),
-        lin=lin,
-        lin_s1=None if lin is None else np.einsum("ki,ki->k", lin, s1),
-    )
+    const = np.broadcast_to(np.asarray(const, dtype=float), (K,))
     if n == 1:
-        return math.pi ** (-0.5) * _section_integrals(sec, np.arange(K), np.zeros((K, 0)))
-
-    # coordinate ranges of the domain in w, from support functions (stable)
-    Sinv = np.linalg.inv(S)
-    c_w = -np.einsum("kij,kj->ki", Sinv, E00)  # ellipsoid centers in w-coordinates
-    G = Sinv[:, 1:, :]
-    ext = np.sqrt(np.maximum(
-        level[:, None] * np.einsum("kri,kij,krj->kr", G, np.linalg.inv(shape), G), 0.0))
-    out = np.zeros(K)
-    rows = np.arange(K)
-
-    if n == 2:
-        lo_c = np.maximum(c_w[:, 1] - ext[:, 0], -_WINDOW)
-        hi_c = np.minimum(c_w[:, 1] + ext[:, 0], _WINDOW)
-        kv = np.flatnonzero(hi_c > lo_c)
-        out[kv] = math.pi ** (-1.0) * _sweep(sec, kv, lo_c[kv], hi_c[kv],
-                                             lambda r, v: v[:, :, None], order)
-        return out
-
-    # n == 3: Schur data of the projection onto the rest-plane (eliminate w1)
-    alpha = sec.alpha
-    A_p = A[:, 1:, 1:] - A[:, 0, 1:, None] * A[:, 0, None, 1:] / alpha[:, None, None]
-    oi = np.argmax(ext, axis=1)  # outer index within the rest-plane
-    ii = 1 - oi
-    lo_c = np.maximum(c_w[rows, 1 + oi] - ext[rows, oi], -_WINDOW)
-    hi_c = np.minimum(c_w[rows, 1 + oi] + ext[rows, oi], _WINDOW)
-    kv = np.flatnonzero(hi_c > lo_c)
-    oi, ii = oi[kv], ii[kv]
-    o_nodes, o_wts = _compressed_nodes(lo_c[kv], hi_c[kv], order)  # (Kv, J2)
-    s_mid = sec.Srest[kv, :, ii]
-    s_out = sec.Srest[kv, :, oi]
-    # vertex of the projected quadratic in the middle coordinate, then its
-    # value evaluated geometrically through the doubly-minimizing point
-    b_p = 2.0 * np.einsum("kij,kjl,kl->ki", ST[kv], shape[kv], E00[kv])
-    b_p = b_p[:, 1:] - b_p[:, :1] * A[kv, 0, 1:] / alpha[kv, None]
-    a_mid = A_p[kv, ii, ii][:, None]
-    beta_p = b_p[np.arange(kv.size), ii][:, None] + 2.0 * A_p[kv, ii, oi][:, None] * o_nodes
-    m_star = -beta_p / (2.0 * a_mid)
-    offs_mo = (E00[kv, None, :] + m_star[:, :, None] * s_mid[:, None, :]
-               + o_nodes[:, :, None] * s_out[:, None, :])
-    w1_star = -np.einsum("kjn,kn->kj", offs_mo, sec.Qs1[kv]) / alpha[kv, None]
-    offp = offs_mo + w1_star[:, :, None] * sec.s1[kv, None, :]
-    lev_m = level[kv, None] - np.einsum("kji,kil,kjl->kj", offp, shape[kv], offp)
-    okm = lev_m > 0.0
-    half_m = np.sqrt(np.where(okm, lev_m, 0.0) / a_mid)
-    m_lo = np.clip(m_star - half_m, -_WINDOW, _WINDOW)
-    m_hi = np.clip(m_star + half_m, -_WINDOW, _WINDOW)
-    keep = okm & (m_hi > m_lo)
-    pk = np.nonzero(keep)[0]  # per pair: its position in kv
-    o_keep = o_nodes[keep]
-    outer_first = oi[pk] == 0
-
-    def place(r, v):
-        o = np.broadcast_to(o_keep[r, None], v.shape)
-        first = outer_first[r, None]
-        return np.stack([np.where(first, o, v), np.where(first, v, o)], axis=-1)
-
-    inner = _sweep(sec, kv[pk], m_lo[keep], m_hi[keep], place, order)
-    total = np.bincount(kv[pk], weights=o_wts[keep] * np.exp(-o_keep ** 2) * inner,
-                        minlength=K)
-    return math.pi ** (-1.5) * total
+        s = 2.0 * chol_cov_half[:, :, 0]  # x = mean + s w
+        w0 = (center - mean)[:, 0] / s[:, 0]
+        P, _, P1, _, _, cc2 = _vertex_scalars(center - q_center, s, s, M, const, lin)
+        lo, hi = _span(w0, np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0])))
+        return math.pi ** (-0.5) * _w1_integrals(lo, hi, w0, P, P1, cc2)
+    order = order or (48 if n == 2 else 32)
+    ln = _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin, order)
+    vals = ln.weight * _line_sweep(ln, order)
+    return math.pi ** (-0.5 * n) * np.bincount(ln.slice, weights=vals, minlength=K)
 
 
 def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_center,
@@ -658,13 +648,9 @@ def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_cen
 
 def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center, lin):
     """The arguments of one slice, as a stack of one for the engine."""
-    return dict(
-        center=ell.center[None], shape=ell.shape[None], level=np.array([ell.level]),
-        mean=np.asarray(mean, dtype=float)[None],
-        chol_cov_half=np.asarray(chol_cov_half, dtype=float)[None],
-        M=np.asarray(M, dtype=float)[None], q_center=np.asarray(q_center, dtype=float)[None],
-        lin=None if lin is None else np.asarray(lin, dtype=float)[None],
-    )
+    args = dict(center=ell.center, shape=ell.shape, level=ell.level, mean=mean,
+                chol_cov_half=chol_cov_half, M=M, q_center=q_center, lin=lin)
+    return {k: None if a is None else np.asarray(a, dtype=float)[None] for k, a in args.items()}
 
 
 def gaussian_quadratic_tensor(

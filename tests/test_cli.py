@@ -99,6 +99,63 @@ def test_schema_rejects_bad_lp_and_perturbation_inputs(tmp_path, experiment):
     assert not (tmp_path / "o").exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("ball", "r", "abc"),
+    ("ball", "r", _NAN),
+    ("ball", "r", _INF),
+    ("ball", "r", True),
+    ("ball", "r", 10 ** 400),
+    ("ball", "r_factors", ["abc"]),
+    ("ball", "r_factors", [_NAN]),
+    ("ball", "r_factors", [True]),
+    ("ball", "z0", ["abc", 0.0]),
+    ("ball", "z0", [_INF, 0.0]),
+    ("operator", "A0", [["abc"]]),
+    ("operator", "A0", [[_NAN]]),
+    ("operator", "A0", [[True]]),
+    ("operator", "A0", [[-1.0]]),
+    ("operator", "block_sizes", ["abc"]),
+    ("quadrature", "time_order", "abc"),
+    ("quadrature", "time_order", 0),
+    ("quadrature", "time_tol", _NAN),
+], ids=["r_string", "r_nan", "r_inf", "r_bool", "r_huge_int", "r_factors_string", "r_factors_nan",
+        "r_factors_bool", "z0_string", "z0_inf", "A0_string", "A0_nan", "A0_bool",
+        "A0_not_positive", "block_sizes_string", "time_order_string", "time_order_zero",
+        "time_tol_nan"])
+def test_schema_rejects_values_it_cannot_run(tmp_path, section, key, value):
+    payload = _tiny_config(tmp_path / "o")
+    payload[section][key] = value
+    path = _write(tmp_path, payload)
+    with pytest.raises(SchemaError):
+        load_config(path)
+    assert run(str(path)) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_nan_deviation_fails_its_verdict(monkeypatch):
+    import kolpot as kp
+    from kolpot import experiments, lab
+    from kolpot.quadrature import IntegralResult, QuadratureConfig
+
+    nan = IntegralResult(float("nan"), 0.0, "exact")
+    monkeypatch.setattr(experiments, "integrate_over_ball", lambda *a, **k: nan)
+    monkeypatch.setattr(experiments, "mean_value", lambda *a, **k: nan)
+    monkeypatch.setattr(lab, "kernel_gamma_integral", lambda *a, **k: nan)
+    spec = kp.heat_operator(1)
+    cfg = QuadratureConfig(seed=1)
+    radii = (3.5449077018110318,)
+    for run_exp, exp in ((experiments.run_kernel_mass, {}),
+                         (experiments.run_mvf, {"max_degree": 1}),
+                         (experiments.run_potential_identity, {"points": 2})):
+        rep = run_exp(exp, spec, (0.0, 0.0), radii, cfg)
+        assert rep["passed"] is False, run_exp.__name__
+        worst = rep.get("worst_deviation", rep.get("worst_sup_rel_residual"))
+        assert worst != worst, run_exp.__name__  # NaN
+
+
 def test_schema_accepts_lp_and_rigidity_inputs(tmp_path):
     payload = _tiny_config(tmp_path / "o")
     payload["experiments"] = [_LP, dict(_LP, p=3.5, perturbation=None), _RIGIDITY]

@@ -1,0 +1,236 @@
+"""The vertex-form line sweep of the Gaussian engine.
+
+* ``_w1_integrals`` against 30-digit ``mpmath.quad`` on short sections, thin
+  ones far from zero included, on both orders of its width-graded rule.
+* The per-line Schur data of ``_lines`` against per-section values rebuilt
+  from x-space offsets, as a sweep that carries no line data computes them:
+  the level left, the section centre and the quadratic's coefficients.
+* One ``gaussian_quadratic_stack`` call runs its section blocks without a
+  per-section gather (``np.take``).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import kolpot as kp
+from kolpot import quadrature
+from kolpot.domains import ExactBall
+from kolpot.lab import _kernel_gamma_profile, exterior_test_points
+from kolpot.quadrature import (
+    _compressed_nodes,
+    _lines,
+    _normal_frame,
+    _w1_integrals,
+    gaussian_quadratic_stack,
+)
+
+
+def _sections(rng, count):
+    """Short sections inside the Gaussian window: widths 1e-10 to 1.2, |mid|
+    up to 8.5, coefficients of mixed sign and scale up to 1e28, expanded about
+    a point w0 near the section or up to O(1) away from it."""
+    width = 10.0 ** rng.uniform(-10.0, math.log10(1.2), count)
+    mid = rng.uniform(-1.0, 1.0, count) * (8.5 - 0.5 * width)
+    lo, hi = mid - 0.5 * width, mid + 0.5 * width
+    w0 = mid + rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-10.0, 0.0, count)
+
+    def coef():
+        return rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3.0, 28.0, count)
+
+    return lo, hi, w0, coef(), coef(), coef()
+
+
+def _mp_moments(lo, hi, w0):
+    """int_lo^hi (w - w0)^j e^{-w^2} dw and int |w - w0|^j e^{-w^2} dw for
+    j = 0, 1, 2, at the working precision.
+
+    The integrals run over u in [-1, 1], w = c + h u about the exact midpoint
+    c, with e^{-w^2} = e^{-c^2} e^{-2 c h u - h^2 u^2} and (w - w0) scaled by
+    a = max(|c - w0|, h): a thin section far out keeps every digit of its
+    offsets, and every integrand is of order one.
+    """
+    lo, hi, w0 = (mpmath.mpf(float(v)) for v in (lo, hi, w0))
+    c, h = (lo + hi) / 2, (hi - lo) / 2
+    d = c - w0
+    a = max(abs(d), h)
+    split = [-1, -d / h, 1] if -h < -d < h else [-1, 1]
+    signed, absolute = [], []
+    for j in range(3):
+        for out, norm in ((absolute, abs), (signed, lambda y: y)):
+            val, err = mpmath.quad(
+                lambda u: norm((d + h * u) / a) ** j * mpmath.exp(-2 * c * h * u - h * h * u * u),
+                split, method="gauss-legendre", error=True)
+            assert err <= mpmath.mpf(10) ** -25  # the reference converged
+            out.append(mpmath.exp(-c * c) * a ** j * h * val)
+    return signed, absolute
+
+
+def test_w1_integrals_against_mpmath():
+    rng = np.random.default_rng(2718)
+    lo, hi, w0, b0, b1, c2 = _sections(rng, 160)
+    # the 8-node rule right up to its bound, kappa = width (|mid| + width) <= 0.5
+    mid = np.array([0.0, 0.3, 2.4, 6.0, 8.4])
+    width = (-np.abs(mid) + np.sqrt(mid * mid + 2.0)) / 2.0 * (1.0 - 1e-12)
+    lo = np.concatenate([lo, mid - 0.5 * width])
+    hi = np.concatenate([hi, mid + 0.5 * width])
+    w0 = np.concatenate([w0, mid + 0.1])
+    b0, b1, c2 = (np.concatenate([a, rng.choice([-1.0, 1.0], 5) * 1e20]) for a in (b0, b1, c2))
+    # thin sections far out, each with one odd or even power alone about the
+    # section's own rounded midpoint: the rule must sit on [lo, hi] itself
+    width = 10.0 ** rng.uniform(-10.0, -6.0, 24)
+    mid = rng.uniform(6.0, 8.4, 24) * rng.choice([-1.0, 1.0], 24)
+    lo = np.concatenate([lo, mid - 0.5 * width])
+    hi = np.concatenate([hi, lo[-24:] + width])  # midpoints off the grid of doubles
+    w0 = np.concatenate([w0, 0.5 * (lo[-24:] + hi[-24:])])
+    one = np.arange(24) % 2 == 0
+    b0 = np.concatenate([b0, np.zeros(24)])
+    b1 = np.concatenate([b1, np.where(one, 1e10, 0.0)])
+    c2 = np.concatenate([c2, np.where(one, 0.0, -1e20)])
+    h = hi - lo
+    m = 0.5 * (lo + hi)
+    kappa = h * (np.abs(m) + h)
+    assert np.any((kappa > 0.45) & (kappa <= 0.5)) and np.any(kappa > 0.5)
+    assert h.min() < 1e-9 and np.any((h < 1e-8) & (np.abs(m) > 8.0))
+    assert np.any(m - lo != hi - m)  # m is not the exact midpoint
+
+    got = _w1_integrals(lo, hi, w0, b0, b1, c2)
+    with mpmath.workdps(30):
+        for k in range(lo.size):
+            signed, absolute = _mp_moments(lo[k], hi[k], w0[k])
+            coef = [mpmath.mpf(float(v)) for v in (b0[k], b1[k], c2[k])]
+            ref = sum(cf * mom for cf, mom in zip(coef, signed))
+            scale = sum(abs(cf) * mom for cf, mom in zip(coef, absolute))
+            err = abs(mpmath.mpf(float(got[k])) - ref) / scale
+            assert err <= 1e-14, (k, lo[k], hi[k], w0[k], float(err))
+
+
+def _r2_operator():
+    return kp.validate_operator(3, [1, 1, 1], [[1.0]], [np.array([[1.0]]), np.array([[1.0]])])
+
+
+def _engine_stacks(ball, monkeypatch):
+    """The (near-slice) argument stacks the tensor rule receives from one
+    exterior and one interior kernel-weighted profile over the ball."""
+    stacks = []
+    tensor = quadrature._gauss_tensor_stack
+
+    def record(*args):
+        stacks.append(args)
+        return tensor(*args)
+
+    monkeypatch.setattr(quadrature, "_gauss_tensor_stack", record)
+    domain = ExactBall(ball)
+    below = [z for z, cat in exterior_test_points(domain, ball, 8, seed=11) if cat == "below"]
+    inside = ball.spec.point(ball.slices(0.5 * ball.s_max).center[0] + 0.02,
+                             ball.t0 - 0.5 * ball.s_max)
+    assert ball.contains(inside)
+    tau = ball.t0 - ball.s_max * np.linspace(0.01, 0.99, 24)
+    for z in (below[0], inside):
+        _kernel_gamma_profile(domain, ball, z)(tau)
+    monkeypatch.undo()
+    return stacks
+
+
+def _rebuilt_sections(args, ln, v):
+    """Per-section level, centre and coefficients (about w1 = w1_0) at the
+    swept nodes v, rebuilt from x-space offsets of each section."""
+    center, shape, level, mean, chol, M, qc, const, lin, _ = args
+    k, w1_0 = ln.slice, ln.vertex[:, 0]
+    L2 = 2.0 * chol
+    cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
+    Aq = np.swapaxes(L2, 1, 2) @ shape @ L2
+    S = (L2 @ _normal_frame(0.5 * (Aq + np.swapaxes(Aq, 1, 2)), cv))[k]
+    s1 = S[:, :, 0]
+    Q, Mk = shape[k], M[k]
+    alpha = np.einsum("li,lij,lj->l", s1, Q, s1)
+    w = np.repeat(ln.vertex[:, None, :], v.shape[1], axis=1)
+    w[np.arange(k.size), :, ln.axis] = v
+    w[:, :, 0] = 0.0
+    offs = (mean - center)[k, None, :] + np.einsum("lij,lvj->lvi", S, w)
+    w1s = -np.einsum("lvi,lij,lj->lv", offs, Q, s1) / alpha[:, None]
+    offp = offs + w1s[:, :, None] * s1[:, None, :]
+    lev = level[k, None] - np.einsum("lvi,lij,lvj->lv", offp, Q, offp)
+    terms = ((mean - qc)[k, None, :], np.einsum("lij,lvj->lvi", S, w),
+             w1_0[:, None, None] * s1[:, None, :])
+    d = terms[0] + terms[1] + terms[2]
+    Md = np.einsum("lij,lvj->lvi", Mk, d)
+    const = np.broadcast_to(const, level.shape)[k, None]
+    b0 = np.einsum("lvi,lvi->lv", d, Md) + const
+    b1 = 2.0 * np.einsum("lvi,li->lv", Md, s1)
+    # the scale of each coefficient: the magnitudes of the terms these sums add
+    dabs = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+    b0_scale = np.einsum("lvi,lij,lvj->lv", dabs, np.abs(Mk), dabs) + np.abs(const)
+    b1_scale = 2.0 * np.einsum("lvi,lij,lj->lv", dabs, np.abs(Mk), np.abs(s1))
+    if lin is not None:
+        b0 = b0 + np.einsum("lvi,li->lv", d, lin[k])
+        b1 = b1 + np.einsum("li,li->l", s1, lin[k])[:, None]
+        b0_scale = b0_scale + np.einsum("lvi,li->lv", dabs, np.abs(lin[k]))
+        b1_scale = b1_scale + np.einsum("li,li->l", np.abs(s1), np.abs(lin[k]))[:, None]
+    half = np.sqrt(level[k] / alpha)
+    return lev, w1s, b0, b1, b0_scale, b1_scale, half
+
+
+@pytest.mark.parametrize("op", ["heat2", "proto", "chain", "r2"])
+def test_line_data_matches_sections_rebuilt_from_x_space(op, balls, monkeypatch):
+    if op == "r2":
+        ball = kp.lball(_r2_operator(), 4.0)
+    else:
+        ball = balls[op]
+    stacks = _engine_stacks(ball, monkeypatch)
+    assert stacks
+    n = ball.spec.n
+    order = 48 if n == 2 else 32
+    rng = np.random.default_rng(5)
+    lines = 0
+    for args in stacks:
+        center, shape, level, mean, chol, M, qc, const, lin, _ = args
+        for c, li in ((const, lin), (rng.uniform(-1, 1, level.size),
+                                     rng.standard_normal(center.shape))):
+            call = args[:7] + (c, li, None)
+            ln = _lines(*call[:9], order)
+            if ln.slice.size == 0:
+                continue
+            v0, w1_0 = ln.vertex[np.arange(ln.slice.size), ln.axis], ln.vertex[:, 0]
+            lines += ln.slice.size
+            v, _ = _compressed_nodes(ln.lo, ln.hi, order)
+            v = np.concatenate([v0[:, None], v], axis=1)  # the vertex, then the nodes
+            lev, w1s, b0, b1, b0_scale, b1_scale, half = _rebuilt_sections(call, ln, v)
+            dv = v - v0[:, None]
+            # each against its scale along the line
+            lev_line = ln.lev0[:, None] - ln.a_v[:, None] * dv ** 2
+            assert np.max(np.abs(lev_line - lev) / level[ln.slice][:, None]) <= 1e-12
+            centre = w1_0[:, None] + ln.g1[:, None] * dv
+            centre_scale = np.max(np.abs(w1s), axis=1) + half
+            assert np.max(np.abs(centre - w1s) / centre_scale[:, None]) <= 1e-12
+            P, Pv, P1, Qvv, Qv1, _ = ln.quad[:, :, None]
+            B0 = P + Pv * dv + Qvv * dv ** 2
+            B1 = P1 + 2.0 * Qv1 * dv
+            assert np.max(np.abs(B0 - b0) / np.max(b0_scale, axis=1, keepdims=True)) <= 1e-12
+            assert np.max(np.abs(B1 - b1) / np.max(b1_scale, axis=1, keepdims=True)) <= 1e-12
+    assert lines > 0
+
+
+def test_stack_call_makes_no_per_block_gather(balls, monkeypatch):
+    ball = balls["chain"]
+    stacks = _engine_stacks(ball, monkeypatch)
+    args = max(stacks, key=lambda a: a[0].shape[0])
+    counts = {"take": 0, "blocks": 0}
+    take, w1 = np.take, quadrature._w1_integrals
+
+    def counted_take(*a, **kw):
+        counts["take"] += 1
+        return take(*a, **kw)
+
+    def counted_w1(*a):
+        counts["blocks"] += 1
+        return w1(*a)
+
+    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(quadrature, "_w1_integrals", counted_w1)
+    center, shape, level, mean, chol, M, qc, const, lin, _ = args
+    gaussian_quadratic_stack(center, shape, level, mean, chol, M, qc, const=const, lin=lin)
+    assert counts["blocks"] >= 4
+    assert counts["take"] == 0
