@@ -34,6 +34,17 @@ _EXPERIMENTS = {
     "rigidity": {"perturbations", "points", "ratio_min", "lp_check"},
     "lp_check": {"perturbation", "p"},
 }
+_POSITIVE = (lambda v, n: _is_real(v) and v > 0.0, "a finite number > 0")
+_VALUES = {  # experiment key -> (check of a value at dimension n, what a value must be)
+    "points": (lambda v, n: _is_real(v) and v >= 1 and v == int(v), "an integer >= 1"),
+    "max_degree": (lambda v, n: _is_real(v) and v >= 0 and v == int(v), "an integer >= 0"),
+    "tolerance": _POSITIVE, "ratio_min": _POSITIVE, "error_multiple": _POSITIVE,
+    "p": (lambda v, n: v is None or _is_real(v) and v > 0.0, "a number > 0"),
+    "centers": (lambda v, n: isinstance(v, list) and all(isinstance(c, list) and len(c) == n + 1
+                and all(map(_is_real, c)) for c in v), "a list of (n + 1)-coordinate points"),
+    "lp_check": (lambda v, n: isinstance(v, bool), "true or false"),
+    "perturbations": (lambda v, n: v is None or isinstance(v, list), "a list"),
+}
 _NEEDS_SEED = {"potential_identity", "interior_inequality", "rigidity", "lp_check"}
 _PERTURBATION_KINDS = {"spatial_shift", "radius_mismatch", "slice_scale", "bite"}
 _MAX_N = 3  # the slice cubature rules (quadrature.ball_rule) cover n = 1, 2, 3
@@ -139,7 +150,7 @@ def _parse_quadrature(data: dict, needs_seed: bool) -> QuadratureConfig:
         raise SchemaError(str(exc)) from exc
 
 
-def _parse_experiments(data) -> list[dict]:
+def _parse_experiments(data, n: int) -> list[dict]:
     if not isinstance(data, list) or not data:
         raise SchemaError("section 'experiments' must be a nonempty list")
     out = []
@@ -151,19 +162,16 @@ def _parse_experiments(data) -> list[dict]:
             raise SchemaError(f"unknown experiment '{name}'")
         _reject_unknown(f"experiments[{i}]", {k: v for k, v in exp.items() if k != "name"},
                         _EXPERIMENTS[name])
-        perts = exp.get("perturbations") or []
-        if exp.get("perturbation") is not None:
-            perts = [exp["perturbation"]]
-        if not isinstance(perts, list):
-            raise SchemaError("rigidity.perturbations must be a list")
-        for pert in perts:
+        for key, (check, what) in _VALUES.items():
+            if key in exp and not check(exp[key], n):
+                raise SchemaError(f"{name}.{key} must be {what}")
+        one = exp.get("perturbation")
+        for pert in [one] if one is not None else exp.get("perturbations") or []:
             if not isinstance(pert, dict) or pert.get("kind") not in _PERTURBATION_KINDS:
                 raise SchemaError(
                     f"{name} perturbations need a kind in {sorted(_PERTURBATION_KINDS)}")
             if not (_is_real(pert.get("magnitude")) and 0.0 < pert["magnitude"] < 1.0):
                 raise SchemaError(f"{name} perturbation magnitude must be a number in (0, 1)")
-        if exp.get("p") is not None and not (_is_real(exp["p"]) and exp["p"] > 0.0):
-            raise SchemaError("lp_check.p must be a number > 0")
         out.append(dict(exp))
     return out
 
@@ -198,7 +206,7 @@ def load_config(path) -> ExperimentConfig:
 
     spec = _parse_operator(raw["operator"])
     z0, radii = _parse_ball(raw["ball"], spec.n)
-    experiments = _parse_experiments(raw["experiments"])
+    experiments = _parse_experiments(raw["experiments"], spec.n)
     needs_seed = any(e["name"] in _NEEDS_SEED for e in experiments)
     quad = _parse_quadrature(raw["quadrature"], needs_seed)
     out_dir, fmt = _parse_output(raw["output"])

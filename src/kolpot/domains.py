@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def quadratic_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<S[k] y, y> per point y = Y[k, :, j] of an (m, n, q) stack; even coordinates are summed
+    before odd ones, as numpy's einsum sums a last axis (n <= 3), so the bits match that form."""
+    return (Z := (S @ Y) * Y)[:, ::2].sum(axis=1) + Z[:, 1::2].sum(axis=1)
+
+
 class SignedSliceStack(NamedTuple):
     """The signed slices of a domain at a stack of times.
 
@@ -56,15 +62,14 @@ class SignedSliceStack(NamedTuple):
     level: np.ndarray   # (m,)
 
     def holds(self, X: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Membership of the points X[k] (X has shape (m, q, n)) at input time
-        node[k]: a point lies in the domain when the signed count of the slices
-        holding it, one bincount over all (row, point) pairs, is positive."""
+        """Membership of the points X[k, :, j] (X is (m, n, q)) at input time node[k]: the
+        signed count of the slices holding a point, one bincount, is positive."""
         i, j = np.nonzero(node[:, None] == self.node[None, :])
-        Y = X[i] - self.center[j][:, None, :]
-        inside = np.einsum("pqi,pqi->pq", Y @ self.shape[j], Y) < self.level[j][:, None]
-        count = np.bincount((i[:, None] * X.shape[1] + np.arange(X.shape[1])).ravel(),
-                            (self.sign[j][:, None] * inside).ravel(), X.shape[0] * X.shape[1])
-        return count.reshape(X.shape[:2]) > 0.0
+        Y = X[i] - self.center[j][:, :, None]
+        inside = quadratic_form(self.shape[j], Y) < self.level[j][:, None]
+        count = np.bincount((i[:, None] * X.shape[2] + np.arange(X.shape[2])).ravel(),
+                            (self.sign[j][:, None] * inside).ravel(), X.shape[0] * X.shape[2])
+        return count.reshape(X.shape[0], X.shape[2]) > 0.0
 
 
 def _ball_stack(sl: SliceStack) -> SignedSliceStack:
@@ -96,8 +101,7 @@ class SlicedDomain:
         t_lo, t_hi = self.time_interval
         if not t_lo < z.t < t_hi:
             return False
-        st = self.signed_slice_stack(z.t)
-        return bool(st.holds(z.x[None, None, :], np.zeros(1, dtype=int))[0, 0])
+        return bool(self.signed_slice_stack(z.t).holds(z.x[None, :, None], np.array([0]))[0, 0])
 
     def bounding_box(self):
         return ball_bounding_box(self.ball)

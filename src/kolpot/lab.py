@@ -37,6 +37,7 @@ from .domains import (
     ScaledBall,
     SignedSliceStack,
     SlicedDomain,
+    quadratic_form,
 )
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
@@ -457,27 +458,27 @@ class LpCheck:
         }
 
 
-def _ball_maps(st):
-    """Maps x = c + T u of the unit ball onto every slice of a stack, and their
-    Jacobians |det T|."""
+def _ball_maps(st, u):
+    """The points c + T u on every slice of a stack, for unit-ball points u of shape (n, q)
+    or (m, n, q), and the Jacobians |det T| of these maps."""
     T = np.sqrt(st.level)[:, None, None] * np.linalg.inv(
         np.linalg.cholesky(st.shape)).transpose(0, 2, 1)
     jac = st.level ** (st.center.shape[1] / 2.0) / np.sqrt(np.linalg.det(st.shape))
-    return T, jac
+    return st.center[:, :, None] + T @ u, jac
 
 
-def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int) -> np.ndarray:
-    """Generator(Philox(key=k)).random((512, n + 1)) for each time's key k, from ``gen``
-    re-keyed per time: a key, a zero counter and an empty buffer fix a Philox stream."""
+def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int):
+    """Generator(Philox(key=k)).random((512, n + 1)).T per distinct key k of the times, and
+    each time's row into them; ``gen`` is re-keyed per key, its counter and buffer emptied."""
     state = dict(gen.bit_generator.state, buffer_pos=4, has_uint32=0)
     state["state"]["counter"][:] = 0
-    U = np.empty((len(taus), 512, n + 1))
-    for r, t in enumerate(taus):
-        key = ((int(seed) & 0xFFFFFFFF) << 28) ^ (int(abs(t) * 1e7) & 0xFFFFFFF) ^ salt
-        state["state"]["key"][:] = key, 0
+    bins, row = np.unique([int(abs(t) * 1e7) & 0xFFFFFFF for t in taus], return_inverse=True)
+    U = np.empty((bins.size, n + 1, 512))
+    for b, t_bin in enumerate(bins):
+        state["state"]["key"][:] = ((int(seed) & 0xFFFFFFFF) << 28) ^ int(t_bin) ^ salt, 0
         gen.bit_generator.state = state
-        gen.random(out=U[r])
-    return U
+        U[b] = gen.random((512, n + 1)).T
+    return U, row
 
 
 def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
@@ -485,13 +486,14 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     difference of the domain and the ball, one call per time cell.
 
     Each call takes both stacks from one ``signed_slice_stack`` call each and
-    the kernel W(u), u = tau - t0, centred at E(u) x0, from one
-    ``W_quadratic`` call over the nodes that have a slice.  For nested
-    families at integer p the value is |int_D W^p - int_ball W^p|, each a
-    signed sum of exact degree-2p ``ball_rule`` integrals.  Otherwise every
-    +1 slice of either domain carries 512 uniform samples from its node's
-    Philox stream (``_node_uniforms``, one re-keyed generator per profile),
-    and a sample counts where it lies in its own domain and not in the other.
+    the kernel W(u), u = tau - t0, centred at E(u) x0, from one ``W_quadratic``
+    call over the nodes that have a slice.  For nested families at integer p
+    the value is |int_D W^p - int_ball W^p|, each a signed sum of exact
+    degree-2p ``ball_rule`` integrals.  Otherwise every +1 slice of either
+    domain carries 512 samples from its node's Philox stream, and a sample
+    counts where it lies in its own domain and not in the other.  The stream
+    key reads |tau| in bins of 1e-7, so the times of one bin share one block
+    (``_node_uniforms``), drawn and mapped to the unit ball once per call.
     """
     n = ball.spec.n
     ev = ball.ev
@@ -515,13 +517,12 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
 
         def w_power(X, node):
             k = np.searchsorted(live, node)
-            Y = X - cW[k][:, None, :]
-            return np.clip(np.einsum("mqi,mqi->mq", Y @ MW[k], Y), 0.0, None) ** p
+            Y = X - cW[k][:, :, None]
+            return np.clip(quadratic_form(MW[k], Y), 0.0, None) ** p
 
         def exact_value(st):
             nodes, weights = ball_rule(n, 2 * p_int)
-            T, jac = _ball_maps(st)
-            X = st.center[:, None, :] + nodes @ T.transpose(0, 2, 1)
+            X, jac = _ball_maps(st, nodes.T)
             # a per-row sum, so a slice shared by both stacks integrates to the
             # same bits in each and cancels exactly
             vals = st.sign * jac * np.sum(w_power(X, st.node) * weights, axis=1)
@@ -529,13 +530,10 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
 
         def mc_value(src, other, salt):
             pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
-            if pos.node.size == 0:
-                return np.zeros(tau.size)
-            U = _node_uniforms(gen, seed, tau[pos.node], salt, n)
-            v = ndtri(np.clip(U[..., :n], 1e-12, 1 - 1e-12))
-            v = v / np.linalg.norm(v, axis=2, keepdims=True) * U[..., n:] ** (1.0 / n)
-            T, jac = _ball_maps(pos)
-            X = pos.center[:, None, :] + v @ T.transpose(0, 2, 1)
+            U, row = _node_uniforms(gen, seed, tau[pos.node], salt, n)
+            v = ndtri(np.clip(U[:, :n], 1e-12, 1 - 1e-12))
+            v = v / np.linalg.norm(v, axis=1, keepdims=True) * U[:, n:] ** (1.0 / n)
+            X, jac = _ball_maps(pos, v[row])
             keep = src.holds(X, pos.node) & ~other.holds(X, pos.node)
             vals = unit_ball_volume(n) * jac * np.mean(w_power(X, pos.node) * keep, axis=1)
             return np.bincount(pos.node, weights=vals, minlength=tau.size)

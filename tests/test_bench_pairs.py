@@ -64,3 +64,38 @@ def test_summary_skips_metrics_absent_from_a_run():
     rows = bench_pairs.summarize([pair], {"items_per_s": "higher", "setup_s": "lower"})
     assert [r["metric"] for r in rows] == ["items_per_s"]
     assert rows[0]["parent"] == (5.0, 5.0, 5.0)
+
+
+def test_json_record_from_canned_runs(tmp_path, monkeypatch):
+    # main with --json, its run.py calls replaced by canned result lines
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": n, "better": b} for n, b in BETTER.items()]}))
+    canned = {("parent", 9101): (0.25, 3900.0, 68.0), ("change", 9101): (0.47, 2100.0, 68.2),
+              ("parent", 9102): (0.24, 4000.0, 68.1), ("change", 9102): (0.46, 2090.0, 68.1),
+              ("parent", 9103): (0.26, 3800.0, 67.9), ("change", 9103): (0.48, 2080.0, 68.3)}
+    order = []
+
+    def run(checkout, workload, seed, seconds):
+        assert workload == "rigidity" and seconds is None
+        order.append((checkout.name, seed))
+        return bench_pairs.result_line(_line(*canned[checkout.name, seed]))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "BENCH_test.json"
+    code = bench_pairs.main([str(tmp_path / "parent"), str(change), "--workload", "rigidity",
+                             "--seeds", "9101-9103", "--json", str(out)])
+    assert code == 0
+    assert order == [("parent", 9101), ("change", 9101), ("change", 9102), ("parent", 9102),
+                     ("parent", 9103), ("change", 9103)]
+    rec = json.loads(out.read_text())
+    assert rec["workload"] == "rigidity" and rec["seeds"] == [9101, 9102, 9103]
+    assert list(rec["metrics"]) == list(BETTER)
+    items = rec["metrics"]["items_per_s"]
+    assert items["parent"] == {"median": 0.25, "q1": 0.24, "q3": 0.26}
+    assert items["change"] == {"median": 0.47, "q1": 0.46, "q3": 0.48}
+    assert items["ratio"] == pytest.approx(0.47 / 0.25)
+    assert (items["wins_parent"], items["wins_change"], items["pairs"]) == (0, 3, 3)
+    rss = rec["metrics"]["peak_rss_mb"]  # one tie at 68.1
+    assert (rss["wins_parent"], rss["wins_change"]) == (2, 0)

@@ -135,6 +135,55 @@ def test_schema_rejects_values_it_cannot_run(tmp_path, section, key, value):
     assert not (tmp_path / "o").exists()
 
 
+_PI = {"name": "potential_identity", "points": 6, "tolerance": 1e-05}
+_MVF = {"name": "mvf", "max_degree": 1, "tolerance": 1e-07}
+_INTERIOR = {"name": "interior_inequality", "points": 2, "error_multiple": 5.0}
+
+
+@pytest.mark.parametrize("experiment", [
+    dict(_PI, points="abc"),
+    dict(_PI, points=-3),
+    dict(_PI, points=0),
+    dict(_PI, points=2.5),
+    dict(_PI, points=True),
+    dict(_PI, tolerance="x"),
+    dict(_PI, tolerance=True),
+    dict(_PI, tolerance=0.0),
+    dict(_PI, tolerance=_NAN),
+    dict(_MVF, max_degree=-1),
+    dict(_MVF, max_degree=1.5),
+    dict(_MVF, centers="abc"),
+    dict(_MVF, centers=[[0.5]]),
+    dict(_MVF, centers=[[0.5, "abc"]]),
+    dict(_MVF, centers=[0.5, 0.0]),
+    dict(_INTERIOR, error_multiple=-1.0),
+    dict(_RIGIDITY, ratio_min=_INF),
+    dict(_RIGIDITY, lp_check="yes"),
+    dict(_RIGIDITY, lp_check=1),
+], ids=["points_string", "points_negative", "points_zero", "points_fraction", "points_bool",
+        "tolerance_string", "tolerance_bool", "tolerance_zero", "tolerance_nan",
+        "max_degree_negative", "max_degree_fraction", "centers_string", "centers_short",
+        "centers_string_coordinate", "centers_flat", "error_multiple_negative",
+        "ratio_min_inf", "lp_check_string", "lp_check_int"])
+def test_schema_rejects_experiment_values_it_cannot_run(tmp_path, experiment):
+    # each of these used to run into a traceback, or to pass on zero rows
+    payload = _tiny_config(tmp_path / "o")
+    payload["experiments"] = [experiment]
+    path = _write(tmp_path, payload)
+    with pytest.raises(SchemaError, match=f"{experiment['name']}\\."):
+        load_config(path)
+    assert run(str(path)) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_schema_accepts_experiment_values_at_their_limits(tmp_path):
+    payload = _tiny_config(tmp_path / "o")
+    payload["experiments"] = [dict(_PI, points=1), dict(_MVF, max_degree=0, centers=[[0.5, 0.1]]),
+                              dict(_RIGIDITY, lp_check=False, ratio_min=1e-3)]
+    cfg = load_config(_write(tmp_path, payload))
+    assert [e["name"] for e in cfg.experiments] == ["potential_identity", "mvf", "rigidity"]
+
+
 def test_nan_deviation_fails_its_verdict(monkeypatch):
     import kolpot as kp
     from kolpot import experiments, lab

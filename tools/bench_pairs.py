@@ -9,7 +9,9 @@ prints, per end-to-end metric, the median and quartiles
 (``statistics.quantiles(values, n=4)``) of each side, the ratio of the
 medians, and in how many pairs each side was better, by the metric's
 ``better`` direction in the change's BENCHMARK.json.  ``--seconds`` is passed
-on to ``run.py`` (default: its own, ``run_seconds``).
+on to ``run.py`` (default: its own, ``run_seconds``).  ``--json PATH`` also
+writes that summary as JSON (``bench_record``), for a ``BENCH_<label>.json``
+trajectory file.
 
 Exit codes: 0 when every run finished with no failed item, 1 when a run
 failed an item, 2 when a run could not be parsed.
@@ -78,6 +80,18 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
     return rows
 
 
+def bench_record(workload: str, seeds: list[int], rows: list[dict]) -> dict:
+    """The summary rows as one JSON object: the workload, the seeds and, per
+    metric, each side's median and quartiles, the ratio of medians and the wins."""
+    metrics = {}
+    for r in rows:
+        metrics[r["metric"]] = {
+            **{side: dict(zip(("median", "q1", "q3"), r[side])) for side in ("parent", "change")},
+            "ratio": r["ratio"], "wins_parent": r["wins_parent"],
+            "wins_change": r["wins_change"], "pairs": r["pairs"]}
+    return {"workload": workload, "seeds": seeds, "metrics": metrics}
+
+
 def format_rows(rows: list[dict]) -> str:
     head = (f"{'metric':<18} {'parent median (q1-q3)':>30} {'change median (q1-q3)':>30} "
             f"{'ratio':>7} {'wins p/c':>9}")
@@ -110,12 +124,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,7,11")
     ap.add_argument("--seconds", type=float, default=None)
+    ap.add_argument("--json", type=Path, default=None, help="also write the summary here")
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs, failed = [], 0
-    for k, seed in enumerate(parse_seeds(args.seeds)):
+    pairs, failed, seeds = [], 0, parse_seeds(args.seeds)
+    for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         res = {side: _run(sides[side], args.workload, seed, args.seconds) for side in order}
         failed += res["parent"]["failed"] + res["change"]["failed"]
@@ -124,7 +139,10 @@ def main(argv=None) -> int:
         print(f"seed {seed} ({order[0]} first): items_per_s parent {items['parent']:.4g}, "
               f"change {items['change']:.4g}, failed {res['parent']['failed']}/"
               f"{res['change']['failed']}", flush=True)
-    print(format_rows(summarize(pairs, better)))
+    rows = summarize(pairs, better)
+    print(format_rows(rows))
+    if args.json is not None:
+        args.json.write_text(json.dumps(bench_record(args.workload, seeds, rows), indent=1) + "\n")
     print(f"failed items: {failed}")
     return 1 if failed else 0
 
