@@ -6,15 +6,15 @@ central quantity is the kernel-weighted potential
 
     P(D, z) = int_D Gamma(zeta, z) W(z0^{-1} o zeta) d zeta,
 
-computed one time cell at a time: at each time the integrand is a Gaussian
-in the spatial variable times a quadratic (the kernel), integrated over the
-signed slice ellipsoids, and each call of the adaptive compressed time rule's
-profile stacks the slices of all its nodes into one Gaussian x quadratic
-engine call.  For the exact ball and z outside, P equals r Gamma(z0, z); the
-rigidity experiments measure how strongly perturbed domains break that
-identity.  The L^p gluing check integrates W^p over the symmetric difference
-of a domain and the ball the same way: one stacked pass over the signed
-slices of both at all nodes of a time cell.
+computed one refinement step of the time rule at a time: at each time the
+integrand is a Gaussian in the spatial variable times a quadratic (the
+kernel), integrated over the signed slice ellipsoids, and each profile call
+stacks the slices of all its nodes into one Gaussian x quadratic engine call.
+For the exact ball and z outside, P equals r Gamma(z0, z); the rigidity
+experiments measure how strongly perturbed domains break that identity.  The
+L^p gluing check integrates W^p over the symmetric difference of a domain and
+the ball the same way: one stacked pass over the signed slices of both at all
+nodes of a refinement step.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .domains import (
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
 from .quadrature import (
+    _CELL,
     IntegralResult,
     QuadratureConfig,
     ball_rule,
@@ -70,7 +71,7 @@ __all__ = [
 
 
 def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
-    """Profile tau -> int over the slices of Gamma(., z) W(z0^{-1} o .), one call per time cell.
+    """Profile tau -> int over the slices of Gamma(., z) W(z0^{-1} o .), one call per step.
 
     At a node tau with delta = tau - z.t > 0 the integrand is the Gaussian of
     covariance 2 C(delta) centred at E(delta) z.x, whose Cholesky factor is
@@ -483,7 +484,7 @@ def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int)
 
 def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     """Profile tau -> int of W(z0^{-1} o .)^p over the slices of the symmetric
-    difference of the domain and the ball, one call per time cell.
+    difference of the domain and the ball, one call per refinement step.
 
     Each call takes both stacks from one ``signed_slice_stack`` call each and
     the kernel W(u), u = tau - t0, centred at E(u) x0, from one ``W_quadratic``
@@ -492,8 +493,10 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     degree-2p ``ball_rule`` integrals.  Otherwise every +1 slice of either
     domain carries 512 samples from its node's Philox stream, and a sample
     counts where it lies in its own domain and not in the other.  The stream
-    key reads |tau| in bins of 1e-7, so the times of one bin share one block
-    (``_node_uniforms``), drawn and mapped to the unit ball once per call.
+    key reads |tau| in bins of 1e-7, so the times of one bin share one key
+    block (``_node_uniforms``), drawn and mapped to the unit ball once per
+    block of ``_CELL`` +1 slices; the slice blocks bound the samples a call
+    holds at once, however many time cells it carries.
     """
     n = ball.spec.n
     ev = ball.ev
@@ -528,14 +531,21 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
             vals = st.sign * jac * np.sum(w_power(X, st.node) * weights, axis=1)
             return np.bincount(st.node, weights=vals, minlength=tau.size)
 
-        def mc_value(src, other, salt):
-            pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
-            U, row = _node_uniforms(gen, seed, tau[pos.node], salt, n)
+        def mc_block(blk, src, other, salt):
+            U, row = _node_uniforms(gen, seed, tau[blk.node], salt, n)
             v = ndtri(np.clip(U[:, :n], 1e-12, 1 - 1e-12))
             v = v / np.linalg.norm(v, axis=1, keepdims=True) * U[:, n:] ** (1.0 / n)
-            X, jac = _ball_maps(pos, v[row])
-            keep = src.holds(X, pos.node) & ~other.holds(X, pos.node)
-            vals = unit_ball_volume(n) * jac * np.mean(w_power(X, pos.node) * keep, axis=1)
+            X, jac = _ball_maps(blk, v[row])
+            del U, v  # the key blocks are not needed by the membership tests
+            keep = src.holds(X, blk.node) & ~other.holds(X, blk.node)
+            return unit_ball_volume(n) * jac * np.mean(w_power(X, blk.node) * keep, axis=1)
+
+        def mc_value(src, other, salt):
+            pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
+            vals = np.empty(pos.node.size)
+            for a in range(0, vals.size, _CELL):
+                vals[a:a + _CELL] = mc_block(SignedSliceStack(*(x[a:a + _CELL] for x in pos)),
+                                             src, other, salt)
             return np.bincount(pos.node, weights=vals, minlength=tau.size)
 
         if exact:
@@ -550,7 +560,7 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     """L^p norm of (1_D - 1_ball) W(z0^{-1} o .) over R^{n+1}, for p > 0.
 
     Zero for the exact ball.  The time integral runs over a profile that
-    handles all nodes of a time cell in one stacked pass (``_lp_profile``):
+    handles all nodes of a refinement step in one stacked pass (``_lp_profile``):
     exact degree-2p cubature for nested-slice perturbations at integer p,
     Monte Carlo on the slices otherwise; indicator domains fall back to box
     Monte Carlo.  When the tail toward the pole keeps growing under floor

@@ -6,14 +6,17 @@ Three layers:
   moments (or degree-exact product cubature on the unit ball), quadratics in
   closed form, and Gaussian-times-quadratic integrands by one stacked
   engine, ``gaussian_quadratic_stack``, which integrates a whole stack of
-  slices (a leading slice axis; all nodes of a time cell) per call: a
+  slices (a leading slice axis; all nodes of a refinement step) per call: a
   closed-form full-space or zero classification, then a normal-aligned
   tensor rule whose sections lie on lines carrying their Schur-vertex data
   once, with a width-graded Gauss-Legendre order (``gaussian_quadratic_auto``
   and ``gaussian_quadratic_tensor`` are its one-slice calls);
 * a 1-d adaptive time integrator with square-root compression at both
   endpoints, which tames the integrable kernel blow-up near the pole and the
-  degenerating slices at the far end;
+  degenerating slices at the far end.  It asks its profile for all cells of
+  a refinement step in one call, and the stacked kernels behind the profiles
+  work through a call in blocks of at most one cell (``_CELL``), so their
+  working set does not grow with the cells a call carries;
 * seeded Monte Carlo with fixed-size counter-keyed chunks (Philox), so sample
   streams are reproducible and independent of how work is split across
   workers.
@@ -289,6 +292,7 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 _BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
+_CELL = 24  # slices per stacked-kernel block: one time cell's nodes at the default order 16
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -441,6 +445,7 @@ def _w1_integrals(lo, hi, w0, b0, b1, c2) -> np.ndarray:
         e += r
         e += m
         S0, T1, T2 = wk @ _gauss_inplace(e)  # sum_j w_j tau_j^k e^{-x_j^2}
+        del e  # the (nodes x sections) block is the largest array here: free it first
         F[:, rows] = (wd * S0, wd * (wd * T1 + r * S0),
                       wd * (wd * (wd * T2 + 2.0 * r * T1) + r * r * S0))
 
@@ -554,10 +559,11 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
                   _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
 
 
-def _line_sweep(ln: _Lines, order: int) -> np.ndarray:
-    """sum_j wt_j e^{-v_j^2} I(v_j) per line, over compressed nodes on [lo, hi],
-    with I(v) the w1 integral of the section at v; lines go in blocks of at
-    most _BLOCK sections."""
+def _line_sweep(ln: _Lines, order: int, K: int) -> np.ndarray:
+    """The sum over the lines of each of K slices of their weight times
+    sum_j wt_j e^{-v_j^2} I(v_j), over compressed nodes on [lo, hi], with I(v)
+    the w1 integral of the section at v; lines go in blocks of at most _BLOCK
+    sections."""
     step = max(_BLOCK // (2 * order), 1)
     out = np.empty(ln.slice.size)
     v0, w1_0 = ln.vertex[np.arange(out.size), ln.axis], ln.vertex[:, 0]
@@ -572,7 +578,7 @@ def _line_sweep(ln: _Lines, order: int) -> np.ndarray:
         vals = _w1_integrals(lo, hi, w1_0[r, None], P + dv * (Pv + dv * Qvv),
                              P1 + 2.0 * Qv1 * dv, cc2)
         out[r] = np.einsum("kj,kj->k", wv * np.exp(-v ** 2), vals)
-    return out
+    return np.bincount(ln.slice, weights=ln.weight * out, minlength=K)
 
 
 def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
@@ -585,7 +591,7 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
     the whole integral.  For n = 2 and 3 the sections lie on lines carrying
     their Schur-vertex data (``_lines``), swept with ``order`` compressed
     Gauss-Legendre nodes per half line (``_line_sweep``; 48 for n = 2, 32
-    for n = 3 by default).
+    for n = 3 by default), ``_CELL`` slices at a time.
     """
     K, n = center.shape
     if n > 3:
@@ -598,9 +604,13 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
         lo, hi = _span(w0, np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0])))
         return math.pi ** (-0.5) * _w1_integrals(lo, hi, w0, P, P1, cc2)
     order = order or (48 if n == 2 else 32)
-    ln = _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin, order)
-    vals = ln.weight * _line_sweep(ln, order)
-    return math.pi ** (-0.5 * n) * np.bincount(ln.slice, weights=vals, minlength=K)
+    out = np.empty(K)
+    for a in range(0, K, _CELL):  # one block's lines alive at a time
+        r = slice(a, a + _CELL)
+        out[r] = _line_sweep(_lines(center[r], shape[r], level[r], mean[r], chol_cov_half[r],
+                                    M[r], q_center[r], const[r], None if lin is None else lin[r],
+                                    order), order, out[r].size)
+    return math.pi ** (-0.5 * n) * out
 
 
 def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_center,
@@ -712,26 +722,25 @@ def integrate_time_profile(
     and s = hi - H w^2), which makes the integrable endpoint behaviour of the
     slice profiles mild in w.  Cells are then refined worst-first, with the
     cell error taken from an embedded lower-order rule.  ``profile`` must
-    accept a 1-d array of times and return values of the same shape.
+    accept a 1-d array of times and return values of the same shape; it is
+    called once per refinement step, for the nodes of every cell the step
+    needs (the 8 initial cells, then the two halves of a split cell), cell
+    after cell, each cell's ``order`` nodes before its embedded rule's.
     """
     if hi <= lo:
         return IntegralResult(0.0, 0.0, "exact", cells=0)
     H = 0.5 * (hi - lo)
     xs1, ws1, xs2, ws2 = _gl_pair(order)
+    xs = np.concatenate([xs1, xs2])
 
-    def eval_cell(side: int, a: float, b: float):
-        w_hi = a + (b - a) * xs1
-        w_lo = a + (b - a) * xs2
-        w_all = np.concatenate([w_hi, w_lo])
-        if side == 0:
-            s = lo + H * w_all ** 2
-        else:
-            s = hi - H * w_all ** 2
-        jac = 2.0 * H * w_all * (b - a)
-        vals = np.asarray(profile(s)) * jac
-        i_hi = float(ws1 @ vals[: xs1.size])
-        i_lo = float(ws2 @ vals[xs1.size:])
-        return i_hi, abs(i_hi - i_lo)
+    def eval_cells(cells):
+        """(value, error) per (side, a, b) cell, from one profile call."""
+        side, a, b = (np.array(c)[:, None] for c in zip(*cells))
+        w = a + (b - a) * xs
+        s = np.where(side == 0, lo + H * w ** 2, hi - H * w ** 2)
+        vals = np.asarray(profile(s.ravel())).reshape(s.shape) * (2.0 * H * w * (b - a))
+        i_hi = [float(ws1 @ v[: xs1.size]) for v in vals]
+        return [(i, abs(i - float(ws2 @ v[xs1.size:]))) for i, v in zip(i_hi, vals)]
 
     heap = []
     counter = 0
@@ -739,15 +748,13 @@ def integrate_time_profile(
     total_err = 0.0
     ncells = 0
     init = 4
-    for side in (0, 1):
-        for k in range(init):
-            a, b = k / init, (k + 1) / init
-            val, err = eval_cell(side, a, b)
-            heapq.heappush(heap, (-err, counter, side, a, b, 1, val, err))
-            counter += 1
-            total += val
-            total_err += err
-            ncells += 1
+    cells = [(side, k / init, (k + 1) / init) for side in (0, 1) for k in range(init)]
+    for (side, a, b), (val, err) in zip(cells, eval_cells(cells)):
+        heapq.heappush(heap, (-err, counter, side, a, b, 1, val, err))
+        counter += 1
+        total += val
+        total_err += err
+        ncells += 1
 
     converged = True
     while total_err > max(abs_tol, rel_tol * abs(total)):
@@ -762,8 +769,8 @@ def integrate_time_profile(
         total -= val
         total_err -= err
         mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            v, e = eval_cell(side, aa, bb)
+        halves = [(side, a, mid), (side, mid, b)]
+        for (_, aa, bb), (v, e) in zip(halves, eval_cells(halves)):
             heapq.heappush(heap, (-e, counter, side, aa, bb, depth + 1, v, e))
             counter += 1
             total += v
@@ -927,11 +934,14 @@ def _unit_kernel(ball: LBall) -> np.ndarray:
 
 
 def _exact_ball_profile(f, ball: LBall, kernel: bool):
-    """Profile of exact slice integrals of f (x W), one stacked pass per call.
+    """Profile of exact slice integrals of f (x W), any number of time cells per call.
 
-    The slices come from ``LBall.slices``; a degree-exact unit-ball rule is
-    mapped onto each of them, f is evaluated once for all nodes with per-row
-    times, and the kernel is (rho/s) u^T G1 u (``_unit_kernel``).
+    The slices come from one ``LBall.slices`` call; a degree-exact unit-ball
+    rule is mapped onto each of them, f is evaluated with per-row times, and
+    the kernel is (rho/s) u^T G1 u (``_unit_kernel``).  f runs over blocks of
+    whole ``_CELL``-node cells holding at most ``_BLOCK`` rule points, so each
+    row keeps its place in the BLAS row layout of ``vals @ mean_weights`` and
+    its bits do not depend on how many cells a call carries.
     """
     n = ball.spec.n
     deg = int(getattr(f, "space_degree", 0)) + (2 if kernel else 0)
@@ -941,18 +951,18 @@ def _exact_ball_profile(f, ball: LBall, kernel: bool):
     if kernel:
         kern = np.einsum("ij,jk,ik->i", nodes, _unit_kernel(ball), nodes)
     t0 = ball.z0.t
+    step = max(_BLOCK // (_CELL * weights.size), 1) * _CELL  # whole cells per block
 
     def profile(s_arr):
         sl = ball.slices(s_arr)
         out = np.zeros(np.size(s_arr))
-        if sl.idx.size == 0:
-            return out
-        X = sl.center[:, None, :] + sl.scale[:, None, :] * P
-        t = np.repeat(t0 - sl.s, nodes.shape[0])
-        vals = f.evaluate(X.reshape(-1, n), t).reshape(sl.s.size, -1)
-        if kernel:
-            vals = vals * ((sl.rho / sl.s)[:, None] * kern)
-        out[sl.idx] = sl.volume * (vals @ mean_weights)
+        for a in range(0, out.size, step):
+            k = slice(*np.searchsorted(sl.idx, [a, a + step]))
+            vals = f.evaluate((sl.center[k, None, :] + sl.scale[k, None, :] * P).reshape(-1, n),
+                              np.repeat(t0 - sl.s[k], weights.size)).reshape(-1, weights.size)
+            if kernel:
+                vals = vals * ((sl.rho[k] / sl.s[k])[:, None] * kern)
+            out[sl.idx[k]] = sl.volume[k] * (vals @ mean_weights)
         return out
 
     return profile

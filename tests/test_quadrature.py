@@ -328,6 +328,23 @@ def test_time_profile_refinement_order_matches_scan_reference(max_depth, max_cel
     assert (res.value, res.error, res.cells, res.converged) == ref
 
 
+@pytest.mark.filterwarnings("ignore::kolpot.errors.ToleranceWarning")
+@pytest.mark.parametrize("order", [16, 10])
+def test_time_profile_calls_once_per_refinement_step(order):
+    # the 8 initial cells in the first call, then the two halves of each split
+    calls = []
+
+    def profile(s):
+        calls.append(np.size(s))
+        return 1.0 / np.sqrt(np.abs(s - 0.37) + 1e-12)
+
+    res = integrate_time_profile(profile, 0.0, 1.0, order=order, rel_tol=1e-10, max_cells=60)
+    cell = order + order // 2
+    assert calls[0] == 8 * cell
+    assert calls[1:] == [2 * cell] * (len(calls) - 1)
+    assert res.cells == 8 + 2 * (len(calls) - 1) and len(calls) > 1
+
+
 def test_kernel_integral_equals_radius(balls, quad_cfg):
     # integrating the bare kernel over the ball returns exactly the radius
     for name, ball in balls.items():
