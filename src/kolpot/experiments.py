@@ -84,6 +84,9 @@ def run_mvf(exp: dict, spec, z0, radii, cfg) -> dict:
                     "expected": target,
                     "mean_value": got.value,
                     "deviation": dev,
+                    "quad_error": got.error,
+                    "cells": got.cells,
+                    "converged": got.converged,
                 })
     rep = _base_report("mvf", spec, cfg)
     rep.update({
@@ -108,7 +111,8 @@ def run_kernel_mass(exp: dict, spec, z0, radii, cfg) -> dict:
         res = integrate_over_ball(one, ball, cfg, kernel=True)
         dev = abs(res.value - ball.r) / ball.r
         worst = float(np.maximum(worst, dev))  # a NaN stays NaN and fails
-        rows.append({"r": ball.r, "kernel_integral": res.value, "relative_deviation": dev})
+        rows.append({"r": ball.r, "kernel_integral": res.value, "relative_deviation": dev,
+                     "quad_error": res.error, "cells": res.cells, "converged": res.converged})
     rep = _base_report("kernel_mass", spec, cfg)
     rep.update({"tolerance": tol, "worst_deviation": worst,
                 "passed": bool(worst < tol), "rows": rows})

@@ -495,8 +495,9 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     counts where it lies in its own domain and not in the other.  The stream
     key reads |tau| in bins of 1e-7, so the times of one bin share one key
     block (``_node_uniforms``), drawn and mapped to the unit ball once per
-    block of ``_CELL`` +1 slices; the slice blocks bound the samples a call
-    holds at once, however many time cells it carries.
+    block of ``_CELL`` +1 slices.  Both paths work per block of ``_CELL``
+    slices, which bounds the rule points and samples a call holds at once,
+    however many time cells it carries.
     """
     n = ball.spec.n
     ev = ball.ev
@@ -523,13 +524,18 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
             Y = X - cW[k][:, :, None]
             return np.clip(quadratic_form(MW[k], Y), 0.0, None) ** p
 
-        def exact_value(st):
+        def by_blocks(st, block_value):
+            vals = np.empty(st.node.size)
+            for a in range(0, vals.size, _CELL):
+                vals[a:a + _CELL] = block_value(SignedSliceStack(*(x[a:a + _CELL] for x in st)))
+            return np.bincount(st.node, weights=vals, minlength=tau.size)
+
+        def exact_block(blk):
             nodes, weights = ball_rule(n, 2 * p_int)
-            X, jac = _ball_maps(st, nodes.T)
+            X, jac = _ball_maps(blk, nodes.T)
             # a per-row sum, so a slice shared by both stacks integrates to the
             # same bits in each and cancels exactly
-            vals = st.sign * jac * np.sum(w_power(X, st.node) * weights, axis=1)
-            return np.bincount(st.node, weights=vals, minlength=tau.size)
+            return blk.sign * jac * np.sum(w_power(X, blk.node) * weights, axis=1)
 
         def mc_block(blk, src, other, salt):
             U, row = _node_uniforms(gen, seed, tau[blk.node], salt, n)
@@ -542,14 +548,10 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
 
         def mc_value(src, other, salt):
             pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
-            vals = np.empty(pos.node.size)
-            for a in range(0, vals.size, _CELL):
-                vals[a:a + _CELL] = mc_block(SignedSliceStack(*(x[a:a + _CELL] for x in pos)),
-                                             src, other, salt)
-            return np.bincount(pos.node, weights=vals, minlength=tau.size)
+            return by_blocks(pos, lambda blk: mc_block(blk, src, other, salt))
 
         if exact:
-            return np.abs(exact_value(sd) - exact_value(sb))
+            return np.abs(by_blocks(sd, exact_block) - by_blocks(sb, exact_block))
         return mc_value(sb, sd, 1) + mc_value(sd, sb, 2)
 
     return profile

@@ -66,7 +66,8 @@ class QuadratureConfig:
     """Knobs shared by all integration routines.
 
     ``time_order``/``time_tol`` drive the adaptive 1-d time rule,
-    ``endpoint_depth`` caps its dyadic refinement depth, ``mc_samples`` and
+    ``endpoint_depth`` caps its dyadic refinement depth (in sigma =
+    log(s_max/s) on the exact path of ``integrate_over_ball``), ``mc_samples`` and
     ``seed`` control the Monte Carlo paths.  ``workers`` only splits Monte
     Carlo chunks; results are identical for any worker count.
     """
@@ -974,23 +975,31 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
 
     Polynomial integrands (anything exposing ``evaluate`` and
     ``space_degree``) take the exact path: degree-exact cubature per slice and
-    the adaptive time rule.  General callables f(X, t) take the Monte Carlo
-    path, kernel-importance-sampled when ``kernel`` is set so the weight
-    singularity near the pole does not inflate the variance.
+    the adaptive time rule in sigma = log(s_max/s), where the kernel mass
+    decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past sigma_max = 100/(Q-2)
+    lies a Gamma(n/2+2) tail of that mass, at most 1.1e-18 of it for n <= 3,
+    and ``cfg.endpoint_depth`` caps the dyadic depth in sigma.  General
+    callables f(X, t) take the Monte Carlo path, kernel-importance-sampled
+    when ``kernel`` is set so the weight singularity near the pole does not
+    inflate the variance.
     """
     if hasattr(f, "space_degree") or isinstance(f, dict):
         if isinstance(f, dict):
             f = AnisoPolynomial(ball.spec.n, {(k, 0): float(c) for k, c in f.items()})
         profile = _exact_ball_profile(f, ball, kernel)
         scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
-        res = integrate_time_profile(
-            profile, 0.0, ball.s_max,
+
+        def sigma_profile(sigma):  # s = s_max e^-sigma, ds = s dsigma
+            s = ball.s_max * np.exp(-sigma)
+            return profile(s) * s
+
+        return integrate_time_profile(
+            sigma_profile, 0.0, 100.0 / (ball.spec.Q - 2),
             order=cfg.time_order, rel_tol=cfg.time_tol,
             abs_tol=cfg.time_tol * scale,
             max_depth=cfg.endpoint_depth,
             max_cells=cfg.max_cells,
         )
-        return res
 
     sampler = MCSampler(ball)
     X, s, p = sampler.sample(cfg.mc_samples, cfg.seed, kernel=kernel,

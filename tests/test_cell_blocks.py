@@ -94,10 +94,19 @@ def _peak(profile, tau):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case", ["lp_shift", "kernel_chain"])
+@pytest.mark.parametrize("case", ["lp_shift", "lp_exact", "kernel_chain"])
 def test_many_cell_call_stays_within_one_cell_working_set(balls, case):
+    bound = 1.3
     if case == "lp_shift":
         profile, tau = _lp_case(balls["proto"], "spatial_shift", 3.5)
+    elif case == "lp_exact":
+        # integer p on a nested perturbation: the exact cubature path.  Its
+        # one-cell working set is small (about 0.11 MB), so the geometry a
+        # call holds for all its nodes (both slice stacks and the one kernel
+        # per live node, about 40 kB at 192 nodes) shows: 1.34x, against
+        # 7.6x with every slice mapped at once
+        profile, tau = _lp_case(balls["proto"], "radius_mismatch", 4)
+        bound = 1.4
     else:
         profile, tau = _kernel_case(balls["chain"])
-    assert _peak(profile, tau) <= 1.3 * _peak(profile, tau[72:96])
+    assert _peak(profile, tau) <= bound * _peak(profile, tau[72:96])

@@ -205,6 +205,24 @@ def test_nan_deviation_fails_its_verdict(monkeypatch):
         assert worst != worst, run_exp.__name__  # NaN
 
 
+def test_mean_value_rows_carry_their_diagnostics():
+    import kolpot as kp
+    from kolpot import experiments
+    from kolpot.errors import ToleranceWarning
+    from kolpot.quadrature import QuadratureConfig
+
+    spec = kp.heat_operator(1)
+    radii = (3.5449077018110318,)
+    with pytest.warns(ToleranceWarning):
+        rep = experiments.run_kernel_mass({}, spec, (0.0, 0.0), radii,
+                                          QuadratureConfig(max_cells=8, time_tol=1e-15))
+    (row,) = rep["rows"]
+    assert row["converged"] is False and row["cells"] == 8 and row["quad_error"] > 0.0
+    rep = experiments.run_mvf({"max_degree": 1}, spec, (0.0, 0.0), radii, QuadratureConfig())
+    assert all(row["converged"] is True and row["cells"] >= 8 and row["quad_error"] >= 0.0
+               for row in rep["rows"])
+
+
 def test_schema_accepts_lp_and_rigidity_inputs(tmp_path):
     payload = _tiny_config(tmp_path / "o")
     payload["experiments"] = [_LP, dict(_LP, p=3.5, perturbation=None), _RIGIDITY]

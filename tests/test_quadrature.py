@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, gammaincc
+from scipy.stats import gamma as gamma_law
 
 import kolpot as kp
+from kolpot import quadrature
 from kolpot.balls import Ellipsoid
 from kolpot.harmonic import AnisoPolynomial
 from kolpot.quadrature import (
     MCSampler,
     MonomialMoments,
     QuadratureConfig,
+    _exact_ball_profile,
     ball_rule,
     ellipsoid_polynomial_integral,
     ellipsoid_quadratic_integral,
@@ -23,6 +26,7 @@ from kolpot.quadrature import (
     mc_sample_ball,
     unit_ball_moment,
 )
+from conftest import HEAT1_R
 from oracles import gaussian_quadratic_ellipsoid
 
 
@@ -458,6 +462,68 @@ def test_mc_path_bare_kernel(balls):
     cfg = QuadratureConfig(time_tol=1e-9, mc_samples=30000, seed=2718)
     mc = integrate_over_ball(lambda x, t: 1.0, ball, cfg, kernel=True)
     assert abs(mc.value - ball.r) < 4.0 * max(mc.error, 1e-12) + 1e-4 * ball.r
+
+
+def _sigma_max(ball, monkeypatch):
+    """The upper limit of the exact path's time rule, read from the call."""
+    seen = []
+
+    def spy(profile, lo, hi, **kw):
+        seen.append((lo, hi))
+        return integrate_time_profile(profile, lo, hi, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate_time_profile", spy)
+    integrate_over_ball(AnisoPolynomial.constant(ball.spec.n, 1.0), ball,
+                        QuadratureConfig(), kernel=True)
+    monkeypatch.undo()
+    assert len(seen) == 1 and seen[0][0] == 0.0
+    return seen[0][1]
+
+
+@pytest.mark.parametrize("op", ["heat1", "heat2", "proto", "chain"])
+def test_sigma_rule_leaves_a_negligible_kernel_tail(balls, op, monkeypatch):
+    # in sigma = log(s_max/s) the kernel mass of a slice, s times the s-profile,
+    # is r times the Gamma(n/2 + 2) density of rate (Q - 2)/2, so the mass the
+    # rule leaves past sigma_max is r gammaincc(n/2 + 2, (Q - 2) sigma_max / 2)
+    ball = balls[op]
+    n, Q = ball.spec.n, ball.spec.Q
+    sigma_max = _sigma_max(ball, monkeypatch)
+    assert gammaincc(n / 2 + 2, (Q - 2) * sigma_max / 2) <= 1e-17
+    profile = _exact_ball_profile(AnisoPolynomial.constant(n, 1.0), ball, kernel=True)
+    sigma = np.array([0.01, 0.3, 1.0, 3.0, 10.0, 30.0]) * 2 / (Q - 2)
+    s = ball.s_max * np.exp(-sigma)
+    law = ball.r * gamma_law.pdf(sigma, n / 2 + 2, scale=2 / (Q - 2))
+    assert np.max(np.abs(profile(s) * s / law - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("op", ["heat1", "heat2"])
+def test_sigma_rule_on_criterion_4_balls(all_specs, evaluators, op):
+    # the balls and centres of criterion 4: mean values of the degree <= 4
+    # basis on origin and translated balls of radius 2^k r.  In sigma the
+    # pole's log factor needs no geometric refinement, so few cells suffice
+    # and only rounding is left
+    rng = np.random.default_rng(404)
+    translate = {name: all_specs[name].point(0.5 * rng.standard_normal(all_specs[name].n),
+                                             rng.uniform(-0.5, 0.5))
+                 for name in ("heat1", "heat2")}  # criterion 4's draws, in its order
+    spec, cfg = all_specs[op], QuadratureConfig(time_tol=1e-9, seed=404)
+    base = {"heat1": HEAT1_R, "heat2": 4.0}[op]
+    cells, worst = [], {}
+    for center in (spec.origin(), translate[op]):
+        for k in (-3, -1, 0, 2, 4):
+            ball = kp.lball(spec, base * 2.0 ** k, center, evaluators[op])
+            for u in kp.harmonic_basis(spec, 4):
+                got = kp.lab.mean_value(u, ball, cfg)
+                assert got.converged
+                cells.append(got.cells)
+                dev = abs(got.value - u(center)) / (1.0 + abs(u(center)))
+                worst[k] = max(worst.get(k, 0.0), dev)
+    assert np.mean(cells) <= 12
+    assert max(worst[k] for k in (-3, -1, 0, 2)) <= 1e-13
+    # at k = 4 (s_max = 256 for heat1) the degree-4 element reaches about 8e5
+    # on the ball, and rounding alone leaves 2.6e-12 of it in a mean value of 0
+    # (a time_tol of 1e-14 does not move it)
+    assert worst[4] <= 1e-11
 
 
 def test_kernel_integral_stable_under_floor_halving(balls):

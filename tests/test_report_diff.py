@@ -29,17 +29,37 @@ def test_report_diff_identical_then_one_flipped_flag(tmp_path):
     assert code == 0, out
     assert "DIFFERS" not in out and "missing" not in out
     assert "kernel_mass.json" in out and "potential_identity.csv" in out
-    assert "0.00e+00  worst_deviation" in out
+    assert "   0.00e+00   0.00e+00  worst_deviation" in out
 
     report = json.loads((new / "kernel_mass.json").read_text())
     report["passed"] = False
+    worst = report["worst_deviation"]
     report["worst_deviation"] *= 1.5
     (new / "kernel_mass.json").write_text(json.dumps(report))
     code, out = _diff(old, new)
     assert code == 1
     assert "DIFFERS    passed: true -> false" in out
-    assert "3.33e-01  worst_deviation" in out
+    # the largest absolute change sits next to the relative one
+    assert f"  {0.5 * worst:9.2e}   3.33e-01  worst_deviation" in out
 
     (new / "kernel_mass.json").unlink()
     code, out = _diff(old, new)
     assert code == 1 and "kernel_mass.json: missing in NEW" in out
+
+
+def test_report_diff_absolute_column_tells_a_residue_from_a_value(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "r.json").write_text(json.dumps({"rows": [{"dev": 1e-16, "value": 2.0},
+                                                     {"dev": 3e-10, "value": 4.0}]}))
+    (new / "r.json").write_text(json.dumps({"rows": [{"dev": 2e-16, "value": 3.0},
+                                                     {"dev": 1e-16, "value": 4.0}]}))
+    code, out = _diff(old, new)
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[0].split() == ["max", "|a-b|", "max", "rel", "field"]
+    # each column is its own maximum over the rows: the residue moves by a
+    # relative 1 at an absolute 3e-10, the value by 1/3 at an absolute 1
+    assert lines[2:] == ["   3.00e-10   1.00e+00  rows[*].dev",
+                         "   1.00e+00   3.33e-01  rows[*].value"]

@@ -3,11 +3,15 @@
     python tools/report_diff.py OLD NEW
 
 For every ``.json`` and ``.csv`` file in either directory it prints, per
-numeric field (list indices folded to ``[*]``), the largest relative change
-|a - b| / max(|a|, |b|) over the field's occurrences, and it lists every bool,
+numeric field (list indices folded to ``[*]``), the largest absolute change
+|a - b| and the largest relative change |a - b| / max(|a|, |b|) over the
+field's occurrences (each its own maximum), and it lists every bool,
 string or list field that differs, every field found on one side only and
 every file missing from one side.  Lists of numbers compare element by element;
-other lists of scalars, such as ``flags``, compare as a whole.
+other lists of scalars, such as ``flags``, compare as a whole.  A residue near
+0, such as a mean-value deviation at quadrature level, can change by a
+relative 1 while its absolute change stays at rounding level; the absolute
+column tells the two apart.
 
 Exit codes: 0 when only numbers changed, 1 when a non-numeric field differs or
 a file is missing, 2 on a usage error.
@@ -63,18 +67,20 @@ def _load(path: Path) -> dict:
     return out
 
 
-def _rel_change(a: float, b: float) -> float:
+def _change(a: float, b: float) -> tuple[float, float]:
+    """(|a - b|, |a - b| / max(|a|, |b|))."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b), abs(a - b) / max(abs(a), abs(b))
 
 
 def compare_file(old: Path, new: Path) -> tuple[dict, list[str]]:
-    """Largest relative change per numeric field, and the non-numeric differences."""
+    """Largest (absolute, relative) change per numeric field, and the non-numeric
+    differences."""
     a, b = _load(old), _load(new)
-    changes: dict[str, float] = {}
+    changes: dict[str, tuple[float, float]] = {}
     differ = []
     for key in sorted(a.keys() | b.keys()):
         if key not in b or key not in a:
@@ -82,7 +88,8 @@ def compare_file(old: Path, new: Path) -> tuple[dict, list[str]]:
             differ.append(f"{key}: only in {side} ({json.dumps(a.get(key, b.get(key)))})")
         elif _is_number(a[key]) and _is_number(b[key]):
             field = re.sub(r"\[\d+\]", "[*]", key)
-            changes[field] = max(changes.get(field, 0.0), _rel_change(a[key], b[key]))
+            prev = changes.get(field, (0.0, 0.0))
+            changes[field] = tuple(map(max, prev, _change(a[key], b[key])))
         elif a[key] != b[key]:
             differ.append(f"{key}: {json.dumps(a[key])} -> {json.dumps(b[key])}")
     return changes, differ
@@ -99,6 +106,7 @@ def main(argv=None) -> int:
     names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir()
                     if p.suffix in (".json", ".csv")})
     failed = False
+    print("  max |a-b|  max rel    field")
     for name in names:
         old, new = args.old / name, args.new / name
         if not (old.is_file() and new.is_file()):
@@ -107,8 +115,8 @@ def main(argv=None) -> int:
             continue
         changes, differ = compare_file(old, new)
         print(name)
-        for field, rel in sorted(changes.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"  {rel:9.2e}  {field}")
+        for field, (absolute, rel) in sorted(changes.items(), key=lambda kv: (-kv[1][1], kv[0])):
+            print(f"  {absolute:9.2e}  {rel:9.2e}  {field}")
         for line in differ:
             print(f"  DIFFERS    {line}")
         failed = failed or bool(differ)
