@@ -45,6 +45,7 @@ from .quadrature import (
     _CELL,
     IntegralResult,
     QuadratureConfig,
+    _integrate_in_sigma,
     ball_rule,
     gaussian_quadratic_stack,
     integrate_over_ball,
@@ -145,8 +146,11 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
 
     The time range is the domain's interval clipped to zeta.t > z.t (where
     Gamma vanishes) and to ``t_min`` when given.  If the interval straddles
-    the kernel's singular time t0 it is split there.  Indicator-defined
-    domains fall back to flagged box Monte Carlo.
+    the kernel's singular time t0 it is split there.  A piece that ends or
+    starts at t0 runs in sigma = log(S/s), with s = t0 - tau or tau - t0 and
+    S its length (``quadrature._integrate_in_sigma``, as for mean values);
+    any other piece runs in tau.  Indicator-defined domains fall back to
+    flagged box Monte Carlo.
     """
     if isinstance(domain, IndicatorDomain):
         return _mc_box_kernel_gamma(domain, ball, z, cfg, t_min)
@@ -157,7 +161,7 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     if t_hi <= lo:
         return IntegralResult(0.0, 0.0, "exact", cells=0)
     profile = _kernel_gamma_profile(domain, ball, z)
-    scale = abs_scale if abs_scale is not None else 1.0
+    abs_tol = cfg.time_tol * (abs_scale if abs_scale is not None else 1.0)
     pieces = [(lo, t_hi)]
     t0 = ball.z0.t
     if lo < t0 < t_hi:
@@ -165,13 +169,17 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     total, err, cells = 0.0, 0.0, 0
     converged = True
     for a, b in pieces:
-        res = integrate_time_profile(
-            profile, a, b,
-            order=cfg.time_order, rel_tol=cfg.time_tol,
-            abs_tol=cfg.time_tol * scale,
-            max_depth=cfg.endpoint_depth,
-            max_cells=cfg.max_cells,
-        )
+        if t0 in (a, b):
+            side = 1.0 if a == t0 else -1.0  # s = tau - t0 above the pole, t0 - tau below
+            res = _integrate_in_sigma(lambda s: profile(t0 + side * s), b - a,
+                                      ball.spec.Q, cfg, abs_tol)
+        else:
+            res = integrate_time_profile(
+                profile, a, b,
+                order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=abs_tol,
+                max_depth=cfg.endpoint_depth,
+                max_cells=cfg.max_cells,
+            )
         total += res.value
         err += res.error
         cells += res.cells
@@ -355,13 +363,13 @@ class RigidityReport:
 
     def write_csv(self, path) -> None:
         cols = ["index", "category", "t", "x", "lhs", "rhs", "abs_residual",
-                "rel_residual", "quad_error"]
+                "rel_residual", "quad_error", "cells", "converged", "flags"]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(cols)
             for rec in self.points:
-                w.writerow([rec[c] if c != "x" else " ".join(repr(v) for v in rec["x"])
-                            for c in cols])
+                row = dict(rec, x=" ".join(map(repr, rec["x"])), flags=" ".join(rec["flags"]))
+                w.writerow([row[c] for c in cols])
 
 
 def potential_identity_residual(domain: SlicedDomain, ball: LBall,
@@ -371,7 +379,8 @@ def potential_identity_residual(domain: SlicedDomain, ball: LBall,
 
     ``test_points`` holds GroupPoints or (GroupPoint, category) pairs; every
     point must lie outside the domain.  Relative residuals are taken against
-    the right-hand side when it exceeds 1e-12, absolutely otherwise.
+    the right-hand side when it exceeds 1e-12, absolutely otherwise.  Each
+    point's row carries the integral's quad_error, cells, converged and flags.
     """
     report = RigidityReport(
         operator=operator_hash(ball.spec),
@@ -403,6 +412,9 @@ def potential_identity_residual(domain: SlicedDomain, ball: LBall,
             "abs_residual": abs_res,
             "rel_residual": rel_res,
             "quad_error": res.error,
+            "cells": res.cells,
+            "converged": res.converged,
+            "flags": list(res.flags),
         })
     report.sup_abs_residual = sup_abs
     report.sup_rel_residual = sup_rel
@@ -414,7 +426,8 @@ def interior_inequality_margin(ball: LBall, interior_points,
     """Margins Gamma(z0, z) - Gamma_mu(z) > 0 at strictly interior points.
 
     Raises PointNotInterior unless r Gamma(z0, z) > 1 + 1e-6.  Margins are
-    reported with the quadrature error estimate of the potential.
+    reported with the quadrature error estimate, cells, convergence and flags
+    of the potential.
     """
     domain = ExactBall(ball)
     records = []
@@ -432,6 +445,9 @@ def interior_inequality_margin(ball: LBall, interior_points,
             "potential": pot.value,
             "margin": gamma_center - pot.value,
             "quad_error": pot.error,
+            "cells": pot.cells,
+            "converged": pot.converged,
+            "flags": list(pot.flags),
         })
     return records
 

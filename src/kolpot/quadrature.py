@@ -11,12 +11,15 @@ Three layers:
   tensor rule whose sections lie on lines carrying their Schur-vertex data
   once, with a width-graded Gauss-Legendre order (``gaussian_quadratic_auto``
   and ``gaussian_quadratic_tensor`` are its one-slice calls);
-* a 1-d adaptive time integrator with square-root compression at both
-  endpoints, which tames the integrable kernel blow-up near the pole and the
-  degenerating slices at the far end.  It asks its profile for all cells of
-  a refinement step in one call, and the stacked kernels behind the profiles
-  work through a call in blocks of at most one cell (``_CELL``), so their
-  working set does not grow with the cells a call carries;
+* a 1-d adaptive time integrator: a Gauss-Kronrod pair per cell with
+  QUADPACK's error model, and square-root compression at both endpoints,
+  which tames the degenerating slices at the ends.  Integrals that reach the
+  kernel's pole run in sigma = log(S/s) (``_integrate_in_sigma``), where the
+  pole's power law and log factor become a smooth exponential tail.  The
+  integrator asks its profile for all cells of a refinement step in one
+  call, and the stacked kernels behind the profiles work through a call in
+  blocks of at most one cell (``_CELL``), so their working set does not
+  grow with the cells a call carries;
 * seeded Monte Carlo with fixed-size counter-keyed chunks (Philox), so sample
   streams are reproducible and independent of how work is split across
   workers.
@@ -65,14 +68,15 @@ MC_CHUNK = 4096  # samples per Philox key; fixed so chunking never affects strea
 class QuadratureConfig:
     """Knobs shared by all integration routines.
 
-    ``time_order``/``time_tol`` drive the adaptive 1-d time rule,
-    ``endpoint_depth`` caps its dyadic refinement depth (in sigma =
-    log(s_max/s) on the exact path of ``integrate_over_ball``), ``mc_samples`` and
-    ``seed`` control the Monte Carlo paths.  ``workers`` only splits Monte
-    Carlo chunks; results are identical for any worker count.
+    ``time_order`` = m selects the time rule's Gauss-Kronrod pair G_m/K_{2m+1}
+    (2m + 1 profile nodes per cell), ``time_tol`` its tolerance, and
+    ``endpoint_depth`` caps its dyadic refinement depth, counted in sigma =
+    log(S/s) on the integrals that reach the kernel's pole.  ``mc_samples``
+    and ``seed`` control the Monte Carlo paths.  ``workers`` only splits
+    Monte Carlo chunks; results are identical for any worker count.
     """
 
-    time_order: int = 16
+    time_order: int = 10
     time_tol: float = 1e-9
     endpoint_depth: int = 48
     max_cells: int = 4096
@@ -293,7 +297,7 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 _BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
-_CELL = 24  # slices per stacked-kernel block: one time cell's nodes at the default order 16
+_CELL = 21  # slices per stacked-kernel block: one time cell's nodes at the default order 10
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -699,10 +703,48 @@ def gaussian_quadratic_auto(
 
 
 @lru_cache(maxsize=None)
-def _gl_pair(order: int):
-    x1, w1 = np.polynomial.legendre.leggauss(order)
-    x2, w2 = np.polynomial.legendre.leggauss(max(order // 2, 2))
-    return 0.5 * (x1 + 1.0), 0.5 * w1, 0.5 * (x2 + 1.0), 0.5 * w2
+def _gauss_kronrod(m: int):
+    """The pair G_m/K_{2m+1} on (0, 1): the 2m + 1 Kronrod nodes in increasing
+    order, their weights, and the Gauss weights of the m nodes at the odd
+    positions.
+
+    Laurie's algorithm (*Calculation of Gauss-Kronrod quadrature rules*,
+    Math. Comp. 66, 1997) extends the Legendre recurrence coefficients b_k to
+    those of the Jacobi-Kronrod matrix; the Legendre weight is symmetric, so
+    every diagonal coefficient is zero.  The Kronrod nodes are that matrix's
+    eigenvalues, with the Gauss nodes taken from ``leggauss``; the weights
+    solve the Legendre moment equations at the nodes, which holds their sum
+    to 1 within rounding (the eigenvectors' weights miss it by 7e-16 at
+    m = 10), and the whole rule is made exactly symmetric.
+    """
+    b = np.zeros(2 * m + 1)
+    n = np.arange(1, (3 * m + 1) // 2 + 1)
+    b[0], b[n] = 2.0, n * n / (4.0 * n * n - 1.0)
+    s, t = np.zeros(m // 2 + 2), np.zeros(m // 2 + 2)
+    t[1] = b[m + 1]
+    for i in range(m - 1):
+        u = 0.0
+        for k in range((i + 1) // 2, -1, -1):
+            u += b[k + m + 1] * s[k] - b[i - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for i in range(m - 1, 2 * m - 2):
+        u = 0.0
+        for k in range(i + 1 - m, (i - 1) // 2 + 1):
+            j = m - 1 - i + k
+            u += b[i - k] * s[j + 2] - b[k + m + 1] * s[j + 1]
+            s[j + 1] = u
+        if i % 2:
+            b[(i + 1) // 2 + m + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x[1::2], wg = np.polynomial.legendre.leggauss(m)
+    w = np.linalg.solve(np.polynomial.legendre.legvander(x, 2 * m).T,
+                        np.eye(2 * m + 1)[0] * 2.0)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return 0.5 * (x + 1.0), 0.5 * w, 0.5 * wg
 
 
 def integrate_time_profile(
@@ -710,7 +752,7 @@ def integrate_time_profile(
     lo: float,
     hi: float,
     *,
-    order: int = 16,
+    order: int = 10,
     rel_tol: float = 1e-9,
     abs_tol: float = 0.0,
     max_depth: int = 48,
@@ -721,34 +763,43 @@ def integrate_time_profile(
     The interval is split at its midpoint and each half is reparametrized
     with a square-root compression toward its outer endpoint (s = lo + H w^2
     and s = hi - H w^2), which makes the integrable endpoint behaviour of the
-    slice profiles mild in w.  Cells are then refined worst-first, with the
-    cell error taken from an embedded lower-order rule.  ``profile`` must
-    accept a 1-d array of times and return values of the same shape; it is
-    called once per refinement step, for the nodes of every cell the step
-    needs (the 8 initial cells, then the two halves of a split cell), cell
-    after cell, each cell's ``order`` nodes before its embedded rule's.
+    slice profiles mild in w.  Each half starts as 2 cells, which are then
+    refined worst-first.  A cell's value is the Kronrod rule K_{2 order + 1};
+    its error is QUADPACK's model resasc min(1, (200 |K - G| / resasc)^1.5)
+    (Piessens et al., *QUADPACK*, 1983), with G the embedded Gauss rule
+    G_order and resasc the K-rule integral of |f - K / (b - a)|.
+    ``profile`` must accept a 1-d array of times and return values of the
+    same shape; it is called once per refinement step, for the nodes of every
+    cell the step needs (the 4 initial cells, then the two halves of a split
+    cell), cell after cell, each cell's 2 order + 1 nodes in increasing w.
     """
     if hi <= lo:
         return IntegralResult(0.0, 0.0, "exact", cells=0)
     H = 0.5 * (hi - lo)
-    xs1, ws1, xs2, ws2 = _gl_pair(order)
-    xs = np.concatenate([xs1, xs2])
+    xk, wk, wg = _gauss_kronrod(order)
 
     def eval_cells(cells):
         """(value, error) per (side, a, b) cell, from one profile call."""
         side, a, b = (np.array(c)[:, None] for c in zip(*cells))
-        w = a + (b - a) * xs
+        w = a + (b - a) * xk
         s = np.where(side == 0, lo + H * w ** 2, hi - H * w ** 2)
         vals = np.asarray(profile(s.ravel())).reshape(s.shape) * (2.0 * H * w * (b - a))
-        i_hi = [float(ws1 @ v[: xs1.size]) for v in vals]
-        return [(i, abs(i - float(ws2 @ v[xs1.size:]))) for i, v in zip(i_hi, vals)]
+        out = []
+        for v in vals:
+            k = float(wk @ v)
+            err = abs(k - float(wg @ v[1::2]))
+            resasc = float(wk @ np.abs(v - k))
+            if resasc > 0.0:
+                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+            out.append((k, err))
+        return out
 
     heap = []
     counter = 0
     total = 0.0
     total_err = 0.0
     ncells = 0
-    init = 4
+    init = 2
     cells = [(side, k / init, (k + 1) / init) for side in (0, 1) for k in range(init)]
     for (side, a, b), (val, err) in zip(cells, eval_cells(cells)):
         heapq.heappush(heap, (-err, counter, side, a, b, 1, val, err))
@@ -786,6 +837,27 @@ def integrate_time_profile(
         )
     return IntegralResult(total, total_err, "exact", cells=ncells,
                           converged=converged, flags=flags)
+
+
+def _integrate_in_sigma(profile, S: float, Q: float, cfg: QuadratureConfig,
+                        abs_tol: float) -> IntegralResult:
+    """int_0^S profile(s) ds for a profile whose pole sits at s = 0.
+
+    The time rule runs in sigma = log(S/s) over (0, 100/(Q - 2)), with
+    s = S e^-sigma and ds = s dsigma.  Near the pole the kernel's slice
+    integrals behave like s^((Q-4)/2) times powers of log(S/s), so the
+    integrand in sigma is a smooth tail e^(-(Q-2) sigma/2) times powers of
+    sigma, and ``cfg.endpoint_depth`` caps the dyadic depth in sigma.
+    """
+    def sigma_profile(sigma):
+        s = S * np.exp(-sigma)
+        return profile(s) * s
+
+    return integrate_time_profile(
+        sigma_profile, 0.0, 100.0 / (Q - 2),
+        order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=abs_tol,
+        max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -975,31 +1047,19 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
 
     Polynomial integrands (anything exposing ``evaluate`` and
     ``space_degree``) take the exact path: degree-exact cubature per slice and
-    the adaptive time rule in sigma = log(s_max/s), where the kernel mass
-    decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past sigma_max = 100/(Q-2)
-    lies a Gamma(n/2+2) tail of that mass, at most 1.1e-18 of it for n <= 3,
-    and ``cfg.endpoint_depth`` caps the dyadic depth in sigma.  General
-    callables f(X, t) take the Monte Carlo path, kernel-importance-sampled
-    when ``kernel`` is set so the weight singularity near the pole does not
-    inflate the variance.
+    the adaptive time rule in sigma = log(s_max/s) (``_integrate_in_sigma``),
+    where the kernel mass decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past
+    sigma_max = 100/(Q-2) lies a Gamma(n/2+2) tail of that mass, at most
+    1.1e-18 of it for n <= 3.  General callables f(X, t) take the Monte Carlo
+    path, kernel-importance-sampled when ``kernel`` is set so the weight
+    singularity near the pole does not inflate the variance.
     """
     if hasattr(f, "space_degree") or isinstance(f, dict):
         if isinstance(f, dict):
             f = AnisoPolynomial(ball.spec.n, {(k, 0): float(c) for k, c in f.items()})
-        profile = _exact_ball_profile(f, ball, kernel)
         scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
-
-        def sigma_profile(sigma):  # s = s_max e^-sigma, ds = s dsigma
-            s = ball.s_max * np.exp(-sigma)
-            return profile(s) * s
-
-        return integrate_time_profile(
-            sigma_profile, 0.0, 100.0 / (ball.spec.Q - 2),
-            order=cfg.time_order, rel_tol=cfg.time_tol,
-            abs_tol=cfg.time_tol * scale,
-            max_depth=cfg.endpoint_depth,
-            max_cells=cfg.max_cells,
-        )
+        return _integrate_in_sigma(_exact_ball_profile(f, ball, kernel), ball.s_max,
+                                   ball.spec.Q, cfg, cfg.time_tol * scale)
 
     sampler = MCSampler(ball)
     X, s, p = sampler.sample(cfg.mc_samples, cfg.seed, kernel=kernel,

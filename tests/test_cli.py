@@ -219,8 +219,31 @@ def test_mean_value_rows_carry_their_diagnostics():
     (row,) = rep["rows"]
     assert row["converged"] is False and row["cells"] == 8 and row["quad_error"] > 0.0
     rep = experiments.run_mvf({"max_degree": 1}, spec, (0.0, 0.0), radii, QuadratureConfig())
-    assert all(row["converged"] is True and row["cells"] >= 8 and row["quad_error"] >= 0.0
+    assert all(row["converged"] is True and row["cells"] >= 4 and row["quad_error"] >= 0.0
                for row in rep["rows"])
+
+
+def test_potential_rows_carry_their_diagnostics(tmp_path):
+    # a cell budget of 4 stops every potential at the time rule's 4 initial
+    # cells; the JSON rows of both potential experiments say so
+    from kolpot.errors import ToleranceWarning
+
+    out = tmp_path / "out"
+    payload = _tiny_config(out)
+    payload["quadrature"].update(time_tol=1e-15, max_cells=4)
+    payload["experiments"] = [{"name": "potential_identity", "points": 2},
+                              {"name": "interior_inequality", "points": 2}]
+    with pytest.warns(ToleranceWarning):
+        run(str(_write(tmp_path, payload)))
+    points = json.loads((out / "potential_identity.json").read_text())["reports"][0]["points"]
+    rows = json.loads((out / "interior_inequality.json").read_text())["rows"]
+    for row in points + rows:
+        assert row["converged"] is False and row["cells"] == 4, row
+        assert row["flags"] == ["tolerance_not_met"] and row["quad_error"] > 0.0
+    payload["quadrature"].update(time_tol=1e-7, max_cells=4096)
+    run(str(_write(tmp_path, payload)))
+    points = json.loads((out / "potential_identity.json").read_text())["reports"][0]["points"]
+    assert all(row["converged"] is True and row["flags"] == [] for row in points)
 
 
 def test_schema_accepts_lp_and_rigidity_inputs(tmp_path):
@@ -260,9 +283,29 @@ def test_run_tiny_config_passes(tmp_path):
 def test_run_detects_threshold_failure(tmp_path):
     out = tmp_path / "out"
     payload = _tiny_config(out)
-    payload["experiments"] = [{"name": "kernel_mass", "tolerance": 1e-18}]
+    # the potential identity's residuals sit at rounding level, never at 0
+    # (the heat1 kernel mass can come out exactly r)
+    payload["experiments"] = [{"name": "potential_identity", "points": 6,
+                               "tolerance": 1e-18}]
     code = run(str(_write(tmp_path, payload)))
     assert code == 1
+
+
+def test_run_at_time_order_one_exits_zero(tmp_path):
+    # the smallest order the schema accepts: the pair G1/K3, 3 nodes per cell.
+    # QUADPACK's error model is far from sharp at this order, so the kernel
+    # mass stops at its cell budget, flagged, with a value well within the
+    # experiment's tolerance
+    from kolpot.errors import ToleranceWarning
+
+    out = tmp_path / "out"
+    payload = _tiny_config(out)
+    payload["quadrature"].update(time_order=1, max_cells=512)
+    with pytest.warns(ToleranceWarning):
+        assert main(["run", str(_write(tmp_path, payload))]) == 0
+    report = json.loads((out / "kernel_mass.json").read_text())
+    assert report["tolerances"]["time_order"] == 1 and report["passed"] is True
+    assert [(row["converged"], row["cells"]) for row in report["rows"]] == [(False, 512)]
 
 
 def test_reports_byte_identical_across_runs_and_workers(tmp_path):

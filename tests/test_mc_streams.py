@@ -25,7 +25,7 @@ from kolpot.domains import (
     make_perturbation,
 )
 from kolpot.lab import _lp_profile, _node_uniforms, lp_condition_norm
-from kolpot.quadrature import _gl_pair
+from kolpot.quadrature import _gauss_kronrod
 from oracles import reference_holds, reference_lp_profile
 
 
@@ -54,9 +54,8 @@ def test_node_uniforms_match_a_new_generator_per_node(n):
 
 
 def _cell(a, b):
-    """The 24 nodes at which the time rule evaluates one cell over [a, b]."""
-    x1, _, x2, _ = _gl_pair(16)
-    return a + (b - a) * np.concatenate([x1, x2])
+    """The 21 nodes at which the time rule evaluates one cell over [a, b]."""
+    return a + (b - a) * _gauss_kronrod(10)[0]
 
 
 @pytest.mark.parametrize("cell", ["one_bin", "many_bins"])
@@ -165,10 +164,11 @@ def test_contains_agrees_with_holds(op, name, balls):
 
 # lp_condition_norm at p = 4 on the radius-mismatch perturbation: the exact
 # path, float.hex of (integral, norm) as computed in the point-major layout
+# under the G10/K21 time rule (within 8.3e-13 of the G16/G8 rule's values)
 _MISMATCH_P4 = {
-    "heat1": ("0x1.1591c92300da4p+64", "0x1.053adb5ad982cp+16"),
-    "proto": ("0x1.650ea3de46fc2p+47", "0x1.d3e1f3923af4bp+11"),
-    "chain": ("0x1.b9380e0e61244p+41", "0x1.5cd1d875c2968p+10"),
+    "heat1": ("0x1.1591c92300c3cp+64", "0x1.053adb5ad97d7p+16"),
+    "proto": ("0x1.650ea3de45b8bp+47", "0x1.d3e1f3923a8abp+11"),
+    "chain": ("0x1.b9380e0e60c08p+41", "0x1.5cd1d875c282dp+10"),
 }
 
 

@@ -9,7 +9,9 @@ from scipy.stats import gamma as gamma_law
 import kolpot as kp
 from kolpot import quadrature
 from kolpot.balls import Ellipsoid
+from kolpot.domains import ExactBall
 from kolpot.harmonic import AnisoPolynomial
+from kolpot.lab import exterior_test_points, kernel_gamma_integral
 from kolpot.quadrature import (
     MCSampler,
     MonomialMoments,
@@ -271,26 +273,32 @@ def test_time_profile_flags_budget_exhaustion():
 
 
 def _time_rule_scan_reference(profile, lo, hi, order, rel_tol, max_depth, max_cells):
-    """The refinement loop as a whole-heap scan per step (O(cells^2))."""
+    """The refinement loop as a whole-heap scan per step (O(cells^2)), one
+    profile call per cell, with QUADPACK's error model written out per cell."""
     import heapq
 
-    from kolpot.quadrature import _gl_pair
+    from kolpot.quadrature import _gauss_kronrod
 
     H = 0.5 * (hi - lo)
-    xs1, ws1, xs2, ws2 = _gl_pair(order)
+    xk, wk, wg = _gauss_kronrod(order)
 
     def eval_cell(side, a, b):
-        w = np.concatenate([a + (b - a) * xs1, a + (b - a) * xs2])
+        w = a + (b - a) * xk
         s = lo + H * w ** 2 if side == 0 else hi - H * w ** 2
         vals = np.asarray(profile(s)) * (2.0 * H * w * (b - a))
-        i_hi = float(ws1 @ vals[: xs1.size])
-        return i_hi, abs(i_hi - float(ws2 @ vals[xs1.size:]))
+        kronrod = float(wk @ vals)
+        gauss = float(wg @ vals[1::2])
+        resasc = float(wk @ np.abs(vals - kronrod))
+        err = abs(kronrod - gauss)
+        if resasc != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        return kronrod, err
 
     heap, counter, total, total_err, ncells = [], 0, 0.0, 0.0, 0
     for side in (0, 1):
-        for k in range(4):
-            val, err = eval_cell(side, k / 4, (k + 1) / 4)
-            heapq.heappush(heap, (-err, counter, side, k / 4, (k + 1) / 4, 1, val, err))
+        for k in range(2):
+            val, err = eval_cell(side, k / 2, (k + 1) / 2)
+            heapq.heappush(heap, (-err, counter, side, k / 2, (k + 1) / 2, 1, val, err))
             counter += 1
             total += val
             total_err += err
@@ -321,21 +329,23 @@ def _time_rule_scan_reference(profile, lo, hi, order, rel_tol, max_depth, max_ce
 @pytest.mark.filterwarnings("ignore::kolpot.errors.ToleranceWarning")
 @pytest.mark.parametrize("max_depth,max_cells", [(48, 4096), (6, 4096), (30, 60)])
 def test_time_profile_refinement_order_matches_scan_reference(max_depth, max_cells):
-    # converged, depth-capped and cell-capped runs must all be bit-identical
+    # converged, depth-capped and cell-capped runs must all be bit-identical,
+    # for the default pair G10/K21 and for G3/K7
     def profile(s):
         s = np.asarray(s)
         return 1.0 / np.sqrt(np.abs(s - 0.37) + 1e-12) + np.log(s + 1e-300) ** 2
 
-    kw = dict(order=16, rel_tol=1e-10, max_depth=max_depth, max_cells=max_cells)
-    res = integrate_time_profile(profile, 0.0, 1.0, **kw)
-    ref = _time_rule_scan_reference(profile, 0.0, 1.0, **kw)
-    assert (res.value, res.error, res.cells, res.converged) == ref
+    for order in (10, 3):
+        kw = dict(order=order, rel_tol=1e-10, max_depth=max_depth, max_cells=max_cells)
+        res = integrate_time_profile(profile, 0.0, 1.0, **kw)
+        ref = _time_rule_scan_reference(profile, 0.0, 1.0, **kw)
+        assert (res.value, res.error, res.cells, res.converged) == ref, order
 
 
 @pytest.mark.filterwarnings("ignore::kolpot.errors.ToleranceWarning")
-@pytest.mark.parametrize("order", [16, 10])
+@pytest.mark.parametrize("order", [10, 16, 1])
 def test_time_profile_calls_once_per_refinement_step(order):
-    # the 8 initial cells in the first call, then the two halves of each split
+    # the 4 initial cells in the first call, then the two halves of each split
     calls = []
 
     def profile(s):
@@ -343,10 +353,10 @@ def test_time_profile_calls_once_per_refinement_step(order):
         return 1.0 / np.sqrt(np.abs(s - 0.37) + 1e-12)
 
     res = integrate_time_profile(profile, 0.0, 1.0, order=order, rel_tol=1e-10, max_cells=60)
-    cell = order + order // 2
-    assert calls[0] == 8 * cell
+    cell = 2 * order + 1
+    assert calls[0] == 4 * cell
     assert calls[1:] == [2 * cell] * (len(calls) - 1)
-    assert res.cells == 8 + 2 * (len(calls) - 1) and len(calls) > 1
+    assert res.cells == 4 + 2 * (len(calls) - 1) and len(calls) > 1
 
 
 def test_kernel_integral_equals_radius(balls, quad_cfg):
@@ -521,18 +531,31 @@ def test_sigma_rule_on_criterion_4_balls(all_specs, evaluators, op):
     assert np.mean(cells) <= 12
     assert max(worst[k] for k in (-3, -1, 0, 2)) <= 1e-13
     # at k = 4 (s_max = 256 for heat1) the degree-4 element reaches about 8e5
-    # on the ball, and rounding alone leaves 2.6e-12 of it in a mean value of 0
-    # (a time_tol of 1e-14 does not move it)
+    # on the ball, and rounding alone leaves 2e-12 of it in a mean value of 0
+    # (a time_tol of 1e-14 only refines noise, to the cell budget, and leaves 3e-12)
     assert worst[4] <= 1e-11
 
 
-def test_kernel_integral_stable_under_floor_halving(balls):
-    # deepening the dyadic endpoint refinement moves the kernel integral by
-    # less than 1e-8 r: the endpoint blow-up is integrable and resolved
+def test_kernel_integral_depth_cap_binds_and_keeps_its_error(balls):
+    # In sigma the exterior potential of criterion 6 converges at depth 2, so
+    # the default endpoint_depth (48) never binds and gives the bits of depth
+    # 2.  At depth 1 the cap binds: the 4 initial cells cannot split, the
+    # integral is flagged, and its reported error still covers its residual
     ball = balls["heat1"]
-    one = AnisoPolynomial.constant(1, 1.0)
-    vals = []
-    for depth in (40, 48):
-        cfg = QuadratureConfig(time_tol=1e-11, endpoint_depth=depth, seed=1)
-        vals.append(integrate_over_ball(one, ball, cfg, kernel=True).value)
-    assert abs(vals[1] - vals[0]) < 1e-8 * ball.r
+    domain = ExactBall(ball)
+    z = next(z for z, cat in exterior_test_points(domain, ball, 16, seed=7) if cat == "below")
+    rhs = ball.r * ball.gamma_from_center(z)
+
+    def potential(depth):
+        cfg = QuadratureConfig(time_tol=1e-11, endpoint_depth=depth)
+        return kernel_gamma_integral(domain, ball, z, cfg, abs_scale=rhs)
+
+    with pytest.warns(kp.errors.ToleranceWarning):
+        capped = potential(1)
+    assert capped.cells == 4 and not capped.converged
+    assert capped.flags == ("tolerance_not_met",)
+    assert abs(capped.value - rhs) <= capped.error
+    free, default = potential(2), potential(48)
+    assert free.converged and free.cells > 4
+    assert (free.value, free.error, free.cells) == (default.value, default.error, default.cells)
+    assert abs(free.value - rhs) <= 1e-13 * rhs

@@ -31,16 +31,19 @@ def test_report_diff_identical_then_one_flipped_flag(tmp_path):
     assert "kernel_mass.json" in out and "potential_identity.csv" in out
     assert "   0.00e+00   0.00e+00  worst_deviation" in out
 
-    report = json.loads((new / "kernel_mass.json").read_text())
+    # the potential identity's worst residual is never 0 (the heat1 kernel
+    # mass can come out exactly r, and 1.5 x 0 changes nothing)
+    report = json.loads((new / "potential_identity.json").read_text())
     report["passed"] = False
-    worst = report["worst_deviation"]
-    report["worst_deviation"] *= 1.5
-    (new / "kernel_mass.json").write_text(json.dumps(report))
+    worst = report["worst_sup_rel_residual"]
+    assert worst > 0.0
+    report["worst_sup_rel_residual"] *= 1.5
+    (new / "potential_identity.json").write_text(json.dumps(report))
     code, out = _diff(old, new)
     assert code == 1
     assert "DIFFERS    passed: true -> false" in out
     # the largest absolute change sits next to the relative one
-    assert f"  {0.5 * worst:9.2e}   3.33e-01  worst_deviation" in out
+    assert f"  {0.5 * worst:9.2e}   3.33e-01  worst_sup_rel_residual" in out
 
     (new / "kernel_mass.json").unlink()
     code, out = _diff(old, new)

@@ -24,7 +24,7 @@ from kolpot.domains import (
 )
 from kolpot.lab import _kernel_gamma_profile, exterior_test_points, kernel_gamma_integral
 from kolpot.errors import ToleranceWarning
-from kolpot.quadrature import QuadratureConfig, gaussian_quadratic_stack, integrate_time_profile
+from kolpot.quadrature import QuadratureConfig, _integrate_in_sigma, gaussian_quadratic_stack
 from oracles import (
     gaussian_quadratic_ellipsoid,
     reference_gaussian_quadratic_auto,
@@ -97,8 +97,11 @@ def test_signed_slices_match_per_node_reference(op, balls):
 
 def test_kernel_gamma_integral_matches_per_node_reference(balls):
     # whole integrals over the time rule's own nodes, split at t0 for the
-    # time-shifted ball, whose part above t0 runs into its cell budget
+    # time-shifted ball, whose part above t0 runs into its cell budget.
+    # Every piece here ends or starts at t0, so each runs in sigma, with
+    # s = t0 - tau below t0 and s = tau - t0 above
     ball = balls["proto"]
+    t0 = ball.t0
     z = _points(ball)[0]
     for domain, cells in ((ExactBall(ball), 4096), (BittenBall(ball), 4096),
                           (TimeShiftedBall(ball, 0.3 * ball.s_max), 48)):
@@ -107,12 +110,12 @@ def test_kernel_gamma_integral_matches_per_node_reference(balls):
             warnings.simplefilter("ignore", ToleranceWarning)
             got = kernel_gamma_integral(domain, ball, z, cfg, abs_scale=1e-3)
             lo, hi = domain.time_interval
-            pieces = [(lo, ball.t0), (ball.t0, hi)] if lo < ball.t0 < hi else [(lo, hi)]
             profile = reference_kernel_gamma_profile(domain, ball, z)
-            ref = [integrate_time_profile(profile, a, b, order=cfg.time_order,
-                                          rel_tol=cfg.time_tol, abs_tol=cfg.time_tol * 1e-3,
-                                          max_depth=cfg.endpoint_depth, max_cells=cells)
-                   for a, b in pieces]
+            ref = [_integrate_in_sigma(lambda s: profile(t0 - s), t0 - lo, ball.spec.Q, cfg,
+                                       cfg.time_tol * 1e-3)]
+            if hi > t0:
+                ref.append(_integrate_in_sigma(lambda s: profile(t0 + s), hi - t0, ball.spec.Q,
+                                               cfg, cfg.time_tol * 1e-3))
         assert got.cells == sum(r.cells for r in ref)
         assert got.value == pytest.approx(sum(r.value for r in ref), rel=1e-12)
 
