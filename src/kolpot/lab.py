@@ -457,6 +457,10 @@ def interior_inequality_margin(ball: LBall, interior_points,
 # ---------------------------------------------------------------------------
 
 
+# cells per piece of the L^p gluing integral
+_LP_MAX_CELLS = 600
+
+
 @dataclass
 class LpCheck:
     p: float
@@ -581,10 +585,15 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     handles all nodes of a refinement step in one stacked pass (``_lp_profile``):
     exact degree-2p cubature for nested-slice perturbations at integer p,
     Monte Carlo on the slices otherwise; indicator domains fall back to box
-    Monte Carlo.  When the tail toward the pole keeps growing under floor
-    refinement the estimate is flagged uncertified: the gluing condition
-    fails and the true norm is infinite.  A floor integral that stops at its
-    cell budget adds the flag ``tolerance_not_met``.
+    Monte Carlo.  The integral stops at the floor s = 1e-7 span below the
+    latest time, s = hi - tau, and is taken tail first in two disjoint pieces:
+    the last two decades, 1e-7 span < s < 1e-5 span, in sigma = log(span/s),
+    then the head in tau, to an absolute tolerance of 1e-6 of the tail.  When
+    the tail carries more than 2% of the integral the estimate is flagged
+    uncertified (``tail_divergence_suspected``): the integrand keeps growing
+    toward the pole, the gluing condition fails and the true norm is
+    infinite.  A piece that stops at its cell budget (``_LP_MAX_CELLS``) adds
+    the flag ``tolerance_not_met``.
     """
     if not p > 0.0:
         raise ValueError(f"p must be positive, got {p}")
@@ -603,16 +612,21 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo
-    res = [integrate_time_profile(profile, lo, hi - floor * span, order=cfg.time_order,
-                                  rel_tol=1e-6, abs_tol=0.0, max_depth=30, max_cells=600)
-           for floor in (1e-5, 1e-7)]
-    if not all(r.converged for r in res):
+    rule = dict(order=cfg.time_order, rel_tol=1e-6, max_depth=30, max_cells=_LP_MAX_CELLS)
+
+    def sigma_profile(sigma):
+        s = span * np.exp(-sigma)
+        return profile(hi - s) * s
+
+    tail = integrate_time_profile(sigma_profile, math.log(1e5), math.log(1e7), **rule)
+    head = integrate_time_profile(profile, lo, hi - 1e-5 * span,
+                                  abs_tol=1e-6 * abs(tail.value), **rule)
+    if not (head.converged and tail.converged):
         flags.append("tolerance_not_met")
-    vals = [r.value for r in res]
-    certified = abs(vals[1] - vals[0]) <= 2e-2 * max(abs(vals[1]), 1e-300)
+    integral = head.value + tail.value
+    certified = abs(tail.value) <= 2e-2 * max(abs(integral), 1e-300)
     if not certified:
         flags.append("tail_divergence_suspected")
-    integral = vals[1]
     norm = integral ** (1.0 / p) if integral > 0 else 0.0
     return LpCheck(p, norm, integral, certified, tuple(flags))
 

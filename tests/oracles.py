@@ -19,11 +19,15 @@
 * ``reference_holds``: signed-slice membership as ``SignedSliceStack.holds``
   computed it before its count became one bincount: a three-operand einsum
   and an unbuffered ``np.add.at`` over the rows.
+* ``two_floor_lp_check``: the L^p gluing certificate as ``lp_condition_norm``
+  decided it before its integral was split tail first: two integrals in tau
+  over the whole span, to the 1e-5 and the 1e-7 floor, compared.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +42,8 @@ from kolpot.domains import (
     ShiftedBall,
     TimeShiftedBall,
 )
-from kolpot.errors import SliceOutOfRange
+from kolpot.errors import SliceOutOfRange, ToleranceWarning
+from kolpot.lab import _lp_profile
 from kolpot.operators import transport_matrix
 from kolpot.quadrature import (
     _WINDOW,
@@ -48,6 +53,7 @@ from kolpot.quadrature import (
     _tail_gl,
     ball_rule,
     gaussian_quadratic_fullspace,
+    integrate_time_profile,
 )
 
 
@@ -618,3 +624,31 @@ def reference_holds(stack, X: np.ndarray, node: np.ndarray) -> np.ndarray:
     count = np.zeros(X.shape[:2])
     np.add.at(count, i, stack.sign[j][:, None] * inside)
     return count > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the two-floor L^p gluing rule
+# ---------------------------------------------------------------------------
+
+
+def two_floor_lp_check(domain, ball, p: float, cfg, rel_tol: float = 1e-6,
+                       max_cells: int = 600):
+    """(I7, certified) from two overlapping integrals of ``lab._lp_profile``.
+
+    I5 and I7 run in tau from the earliest time to 1e-5 and 1e-7 of the span
+    below the latest one; the check is certified when |I7 - I5| <= 2e-2 |I7|.
+    A divergent case stops its 1e-5 floor at the cell budget, which is part of
+    the rule reproduced here, so its ``ToleranceWarning`` is not raised.
+    """
+    profile = _lp_profile(domain, ball, p, cfg.seed)
+    lo = min(domain.time_interval[0], ball.time_interval[0])
+    hi = max(domain.time_interval[1], ball.time_interval[1])
+    span = hi - lo
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ToleranceWarning)
+        i5, i7 = (integrate_time_profile(profile, lo, hi - floor * span,
+                                         order=cfg.time_order, rel_tol=rel_tol,
+                                         abs_tol=0.0, max_depth=30,
+                                         max_cells=max_cells).value
+                  for floor in (1e-5, 1e-7))
+    return i7, abs(i7 - i5) <= 2e-2 * max(abs(i7), 1e-300)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kolpot.domains import (
     TimeShiftedBall,
     make_perturbation,
 )
-from kolpot import errors
+from kolpot import errors, lab
 from kolpot.errors import PointNotInterior
 from kolpot.lab import (
     exterior_test_points,
@@ -140,19 +141,27 @@ def test_lp_norm_mismatch_detects_divergence(balls, quad_cfg):
     assert "tail_divergence_suspected" in lp.flags
 
 
-def test_lp_norm_flags_a_floor_integral_that_hits_its_budget(balls, quad_cfg):
-    # the spatial shift of the bundled rigidity config: the 1e-5 floor stops at
-    # 600 cells unconverged, the 1e-7 floor converges
+def test_lp_norm_flags_a_floor_integral_that_hits_its_budget(balls, quad_cfg, monkeypatch):
+    # the spatial shift of the bundled rigidity config diverges toward the
+    # pole: both pieces converge within their budgets, and the tail piece
+    # holds more than 2% of the integral; so do the bite's, which is certified
     ball = kp.lball(kp.kolmogorov_prototype(), 3.6275987284684357)
     domain = make_perturbation(ball, "spatial_shift", 0.1)
-    with pytest.warns(errors.ToleranceWarning):
-        lp = lp_condition_norm(domain, ball, 4, QuadratureConfig(time_tol=1e-8, seed=31415))
-    assert "tolerance_not_met" in lp.flags
+    cfg = QuadratureConfig(time_tol=1e-8, seed=31415)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", errors.ToleranceWarning)
+        lp = lp_condition_norm(domain, ball, 4, cfg)
+    assert lp.flags == ("tail_divergence_suspected",) and not lp.certified
     assert math.isfinite(lp.norm) and lp.norm > 0.0
-    # a check whose floors both converge carries no such flag
     heat1 = balls["heat1"]
     lp = lp_condition_norm(make_perturbation(heat1, "bite", 0.1), heat1, 3, quad_cfg)
     assert "tolerance_not_met" not in lp.flags
+    # a piece that stops at its cell budget adds the flag
+    monkeypatch.setattr(lab, "_LP_MAX_CELLS", 8)
+    with pytest.warns(errors.ToleranceWarning):
+        lp = lp_condition_norm(domain, ball, 4, cfg)
+    assert "tolerance_not_met" in lp.flags
+    assert math.isfinite(lp.norm) and lp.norm > 0.0
 
 
 def test_perturbed_domains_memberships(balls):

@@ -8,6 +8,7 @@ with the same per-node Monte Carlo streams.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from kolpot.errors import TimeZero, ToleranceWarning
 from kolpot.fundsol import GammaEvaluator
 from kolpot.lab import _lp_profile, lp_condition_norm
 from kolpot.quadrature import QuadratureConfig
-from oracles import reference_lp_profile, reference_W_quadratic
+from oracles import reference_lp_profile, reference_W_quadratic, two_floor_lp_check
 
 OPS = ("heat1", "proto", "chain")
 SEED = 20240811
@@ -172,6 +173,39 @@ def test_bitten_ball_monte_carlo_sees_the_bite(balls):
     bound = math.sqrt(i3 * i4)
     assert 0.5 * bound < lp.integral <= 1.02 * bound
     assert lp.norm == pytest.approx(lp.integral ** (1.0 / 3.5))
+
+
+_PERTURBATIONS = (("spatial_shift", 0.1), ("radius_mismatch", 0.1),
+                  ("slice_scale", 0.05), ("bite", 0.1))
+
+
+def test_tail_first_lp_check_matches_the_two_floor_rule(balls, quad_cfg):
+    # the tail piece is I7 - I5 of the two-floor rule, so every certificate
+    # stays and the integral moves by no more than the floor integrals' tolerance
+    start = time.perf_counter()
+    for op in ("heat1", "proto"):
+        ball = balls[op]
+        p = math.ceil(ball.spec.Q / 2.0) + 1
+        for kind, mag in _PERTURBATIONS:
+            domain = make_perturbation(ball, kind, mag)
+            lp = lp_condition_norm(domain, ball, p, quad_cfg)
+            i7, certified = two_floor_lp_check(domain, ball, p, quad_cfg)
+            assert lp.certified == certified, (op, kind)
+            assert lp.integral == pytest.approx(i7, rel=1e-5), (op, kind)
+    assert time.perf_counter() - start <= 15.0
+
+
+@pytest.mark.parametrize("op", ["heat1", "proto"])
+def test_certified_lp_integral_keeps_its_precision(op, balls, quad_cfg):
+    # the head dominates a certified integral, and its absolute tolerance is
+    # set from the tail; a rel_tol 1e-9 reference shows that costs no precision
+    ball = balls[op]
+    p = math.ceil(ball.spec.Q / 2.0) + 1
+    domain = make_perturbation(ball, "bite", 0.1)
+    lp = lp_condition_norm(domain, ball, p, quad_cfg)
+    ref, _ = two_floor_lp_check(domain, ball, p, quad_cfg, rel_tol=1e-9, max_cells=4096)
+    assert lp.certified
+    assert lp.integral == pytest.approx(ref, rel=1e-6)
 
 
 @pytest.mark.parametrize("op", ["heat1", "heat2", "proto", "chain"])

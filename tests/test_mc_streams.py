@@ -164,11 +164,12 @@ def test_contains_agrees_with_holds(op, name, balls):
 
 # lp_condition_norm at p = 4 on the radius-mismatch perturbation: the exact
 # path, float.hex of (integral, norm) as computed in the point-major layout
-# under the G10/K21 time rule (within 8.3e-13 of the G16/G8 rule's values)
+# under the G10/K21 time rule, tail piece in sigma then head in tau (within
+# 8.3e-14 of the two-floor rule's values)
 _MISMATCH_P4 = {
-    "heat1": ("0x1.1591c92300c3cp+64", "0x1.053adb5ad97d7p+16"),
-    "proto": ("0x1.650ea3de45b8bp+47", "0x1.d3e1f3923a8abp+11"),
-    "chain": ("0x1.b9380e0e60c08p+41", "0x1.5cd1d875c282dp+10"),
+    "heat1": ("0x1.1591c92300dcep+64", "0x1.053adb5ad9836p+16"),
+    "proto": ("0x1.650ea3de45bffp+47", "0x1.d3e1f3923a8d1p+11"),
+    "chain": ("0x1.b9380e0e60c8fp+41", "0x1.5cd1d875c2847p+10"),
 }
 
 
