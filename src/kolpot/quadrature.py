@@ -9,8 +9,9 @@ Three layers:
   slices (a leading slice axis; all nodes of a refinement step) per call: a
   closed-form full-space or zero classification, then a normal-aligned
   tensor rule whose sections lie on lines carrying their Schur-vertex data
-  once, with a width-graded Gauss-Legendre order (``gaussian_quadratic_auto``
-  and ``gaussian_quadratic_tensor`` are its one-slice calls);
+  once, sections (and for n = 3 lines, ``_short``) at a priori graded
+  orders, and every offset formed from the half-widths, so slices near the
+  kernel's pole keep their digits;
 * a 1-d adaptive time integrator: a Gauss-Kronrod pair per cell with
   QUADPACK's error model, and square-root compression at both endpoints,
   which tames the degenerating slices at the ends.  Integrals that reach the
@@ -52,8 +53,6 @@ __all__ = [
     "ellipsoid_polynomial_integral",
     "ellipsoid_quadratic_integral",
     "gaussian_quadratic_stack",
-    "gaussian_quadratic_tensor",
-    "gaussian_quadratic_auto",
     "gaussian_quadratic_fullspace",
     "integrate_time_profile",
     "integrate_over_ball",
@@ -298,6 +297,9 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 _BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
 _CELL = 21  # slices per stacked-kernel block: one time cell's nodes at the default order 10
+_LINE_ORDER = {2: 48, 3: 32}  # compressed Gauss-Legendre nodes per half line
+_SHORT = 16  # nodes per half line on a short line or outer range (``_short``)
+_KAPPA0 = 4.0  # the bound on kappa of a short one (``_short``)
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -311,22 +313,23 @@ def _erf_moments(lo: np.ndarray, hi: np.ndarray):
     return F0, F1, F2
 
 
-def _compressed_nodes(lo, hi, order: int):
-    """Nodes/weights over [lo, hi] with quadratic compression at both ends.
-
-    Two Gauss-Legendre pieces, each reparametrized as w = end + span * y^2
-    toward its outer endpoint; this renders sqrt(w - edge) factors from
-    grazing domain boundaries analytic.  ``lo``/``hi`` may be arrays; the
-    rule broadcasts over them (leading axes), nodes on the last axis.
-    """
+def _line_nodes(c, half, order: int):
+    """(dv, weights times e^{-v^2}) of a rule over c -/+ half inside the
+    Gaussian window, which it meets: two Gauss-Legendre pieces, each
+    compressed as end + span y^2 toward its outer end, which renders
+    sqrt(w - edge) factors analytic.  The nodes are offsets dv from c
+    (``_reach``), which carry a thin slice's geometry; e^{-v^2} is taken at
+    points v formed from the ends, exactly -/+ ``_WINDOW`` where the window
+    binds.  Nodes go on a new last axis."""
     y, wy = _leggauss01(order)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    mid = 0.5 * (lo + hi)
-    span = mid - lo
-    nodes = np.concatenate([lo + span * y ** 2, hi - span * y ** 2], axis=-1)
-    weights = np.concatenate([2.0 * span * y * wy, 2.0 * span * y * wy], axis=-1)
-    return nodes, weights
+    lo, hi = _reach(c, half)
+    span = 0.5 * (hi - lo)[..., None]
+    sy = span * (y * y)
+    a, b = np.maximum(c - half, -_WINDOW)[..., None], np.minimum(c + half, _WINDOW)[..., None]
+    dv = np.concatenate([lo[..., None] + sy, hi[..., None] - sy], axis=-1)
+    w = span * (2.0 * y * wy)
+    return dv, np.concatenate([w, w], axis=-1) * _gauss_inplace(
+        np.concatenate([a + sy, b - sy], axis=-1))
 
 
 def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -392,9 +395,12 @@ def _vertex_scalars(D, sv, s1, M, const, lin) -> np.ndarray:
                      np.einsum("ki,ki->k", sv, Ms1), np.einsum("ki,ki->k", s1, Ms1)])
 
 
-def _span(c, half):
-    """The interval c -/+ half, clipped to the Gaussian window."""
-    return np.clip(c - half, -_WINDOW, _WINDOW), np.clip(c + half, -_WINDOW, _WINDOW)
+def _reach(c, half):
+    """Offsets (lo, hi) from c of the interval c -/+ half inside the Gaussian
+    window (hi == lo: empty).  The window clips only where it binds, so an
+    interval inside it keeps every digit of ``half`` however far c lies out."""
+    lo = np.maximum(-half, -_WINDOW - c)
+    return lo, np.maximum(np.minimum(half, _WINDOW - c), lo)
 
 
 @lru_cache(maxsize=None)
@@ -413,28 +419,33 @@ def _gauss_inplace(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def _w1_integrals(lo, hi, w0, b0, b1, c2) -> np.ndarray:
-    """int_lo^hi e^{-w^2} (b0 + b1 (w - w0) + c2 (w - w0)^2) dw, elementwise.
+def _w1_integrals(c, half, d, b0, b1, c2) -> np.ndarray:
+    """int e^{-w^2} (b0 + b1 y + c2 y^2) dw over the sections c -/+ half
+    inside the Gaussian window, y = w - c + d, elementwise (``c``, ``half``
+    in the sections' shape; d, c's offset from the quadratic's expansion
+    point, and the coefficients broadcast to it).
 
-    ``lo``, ``hi`` have the sections' shape (hi == lo: empty); the rest
-    broadcast to it.  The moments F_k = int (w - mid)^k e^{-w^2} are taken
-    about each section's midpoint (0 for the closed forms), so a narrow
-    Gaussian far from the quadratic's centre never meets the cancellation of
-    a far expansion point.  Sections wider than 1.2 use erf closed forms if
-    they reach the Gaussian core, else (tails) three Gauss-Legendre panels.
-    A short section uses one Gauss-Legendre rule: e^{-w^2} = e^{-mid^2}
+    The ends are offsets from c (``_reach``), so a thin section keeps its
+    width's digits however far out it lies.  The moments F_k = int (w -
+    mid)^k e^{-w^2} are taken about each section's midpoint (0 for the
+    closed forms), which its float, mid, misses by r, so a narrow Gaussian
+    far from the quadratic's centre never meets the cancellation of a far
+    expansion point.  Sections wider than 1.2 use erf closed forms if they
+    reach the Gaussian core, else (tails) three Gauss-Legendre panels.  A
+    short section uses one Gauss-Legendre rule: e^{-w^2} = e^{-mid^2}
     e^{-2 mid y - y^2} (y = w - mid) varies by at most kappa = width (|mid|
     + width) in the exponent, and for kappa <= 0.5 the 8-node remainder, of
     order (2 kappa)^16 (8!)^4 / (17 (16!)^3), is far below roundoff, so 8
-    nodes serve there and 16 elsewhere.  Its offsets from mid are formed
-    from the width, (t - 1/2) width: a thin section keeps all their digits.
+    nodes serve there and 16 elsewhere.
     """
+    lo, hi = _reach(c, half)
     width = hi - lo
     wide = width > 1.2
-    closed = wide & (lo <= 0.8) & (hi >= -0.8)
-    mid = np.where(closed, 0.0, 0.5 * (lo + hi))
+    closed = wide & (c + lo <= 0.8) & (c + hi >= -0.8)
+    e = np.where(closed, -c, 0.5 * (lo + hi))  # the midpoint's offset from c
+    mid = c + e
     F = np.empty((3, width.size))
-    lo_f, hi_f, mid_f, width_f = lo.ravel(), hi.ravel(), mid.ravel(), width.ravel()
+    c_f, lo_f, hi_f, e_f, mid_f, width_f = (a.ravel() for a in (c, lo, hi, e, mid, width))
 
     coarse = width_f * (np.abs(mid_f) + width_f) <= 0.5  # never wide
     for sel, order in ((coarse, 8), (~(coarse | wide.ravel()), 16)):
@@ -443,39 +454,36 @@ def _w1_integrals(lo, hi, w0, b0, b1, c2) -> np.ndarray:
         if not wd.size:
             continue
         tau, wk = _w1_rule(order)
-        # offsets from mid: wd (tau + r / wd), with r what rounding leaves
-        # between mid and the true midpoint of [lo, hi]
-        r = (lo_f[rows] - m) + 0.5 * wd
-        e = tau * wd
-        e += r
-        e += m
-        S0, T1, T2 = wk @ _gauss_inplace(e)  # sum_j w_j tau_j^k e^{-x_j^2}
-        del e  # the (nodes x sections) block is the largest array here: free it first
-        F[:, rows] = (wd * S0, wd * (wd * T1 + r * S0),
-                      wd * (wd * (wd * T2 + 2.0 * r * T1) + r * r * S0))
+        x = tau * wd
+        x += (c_f[rows] - m) + e_f[rows]  # mid + r is the midpoint (Fast2Sum: |e| <= |c|)
+        x += m
+        S0, T1, T2 = wk @ _gauss_inplace(x)  # sum_j w_j tau_j^k e^{-x_j^2}
+        del x  # the (nodes x sections) block is the largest array here: free it first
+        F[:, rows] = (wd * S0, wd * wd * T1, wd * wd * wd * T2)
 
     cf = np.flatnonzero(closed)
     if cf.size:
-        F[:, cf] = _erf_moments(lo_f[cf], hi_f[cf])
+        F[:, cf] = _erf_moments(c_f[cf] + lo_f[cf], c_f[cf] + hi_f[cf])
     tf = np.flatnonzero(wide & ~closed)
     if tf.size:
-        sign = np.where(hi_f[tf] < 0.0, -1.0, 1.0)  # panels built on the positive side
-        a2 = np.where(sign < 0.0, -hi_f[tf], lo_f[tf])
+        t_lo, t_hi = c_f[tf] + lo_f[tf], c_f[tf] + hi_f[tf]
+        sign = np.where(t_hi < 0.0, -1.0, 1.0)  # panels built on the positive side
+        a2 = np.where(sign < 0.0, -t_hi, t_lo)
         # the far tail is cut where e^{-w^2} has fallen by e^{-20}
-        b2 = np.minimum(np.where(sign < 0.0, -lo_f[tf], hi_f[tf]), np.sqrt(a2 * a2 + 20.0))
+        b2 = np.minimum(np.where(sign < 0.0, -t_lo, t_hi), np.sqrt(a2 * a2 + 20.0))
         edges = a2 + _tail_gl(16)[0][:, None] * (b2 - a2)
         h = np.diff(edges, axis=0)  # (panels, tails)
-        c = edges[:-1] + 0.5 * h
+        pc = edges[:-1] + 0.5 * h
         tau, wk = _w1_rule(16)
         x = tau[:, :, None] * h
-        x += c
+        x += pc
         S0, T1, T2 = (wk @ _gauss_inplace(x).reshape(tau.size, -1)).reshape(3, *h.shape)
-        y0, g = sign * c - mid_f[tf], sign * h  # node offsets from mid: y0 + g tau
+        y0, g = sign * pc - c_f[tf] - e_f[tf], sign * h  # offsets from the midpoint: y0 + g tau
         F[:, tf] = ((h * S0).sum(axis=0), (h * (y0 * S0 + g * T1)).sum(axis=0),
                     (h * (y0 * (y0 * S0 + 2.0 * g * T1) + g * g * T2)).sum(axis=0))
 
     F = F.reshape((3,) + width.shape)
-    d = mid - w0
+    d = d + e  # the midpoint's offset from the expansion point
     return (b0 + d * (b1 + c2 * d)) * F[0] + (b1 + 2.0 * c2 * d) * F[1] + c2 * F[2]
 
 
@@ -493,14 +501,28 @@ class _Lines(NamedTuple):
     slice: np.ndarray   # the slice of the line
     axis: np.ndarray    # the w-coordinate swept (1 for n = 2)
     vertex: np.ndarray  # (L, n) the vertex point in w: w1_0 and v* among its coordinates
-    lo: np.ndarray      # the sweep range in v, inside the Gaussian window
-    hi: np.ndarray
+    half: np.ndarray    # the half-length of the line: v* -/+ half, before the Gaussian window
+    short: np.ndarray   # whether the line takes _SHORT nodes per half line
     weight: np.ndarray  # the outer weight: 1 for n = 2, wt e^{-o^2} for n = 3
     lev0: np.ndarray
     a_v: np.ndarray
     g1: np.ndarray
     alpha: np.ndarray   # the curvature along w1
     quad: np.ndarray    # (6, L) P, Pv, P1, Qvv, Qv1, cc2
+
+
+def _short(c, half) -> np.ndarray:
+    """Whether the boxes c -/+ half (coordinates on the last axis) take
+    ``_SHORT`` nodes per half line: kappa, the sum of len (|mid| + len) over
+    the box inside the window, is at most ``_KAPPA0``.  The exponent of
+    e^{-|w|^2} moves by at most kappa there: a compressed half line's 16-node
+    remainder, (2 kappa)^32 (16!)^4 / (33 (32!)^3), is below 1e-25, and the
+    section-width factor y sqrt(2 - y^2), analytic out to Bernstein rho =
+    3.36, leaves rho^-32 = 1e-17.  A line's box covers its sections' reach in
+    w1: sections reaching the Gaussian's core vary like erf(half-width)."""
+    lo, hi = _reach(c, half)
+    length = hi - lo
+    return np.sum(length * (np.abs(c + 0.5 * (lo + hi)) + length), axis=-1) <= _KAPPA0
 
 
 def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
@@ -514,7 +536,10 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
     n = 2 sweeps its one rest coordinate, from the vertex c_w, and n = 3 the
     one of smaller reach, one line per compressed Gauss-Legendre node of the
     outer one, o, whose vertex moves from c_w along the conjugate direction
-    u = (k1, km, 1) of (w1, v, o).
+    u = (k1, km, 1) of (w1, v, o).  For n = 3 a short slice (``_short``)
+    takes ``_SHORT`` outer nodes per half, padded with negative levels (no
+    lines), and a short line ``_SHORT`` nodes per half line.  n = 2 has one
+    line per slice: a second sweep block would cost more than it saves.
     """
     K, n = center.shape
     L2 = 2.0 * chol_cov_half
@@ -525,78 +550,87 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
     A = 0.5 * (A + np.swapaxes(A, 1, 2))
     Sinv = np.linalg.inv(S)
     c_w = np.einsum("kij,kj->ki", Sinv, center - mean)  # ellipsoid centres in w
-    G = Sinv[:, 1:, :]
-    var = np.einsum("kri,kij,krj->kr", G, np.linalg.inv(shape), G)  # (A^-1)_rr
-    ext = np.sqrt(np.maximum(level[:, None] * var, 0.0))
+    var = np.einsum("kri,kij,krj->kr", Sinv, np.linalg.inv(shape), Sinv)  # (A^-1)_rr
+    reach = np.sqrt(np.maximum(level[:, None] * var, 0.0))  # the slices' reach about c_w
     D = center - q_center  # ellipsoid centres against the quadratic's centres
 
     if n == 2:
-        lo, hi = _span(c_w[:, 1], ext[:, 0])
+        lo, hi = _reach(c_w[:, 1], reach[:, 1])
         k = np.flatnonzero(hi > lo)
         axis, vertex, D_v = np.ones(k.size, dtype=int), c_w[k], D[k]
-        lo, hi, weight, lev0, a_v = lo[k], hi[k], np.ones(k.size), level[k], 1.0 / var[k, 0]
+        half, weight, lev0, a_v = reach[k, 1], np.ones(k.size), level[k], 1.0 / var[k, 1]
     else:
         rows = np.arange(K)
-        oi = np.argmax(ext, axis=1)  # the outer coordinate is 1 + oi
-        lo, hi = _span(c_w[rows, 1 + oi], ext[rows, oi])
+        co = 1 + np.argmax(reach[:, 1:], axis=1)  # the outer coordinate
+        lo, hi = _reach(c_w[rows, co], reach[rows, co])
         kv = np.flatnonzero(hi > lo)
-        co, cm = 1 + oi[kv], 2 - oi[kv]  # outer and swept coordinates
-        o, wo = _compressed_nodes(lo[kv], hi[kv], order)  # (Kv, J2)
+        co, cm, c_o, h_o = co[kv], 3 - co[kv], c_w[kv, co[kv]], reach[kv, co[kv]]  # swept: cm
+        do, wo = _line_nodes(c_o, h_o, order)  # (Kv, J2) offsets from c_o, weights
+        short, J = np.flatnonzero(_short(c_w[kv], reach[kv])), 2 * _SHORT
+        do[short, :J], wo[short, :J] = _line_nodes(c_o[short], h_o[short], _SHORT)
+        lev0 = level[kv, None] - do * do / var[kv, co][:, None]
+        lev0[short, J:] = -1.0
         a11, a1m, a1o = A[kv, 0, 0], A[kv, 0, cm], A[kv, 0, co]
         a_m = A[kv, cm, cm] - a1m * a1m / a11  # Schur curvature of the swept coordinate
         km = -(A[kv, cm, co] - a1m * a1o / a11) / a_m
         k1 = -(a1o + a1m * km) / a11
-        do = o - c_w[kv, co][:, None]
-        lev0 = level[kv, None] - do * do / var[kv, oi[kv]][:, None]
-        m0 = c_w[kv, cm][:, None] + km[:, None] * do
-        m_lo, m_hi = _span(m0, np.sqrt(np.maximum(lev0, 0.0) / a_m[:, None]))
+        half = np.sqrt(np.maximum(lev0, 0.0) / a_m[:, None])
+        m_lo, m_hi = _reach(c_w[kv, cm][:, None] + km[:, None] * do, half)
         pk, jk = np.nonzero(m_hi > m_lo)  # only where lev0 > 0
         k, axis, do = kv[pk], cm[pk], do[pk, jk]
         e = np.arange(3)
         u = k1[pk, None] * (e == 0) + km[pk, None] * (e == axis[:, None]) + (e == co[pk, None])
         vertex = c_w[k] + do[:, None] * u
         D_v = D[k] + do[:, None] * np.einsum("kij,kj->ki", S[k], u)
-        lo, hi, lev0, a_v = m_lo[pk, jk], m_hi[pk, jk], lev0[pk, jk], a_m[pk]
-        weight = wo[pk, jk] * np.exp(-o[pk, jk] ** 2)
+        half, lev0, a_v = half[pk, jk], lev0[pk, jk], a_m[pk]
+        weight = wo[pk, jk]
 
     sv, s1, a11 = S[k, :, axis], S[k, :, 0], A[k, 0, 0]
-    return _Lines(k, axis, vertex, lo, hi, weight, lev0, a_v, -A[k, 0, axis] / a11, a11,
+    g1, short = -A[k, 0, axis] / a11, np.zeros(k.size, dtype=bool)
+    if n == 3:  # the line's box: v, and the sections' reach in w1
+        reach_1 = np.abs(g1) * half + np.sqrt(lev0 / a11)
+        short = _short(np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
+                       np.stack([half, reach_1], axis=-1))
+    return _Lines(k, axis, vertex, half, short, weight, lev0, a_v, g1, a11,
                   _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
 
 
 def _line_sweep(ln: _Lines, order: int, K: int) -> np.ndarray:
     """The sum over the lines of each of K slices of their weight times
-    sum_j wt_j e^{-v_j^2} I(v_j), over compressed nodes on [lo, hi], with I(v)
-    the w1 integral of the section at v; lines go in blocks of at most _BLOCK
-    sections."""
-    step = max(_BLOCK // (2 * order), 1)
+    sum_j wt_j e^{-v_j^2} I(v_j), over compressed nodes v = v* + dv on the
+    line, with I(v) the w1 integral of the section at v; nodes and sections
+    are offsets from the line's vertex.  A short line takes ``_SHORT`` nodes
+    per half line, any other ``order``; each group goes in blocks of at most
+    ``_BLOCK`` sections."""
     out = np.empty(ln.slice.size)
     v0, w1_0 = ln.vertex[np.arange(out.size), ln.axis], ln.vertex[:, 0]
-    for a in range(0, out.size, step):
-        r = slice(a, a + step)
-        P, Pv, P1, Qvv, Qv1, cc2 = ln.quad[:, r, None]
-        v, wv = _compressed_nodes(ln.lo[r], ln.hi[r], order)
-        dv = v - v0[r, None]
-        lev = ln.lev0[r, None] - ln.a_v[r, None] * dv * dv
-        lo, hi = _span(w1_0[r, None] + ln.g1[r, None] * dv,
-                       np.sqrt(np.maximum(lev, 0.0) / ln.alpha[r, None]))
-        vals = _w1_integrals(lo, hi, w1_0[r, None], P + dv * (Pv + dv * Qvv),
-                             P1 + 2.0 * Qv1 * dv, cc2)
-        out[r] = np.einsum("kj,kj->k", wv * np.exp(-v ** 2), vals)
+    for lines, J in ((np.flatnonzero(ln.short), _SHORT), (np.flatnonzero(~ln.short), order)):
+        step = max(_BLOCK // (2 * J), 1)
+        for a in range(0, lines.size, step):
+            r = lines[a:a + step]
+            P, Pv, P1, Qvv, Qv1, cc2 = ln.quad[:, r, None]
+            dv, wv = _line_nodes(v0[r], ln.half[r], J)
+            lev = ln.lev0[r, None] - ln.a_v[r, None] * dv * dv
+            d = ln.g1[r, None] * dv  # the section centre's offset from w1_0
+            c = w1_0[r, None] + d
+            vals = _w1_integrals(c, np.sqrt(np.maximum(lev, 0.0) / ln.alpha[r, None]), d,
+                                 P + dv * (Pv + dv * Qvv), P1 + 2.0 * Qv1 * dv, cc2)
+            out[r] = np.einsum("kj,kj->k", wv, vals)
     return np.bincount(ln.slice, weights=ln.weight * out, minlength=K)
 
 
 def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
-                        const, lin, order: int | None) -> np.ndarray:
+                        const, lin) -> np.ndarray:
     """The normal-aligned tensor rule for a stack of slices (leading axis).
 
     In the whitened frame x = mean + S w, whose first axis is the domain
     boundary normal nearest the Gaussian centre, the w1 axis is integrated
     against its exact section limits (``_w1_integrals``), which for n = 1 is
     the whole integral.  For n = 2 and 3 the sections lie on lines carrying
-    their Schur-vertex data (``_lines``), swept with ``order`` compressed
-    Gauss-Legendre nodes per half line (``_line_sweep``; 48 for n = 2, 32
-    for n = 3 by default), ``_CELL`` slices at a time.
+    their Schur-vertex data (``_lines``), swept with compressed
+    Gauss-Legendre nodes (``_line_sweep``), ``_CELL`` slices at a time: for
+    n = 3 a line or outer range whose box is short (``_short``) takes
+    ``_SHORT`` nodes per half line, any other ``_LINE_ORDER[n]``.
     """
     K, n = center.shape
     if n > 3:
@@ -606,9 +640,9 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
         s = 2.0 * chol_cov_half[:, :, 0]  # x = mean + s w
         w0 = (center - mean)[:, 0] / s[:, 0]
         P, _, P1, _, _, cc2 = _vertex_scalars(center - q_center, s, s, M, const, lin)
-        lo, hi = _span(w0, np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0])))
-        return math.pi ** (-0.5) * _w1_integrals(lo, hi, w0, P, P1, cc2)
-    order = order or (48 if n == 2 else 32)
+        half = np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0]))
+        return math.pi ** (-0.5) * _w1_integrals(w0, half, 0.0, P, P1, cc2)
+    order = _LINE_ORDER[n]
     out = np.empty(K)
     for a in range(0, K, _CELL):  # one block's lines alive at a time
         r = slice(a, a + _CELL)
@@ -657,44 +691,8 @@ def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_cen
     if np.any(near):
         out[near] = _gauss_tensor_stack(
             center[near], shape[near], level[near], mean[near], chol_cov_half[near],
-            M[near], q_center[near], const[near], None if lin is None else lin[near], None)
+            M[near], q_center[near], const[near], None if lin is None else lin[near])
     return out
-
-
-def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center, lin):
-    """The arguments of one slice, as a stack of one for the engine."""
-    args = dict(center=ell.center, shape=ell.shape, level=ell.level, mean=mean,
-                chol_cov_half=chol_cov_half, M=M, q_center=q_center, lin=lin)
-    return {k: None if a is None else np.asarray(a, dtype=float)[None] for k, a in args.items()}
-
-
-def gaussian_quadratic_tensor(
-    ell: Ellipsoid,
-    mean: np.ndarray,
-    chol_cov_half: np.ndarray,
-    M: np.ndarray,
-    q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
-    order: int | None = None,
-) -> float:
-    """The tensor rule of ``gaussian_quadratic_stack`` on one slice, unclassified."""
-    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
-    return float(_gauss_tensor_stack(const=const, order=order, **args)[0])
-
-
-def gaussian_quadratic_auto(
-    ell: Ellipsoid,
-    mean: np.ndarray,
-    chol_cov_half: np.ndarray,
-    M: np.ndarray,
-    q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
-) -> float:
-    """``gaussian_quadratic_stack`` on one slice."""
-    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
-    return float(gaussian_quadratic_stack(const=const, **args)[0])
 
 
 # ---------------------------------------------------------------------------

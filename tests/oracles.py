@@ -7,6 +7,9 @@
   the one-slice-per-call normal-aligned tensor rule that evaluates the
   quadratic at every Gauss-Legendre node, as the library did before its
   engine was stacked.
+* The one-slice calls into the stacked engine, ``gaussian_quadratic_auto``
+  (``gaussian_quadratic_stack`` on one slice) and ``gaussian_quadratic_tensor``
+  (its tensor rule, unclassified).
 * The per-node reference of the kernel-weighted Gamma profile
   (``reference_kernel_gamma_profile``), which builds each domain's signed
   slices per node from ``LBall.slice_at`` and ``LBall.slice_center``.
@@ -14,6 +17,9 @@
   the library's profile before it was stacked: one ellipsoid at a time, and a
   Monte Carlo symmetric difference that only reads +1 slices (correct for
   every family except the bitten ball at non-integer p).
+* ``ball_cubature_kernel_gamma``: one slice of the kernel-weighted Gamma
+  profile of an exact ball by a degree-exact unit-ball cubature, with every
+  offset formed from the slice centre.
 * ``reference_W_quadratic``: the kernel matrix C^{-1} A C^{-1} / 4 from the
   covariance inverse at t, without the kernel's own homogeneity scaling.
 * ``reference_holds``: signed-slice membership as ``SignedSliceStack.holds``
@@ -47,12 +53,13 @@ from kolpot.lab import _lp_profile
 from kolpot.operators import transport_matrix
 from kolpot.quadrature import (
     _WINDOW,
-    _compressed_nodes,
     _erf_moments,
+    _gauss_tensor_stack,
     _leggauss01,
     _tail_gl,
     ball_rule,
     gaussian_quadratic_fullspace,
+    gaussian_quadratic_stack,
     integrate_time_profile,
 )
 
@@ -222,6 +229,24 @@ def _reference_normal_frame(Aq: np.ndarray, cv: np.ndarray, level: float) -> np.
             break
     return np.stack(basis, axis=1)  # columns are the frame vectors
 
+
+
+def _compressed_nodes(lo, hi, order: int):
+    """Nodes/weights over [lo, hi] with quadratic compression at both ends.
+
+    Two Gauss-Legendre pieces, each reparametrized as w = end + span * y^2
+    toward its outer endpoint; this renders sqrt(w - edge) factors from
+    grazing domain boundaries analytic.  ``lo``/``hi`` may be arrays; the
+    rule broadcasts over them (leading axes), nodes on the last axis.
+    """
+    y, wy = _leggauss01(order)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    mid = 0.5 * (lo + hi)
+    span = mid - lo
+    nodes = np.concatenate([lo + span * y ** 2, hi - span * y ** 2], axis=-1)
+    weights = np.concatenate([2.0 * span * y * wy, 2.0 * span * y * wy], axis=-1)
+    return nodes, weights
 
 
 def reference_gaussian_quadratic_tensor(
@@ -463,6 +488,32 @@ def reference_gaussian_quadratic_auto(
 
 
 # ---------------------------------------------------------------------------
+# one-slice calls into the stacked engine
+# ---------------------------------------------------------------------------
+
+
+def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center, lin):
+    """The arguments of one slice, as a stack of one for the engine."""
+    args = dict(center=ell.center, shape=ell.shape, level=ell.level, mean=mean,
+                chol_cov_half=chol_cov_half, M=M, q_center=q_center, lin=lin)
+    return {k: None if a is None else np.asarray(a, dtype=float)[None] for k, a in args.items()}
+
+
+def gaussian_quadratic_tensor(ell: Ellipsoid, mean, chol_cov_half, M, q_center,
+                              const: float = 0.0, lin=None) -> float:
+    """The tensor rule of ``gaussian_quadratic_stack`` on one slice, unclassified."""
+    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
+    return float(_gauss_tensor_stack(const=const, **args)[0])
+
+
+def gaussian_quadratic_auto(ell: Ellipsoid, mean, chol_cov_half, M, q_center,
+                            const: float = 0.0, lin=None) -> float:
+    """``gaussian_quadratic_stack`` on one slice."""
+    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
+    return float(gaussian_quadratic_stack(const=const, **args)[0])
+
+
+# ---------------------------------------------------------------------------
 # per-node reference of the kernel-weighted Gamma profile
 # ---------------------------------------------------------------------------
 
@@ -534,6 +585,28 @@ def reference_kernel_gamma_profile(domain, ball, z):
         return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])
 
     return profile
+
+
+def ball_cubature_kernel_gamma(ball, z, tau: float, degree: int = 30) -> float:
+    """int over the exact ball's slice at time tau of Gamma(., z) W(z0^{-1} o .),
+    by the degree-exact unit-ball rule ``ball_rule(n, degree)`` mapped onto the
+    slice, x = c + T u with T T^T = level shape^{-1}.  Every offset, from the
+    Gaussian's centre and from the kernel's, is the slice centre's offset plus
+    T u, so a slice near the pole keeps the digits of its small extent."""
+    spec, ev = ball.spec, ball.ev
+    s = ball.t0 - tau
+    ell = _reference_ball_slice(ball, s)
+    nodes, weights = ball_rule(spec.n, degree)
+    T = np.linalg.cholesky(ell.level * np.linalg.inv(ell.shape))
+    Tu = nodes @ T.T
+    delta = tau - z.t
+    C = ev.cov.C(delta)
+    y = (ell.center - transport_matrix(delta, spec) @ z.x) + Tu
+    gauss = ((4.0 * math.pi) ** (-0.5 * spec.n) / math.sqrt(np.linalg.det(C))
+             * np.exp(-0.25 * np.einsum("ij,jk,ik->i", y, np.linalg.inv(C), y)))
+    yw = (ell.center - transport_matrix(-s, spec) @ ball.z0.x) + Tu
+    W = np.einsum("ij,jk,ik->i", yw, reference_W_quadratic(ev, -s), yw)
+    return abs(np.linalg.det(T)) * float(weights @ (gauss * W))
 
 
 def reference_W_quadratic(ev, t: float) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 * ``_w1_integrals`` against 30-digit ``mpmath.quad`` on short sections, thin
   ones far from zero included, on both orders of its width-graded rule.
+* The 16-node compressed line rule of a short line (``_short``) against
+  30-digit ``mpmath.quad``, and the graded sweep against an order-96 sweep
+  on the first criterion-6 points.
 * The per-line Schur data of ``_lines`` against per-section values rebuilt
   from x-space offsets, as a sweep that carries no line data computes them:
   the level left, the section centre and the quadratic's coefficients.
@@ -17,10 +20,13 @@ import pytest
 
 import kolpot as kp
 from kolpot import quadrature
-from kolpot.domains import ExactBall
-from kolpot.lab import _kernel_gamma_profile, exterior_test_points
+from kolpot.domains import BittenBall, ExactBall, ShiftedBall
+from kolpot.lab import _kernel_gamma_profile, exterior_test_points, kernel_gamma_integral
 from kolpot.quadrature import (
-    _compressed_nodes,
+    QuadratureConfig,
+    _KAPPA0,
+    _SHORT,
+    _line_nodes,
     _lines,
     _normal_frame,
     _w1_integrals,
@@ -43,28 +49,28 @@ def _sections(rng, count):
     return lo, hi, w0, coef(), coef(), coef()
 
 
-def _mp_moments(lo, hi, w0):
-    """int_lo^hi (w - w0)^j e^{-w^2} dw and int |w - w0|^j e^{-w^2} dw for
-    j = 0, 1, 2, at the working precision.
+def _mp_moments(c, lo, hi, d):
+    """int (w - w0)^j e^{-w^2} dw and int |w - w0|^j e^{-w^2} dw over
+    [c + lo, c + hi], w0 = c - d, for j = 0, 1, 2, at the working precision.
 
-    The integrals run over u in [-1, 1], w = c + h u about the exact midpoint
-    c, with e^{-w^2} = e^{-c^2} e^{-2 c h u - h^2 u^2} and (w - w0) scaled by
-    a = max(|c - w0|, h): a thin section far out keeps every digit of its
+    The integrals run over u in [-1, 1], w = m + h u about the exact midpoint
+    m, with e^{-w^2} = e^{-m^2} e^{-2 m h u - h^2 u^2} and (w - w0) scaled by
+    a = max(|m - w0|, h): a thin section far out keeps every digit of its
     offsets, and every integrand is of order one.
     """
-    lo, hi, w0 = (mpmath.mpf(float(v)) for v in (lo, hi, w0))
-    c, h = (lo + hi) / 2, (hi - lo) / 2
-    d = c - w0
+    c, lo, hi, d = (mpmath.mpf(float(v)) for v in (c, lo, hi, d))
+    m, h = c + (lo + hi) / 2, (hi - lo) / 2
+    d = d + (lo + hi) / 2  # m - w0
     a = max(abs(d), h)
     split = [-1, -d / h, 1] if -h < -d < h else [-1, 1]
     signed, absolute = [], []
     for j in range(3):
         for out, norm in ((absolute, abs), (signed, lambda y: y)):
             val, err = mpmath.quad(
-                lambda u: norm((d + h * u) / a) ** j * mpmath.exp(-2 * c * h * u - h * h * u * u),
+                lambda u: norm((d + h * u) / a) ** j * mpmath.exp(-2 * m * h * u - h * h * u * u),
                 split, method="gauss-legendre", error=True)
             assert err <= mpmath.mpf(10) ** -25  # the reference converged
-            out.append(mpmath.exp(-c * c) * a ** j * h * val)
+            out.append(mpmath.exp(-m * m) * a ** j * h * val)
     return signed, absolute
 
 
@@ -74,37 +80,38 @@ def test_w1_integrals_against_mpmath():
     # the 8-node rule right up to its bound, kappa = width (|mid| + width) <= 0.5
     mid = np.array([0.0, 0.3, 2.4, 6.0, 8.4])
     width = (-np.abs(mid) + np.sqrt(mid * mid + 2.0)) / 2.0 * (1.0 - 1e-12)
-    lo = np.concatenate([lo, mid - 0.5 * width])
-    hi = np.concatenate([hi, mid + 0.5 * width])
-    w0 = np.concatenate([w0, mid + 0.1])
+    c = np.concatenate([0.5 * (lo + hi), mid])
+    half = np.concatenate([0.5 * (hi - lo), 0.5 * width])
+    d = c - np.concatenate([w0, mid + 0.1])
     b0, b1, c2 = (np.concatenate([a, rng.choice([-1.0, 1.0], 5) * 1e20]) for a in (b0, b1, c2))
-    # thin sections far out, each with one odd or even power alone about the
-    # section's own rounded midpoint: the rule must sit on [lo, hi] itself
+    # thin sections the window clips, each with one odd or even power alone
+    # about the section's own rounded midpoint: the rule must sit on the
+    # clipped section itself
     width = 10.0 ** rng.uniform(-10.0, -6.0, 24)
-    mid = rng.uniform(6.0, 8.4, 24) * rng.choice([-1.0, 1.0], 24)
-    lo = np.concatenate([lo, mid - 0.5 * width])
-    hi = np.concatenate([hi, lo[-24:] + width])  # midpoints off the grid of doubles
-    w0 = np.concatenate([w0, 0.5 * (lo[-24:] + hi[-24:])])
+    c_clip = (8.5 - rng.uniform(0.0, 1.0, 24) * width) * rng.choice([-1.0, 1.0], 24)
+    lo_clip, hi_clip = quadrature._reach(c_clip, width)
+    c, half = np.concatenate([c, c_clip]), np.concatenate([half, width])
+    d = np.concatenate([d, c_clip - (c_clip + 0.5 * (lo_clip + hi_clip))])
     one = np.arange(24) % 2 == 0
     b0 = np.concatenate([b0, np.zeros(24)])
     b1 = np.concatenate([b1, np.where(one, 1e10, 0.0)])
     c2 = np.concatenate([c2, np.where(one, 0.0, -1e20)])
-    h = hi - lo
-    m = 0.5 * (lo + hi)
-    kappa = h * (np.abs(m) + h)
+    lo, hi = quadrature._reach(c, half)
+    h, e = hi - lo, 0.5 * (lo + hi)
+    kappa = h * (np.abs(c + e) + h)
     assert np.any((kappa > 0.45) & (kappa <= 0.5)) and np.any(kappa > 0.5)
-    assert h.min() < 1e-9 and np.any((h < 1e-8) & (np.abs(m) > 8.0))
-    assert np.any(m - lo != hi - m)  # m is not the exact midpoint
+    assert h.min() < 1e-9 and np.any((h < 1e-8) & (np.abs(c) > 8.0))
+    assert np.any((c + e) - c != e)  # the midpoint c + e is rounded
 
-    got = _w1_integrals(lo, hi, w0, b0, b1, c2)
+    got = _w1_integrals(c, half, d, b0, b1, c2)
     with mpmath.workdps(30):
         for k in range(lo.size):
-            signed, absolute = _mp_moments(lo[k], hi[k], w0[k])
+            signed, absolute = _mp_moments(c[k], lo[k], hi[k], d[k])
             coef = [mpmath.mpf(float(v)) for v in (b0[k], b1[k], c2[k])]
             ref = sum(cf * mom for cf, mom in zip(coef, signed))
             scale = sum(abs(cf) * mom for cf, mom in zip(coef, absolute))
             err = abs(mpmath.mpf(float(got[k])) - ref) / scale
-            assert err <= 1e-14, (k, lo[k], hi[k], w0[k], float(err))
+            assert err <= 1e-14, (k, c[k], lo[k], hi[k], d[k], float(err))
 
 
 def _r2_operator():
@@ -137,7 +144,7 @@ def _engine_stacks(ball, monkeypatch):
 def _rebuilt_sections(args, ln, v):
     """Per-section level, centre and coefficients (about w1 = w1_0) at the
     swept nodes v, rebuilt from x-space offsets of each section."""
-    center, shape, level, mean, chol, M, qc, const, lin, _ = args
+    center, shape, level, mean, chol, M, qc, const, lin = args
     k, w1_0 = ln.slice, ln.vertex[:, 0]
     L2 = 2.0 * chol
     cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
@@ -181,22 +188,21 @@ def test_line_data_matches_sections_rebuilt_from_x_space(op, balls, monkeypatch)
         ball = balls[op]
     stacks = _engine_stacks(ball, monkeypatch)
     assert stacks
-    n = ball.spec.n
-    order = 48 if n == 2 else 32
+    order = quadrature._LINE_ORDER[ball.spec.n]
     rng = np.random.default_rng(5)
     lines = 0
     for args in stacks:
-        center, shape, level, mean, chol, M, qc, const, lin, _ = args
+        center, shape, level, mean, chol, M, qc, const, lin = args
         for c, li in ((const, lin), (rng.uniform(-1, 1, level.size),
                                      rng.standard_normal(center.shape))):
-            call = args[:7] + (c, li, None)
-            ln = _lines(*call[:9], order)
+            call = args[:7] + (c, li)
+            ln = _lines(*call, order)
             if ln.slice.size == 0:
                 continue
             v0, w1_0 = ln.vertex[np.arange(ln.slice.size), ln.axis], ln.vertex[:, 0]
             lines += ln.slice.size
-            v, _ = _compressed_nodes(ln.lo, ln.hi, order)
-            v = np.concatenate([v0[:, None], v], axis=1)  # the vertex, then the nodes
+            dv, _ = _line_nodes(v0, ln.half, order)
+            v = v0[:, None] + np.concatenate([0.0 * v0[:, None], dv], axis=1)  # vertex, nodes
             lev, w1s, b0, b1, b0_scale, b1_scale, half = _rebuilt_sections(call, ln, v)
             dv = v - v0[:, None]
             # each against its scale along the line
@@ -230,7 +236,81 @@ def test_stack_call_makes_no_per_block_gather(balls, monkeypatch):
 
     monkeypatch.setattr(np, "take", counted_take)
     monkeypatch.setattr(quadrature, "_w1_integrals", counted_w1)
-    center, shape, level, mean, chol, M, qc, const, lin, _ = args
+    center, shape, level, mean, chol, M, qc, const, lin = args
     gaussian_quadratic_stack(center, shape, level, mean, chol, M, qc, const=const, lin=lin)
     assert counts["blocks"] >= 4
     assert counts["take"] == 0
+
+
+def _short_lines():
+    """(mid, kappa) of lines up to the short-line bound, |mid| up to 8.4,
+    with their half-lengths."""
+    out = []
+    for mid in (0.0, 0.3, -1.5, 3.0, -6.0, 8.4):
+        for kappa in (1e-3, 0.1, 0.5, 1.0, 2.0, _KAPPA0 * (1.0 - 1e-12)):
+            length = (-abs(mid) + math.sqrt(mid * mid + 4.0 * kappa)) / 2.0
+            if abs(mid) + length / 2.0 <= 8.5:
+                out.append((mid, kappa, length / 2.0))
+    return out
+
+
+def _mp_line(c, half, factor):
+    """int e^{-v^2} factor(x) dv over v = c + half x, x in [-1, 1], by
+    ``mpmath.quad``, at the working precision (the integrands are positive)."""
+    c, half = mpmath.mpf(c), mpmath.mpf(half)
+    val, err = mpmath.quad(lambda t: mpmath.exp(-2 * c * half * t - half * half * t * t)
+                           * factor(t), [-1, 0, 1], error=True)
+    assert err <= mpmath.mpf(10) ** -25 * val  # the reference converged
+    return mpmath.exp(-c * c) * half * val
+
+
+def test_short_line_rule_against_mpmath():
+    # a short line takes 16 compressed nodes per half line: against e^{-v^2}
+    # times the section-width factor sqrt(lev(v)), lev = lev0 (1 - x^2), and
+    # times a whole section's Gaussian mass over w1 in c1(v) -/+ h1 sqrt(lev),
+    # with the line's box in (v, w1) short as a whole
+    lines = _short_lines()
+    assert max(kappa for _, kappa, _ in lines) > 0.99 * _KAPPA0
+    with mpmath.workdps(30):
+        for mid, kappa, half in lines:
+            c1, g1, h1 = 0.4 * mid, 0.25, 0.5  # the sections' box in w1
+            reach_1 = abs(g1) * half + h1
+            box = np.array([[mid, c1]]), np.array([[half, reach_1]])
+            width = (lambda x: mpmath.sqrt(1 - x * x),)
+            if quadrature._short(*box)[0]:
+                width += (lambda x: mpmath.sqrt(mpmath.pi) / 2 * (
+                    mpmath.erf(c1 + g1 * half * x + h1 * mpmath.sqrt(1 - x * x))
+                    - mpmath.erf(c1 + g1 * half * x - h1 * mpmath.sqrt(1 - x * x))),)
+            assert quadrature._short(np.array([[mid]]), np.array([[half]]))[0]
+            dv, w = _line_nodes(np.array(mid), np.array(half), _SHORT)  # w: times e^{-v^2}
+            for factor in width:
+                got = sum(mpmath.mpf(float(wj)) * factor(mpmath.mpf(float(dj)) / mpmath.mpf(half))
+                          for wj, dj in zip(w, dv))
+                ref = _mp_line(mid, half, factor)
+                err = abs(got - ref) / ref
+                assert err <= 1e-14, (mid, kappa, float(err))
+
+
+@pytest.mark.parametrize("op", ["heat2", "proto", "chain"])
+def test_graded_sweep_against_order_96_sweep(op, balls, monkeypatch):
+    # the first 8 criterion-6 "below" points, on exact, bitten and shifted
+    # domains: every integral takes the same cells as with 96 nodes per half
+    # line on every line and outer range, and stays within 1e-13 of it
+    ball = balls[op]
+    cfg = QuadratureConfig(time_tol=1e-8, seed=606)
+    below = [z for z, cat in exterior_test_points(ExactBall(ball), ball, 72, seed=606)
+             if cat == "below"][:8]
+    domains = (ExactBall(ball), BittenBall(ball), ShiftedBall(ball, np.full(ball.spec.n, 0.1)))
+
+    def integrals():
+        return [kernel_gamma_integral(d, ball, z, cfg,
+                                      abs_scale=ball.r * ball.gamma_from_center(z))
+                for d in domains for z in below]
+
+    got = integrals()
+    monkeypatch.setattr(quadrature, "_KAPPA0", -1.0)
+    monkeypatch.setattr(quadrature, "_LINE_ORDER", {2: 96, 3: 96})
+    ref = integrals()
+    for g, r in zip(got, ref):
+        assert g.converged and g.cells == r.cells
+        assert abs(g.value - r.value) <= 1e-13 * abs(r.value), (g.value, r.value)

@@ -20,16 +20,18 @@ from kolpot.quadrature import (
     ball_rule,
     ellipsoid_polynomial_integral,
     ellipsoid_quadratic_integral,
-    gaussian_quadratic_auto,
     gaussian_quadratic_fullspace,
-    gaussian_quadratic_tensor,
     integrate_over_ball,
     integrate_time_profile,
     mc_sample_ball,
     unit_ball_moment,
 )
 from conftest import HEAT1_R
-from oracles import gaussian_quadratic_ellipsoid
+from oracles import (
+    gaussian_quadratic_auto,
+    gaussian_quadratic_ellipsoid,
+    gaussian_quadratic_tensor,
+)
 
 
 def test_unit_ball_moments_basic():

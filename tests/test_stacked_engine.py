@@ -26,6 +26,7 @@ from kolpot.lab import _kernel_gamma_profile, exterior_test_points, kernel_gamma
 from kolpot.errors import ToleranceWarning
 from kolpot.quadrature import QuadratureConfig, _integrate_in_sigma, gaussian_quadratic_stack
 from oracles import (
+    ball_cubature_kernel_gamma,
     gaussian_quadratic_ellipsoid,
     reference_gaussian_quadratic_auto,
     reference_kernel_gamma_profile,
@@ -93,6 +94,22 @@ def test_signed_slices_match_per_node_reference(op, balls):
                 assert a.level == pytest.approx(b.level, rel=1e-13)
                 np.testing.assert_allclose(a.center, b.center, rtol=1e-13, atol=1e-13)
                 np.testing.assert_allclose(a.shape, b.shape, rtol=1e-13)
+
+
+@pytest.mark.parametrize("op", ["proto", "chain"])
+def test_profile_near_the_pole_against_ball_cubature(op, balls):
+    # the first criterion-6 "below" point, at slices 1e-7 and 1e-9 from the
+    # pole: O(1) from the Gaussian's centre, and thin, so their nodes and
+    # section widths must be formed as offsets from the slice, not from the
+    # Gaussian's centre
+    ball = balls[op]
+    domain = ExactBall(ball)
+    z = [z for z, cat in exterior_test_points(domain, ball, 72, seed=606) if cat == "below"][0]
+    tau = ball.t0 - np.array([1e-7, 1e-9])
+    got = _kernel_gamma_profile(domain, ball, z)(tau)
+    for k, t in enumerate(tau):
+        ref = ball_cubature_kernel_gamma(ball, z, t)
+        assert abs(got[k] - ref) <= 1e-12 * abs(ref), (t, got[k], ref)
 
 
 def test_kernel_gamma_integral_matches_per_node_reference(balls):
