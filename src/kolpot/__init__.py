@@ -47,11 +47,7 @@ from .balls import (
 from .quadrature import (
     QuadratureConfig,
     IntegralResult,
-    MonomialMoments,
-    unit_ball_moment,
-    ellipsoid_polynomial_integral,
     integrate_over_ball,
-    mc_sample_ball,
 )
 from .harmonic import AnisoPolynomial, apply_L, harmonic_basis, format_polynomial
 
@@ -65,7 +61,6 @@ from .domains import (  # noqa: E402  (needs __version__ for reports)
     RadiusMismatchBall,
     BittenBall,
     TimeShiftedBall,
-    IndicatorDomain,
     make_perturbation,
 )
 from .lab import (  # noqa: E402

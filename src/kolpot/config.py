@@ -3,7 +3,10 @@
 A config has exactly the sections ``operator``, ``ball``, ``quadrature``,
 ``experiments`` and ``output``.  Unknown keys anywhere are rejected, and a
 seed is mandatory whenever any requested experiment consumes randomness
-(test-point sampling or Monte Carlo paths).
+(test-point sampling or the L^p check's Monte Carlo samples).  Two quadrature
+keys are kept so that older configs still load: ``workers`` is validated and
+dropped, and ``mc_samples`` is validated and echoed in the reports; neither
+changes a number.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ def _parse_quadrature(data: dict, needs_seed: bool) -> QuadratureConfig:
             if not _is_real(data[key]):
                 raise SchemaError(f"quadrature.{key} must be a finite number")
             kwargs[key] = cast(data[key])
+    kwargs.pop("workers", None)  # accepted for older configs; nothing reads it
     try:
         return QuadratureConfig(**kwargs)
     except ValueError as exc:

@@ -4,8 +4,7 @@ The rigidity experiments need domains that are *exactly* decidable per slice,
 so perturbed domains are built directly from the exact ball's ellipsoids:
 scaled slices, spatially shifted slices, a different radius, a bitten-out
 sub-ellipsoid, and a Euclidean time translation (used to push mass above the
-center time).  A generic indicator-defined domain is supported for Monte
-Carlo only paths.
+center time).
 
 The slice query is stacked: ``signed_slice_stack`` takes an array of times
 and returns every signed ellipsoid at all of them (a SignedSliceStack, in
@@ -35,7 +34,6 @@ __all__ = [
     "RadiusMismatchBall",
     "BittenBall",
     "TimeShiftedBall",
-    "IndicatorDomain",
     "make_perturbation",
 ]
 
@@ -102,9 +100,6 @@ class SlicedDomain:
         if not t_lo < z.t < t_hi:
             return False
         return bool(self.signed_slice_stack(z.t).holds(z.x[None, :, None], np.array([0]))[0, 0])
-
-    def bounding_box(self):
-        return ball_bounding_box(self.ball)
 
     def describe(self) -> dict:
         return {"kind": type(self).__name__}
@@ -175,11 +170,6 @@ class ShiftedBall(SlicedDomain):
         st = _ball_stack(self.ball.slices(self.ball.t0 - t))
         return st._replace(center=st.center + self.h)
 
-    def bounding_box(self):
-        lo, hi = ball_bounding_box(self.ball)
-        n = self.ball.spec.n
-        return lo + np.concatenate([self.h, [0.0]]), hi + np.concatenate([self.h, [0.0]])
-
     def describe(self):
         return {"kind": "spatial_shift", "h": self.h.tolist(), "r": self.ball.r}
 
@@ -200,9 +190,6 @@ class RadiusMismatchBall(SlicedDomain):
 
     def contains(self, z):
         return self.other.contains(z)
-
-    def bounding_box(self):
-        return ball_bounding_box(self.other)
 
     def describe(self):
         return {"kind": "radius_mismatch", "r": self.ball.r, "r_prime": self.other.r}
@@ -284,39 +271,8 @@ class TimeShiftedBall(SlicedDomain):
     def signed_slice_stack(self, t):
         return _ball_stack(self.ball.slices(self.ball.t0 + self.dt - t))
 
-    def bounding_box(self):
-        lo, hi = ball_bounding_box(self.ball)
-        shift = np.zeros_like(lo)
-        shift[-1] = self.dt
-        return lo + shift, hi + shift
-
     def describe(self):
         return {"kind": "time_shift", "dt": self.dt, "r": self.ball.r}
-
-
-@dataclass(eq=False)
-class IndicatorDomain(SlicedDomain):
-    """Membership-callable domain with a known bounding box; MC paths only."""
-
-    ball: LBall
-    fn: object
-    box: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def time_interval(self):
-        return (float(self.box[0][-1]), float(self.box[1][-1]))
-
-    def signed_slice_stack(self, t):
-        raise NotImplementedError("indicator domains have no exact slices")
-
-    def contains(self, z):
-        return bool(self.fn(z))
-
-    def bounding_box(self):
-        return self.box
-
-    def describe(self):
-        return {"kind": "indicator"}
 
 
 def make_perturbation(ball: LBall, kind: str, magnitude: float) -> SlicedDomain:

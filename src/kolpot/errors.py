@@ -47,10 +47,6 @@ class SliceOutOfRange(KolpotError):
     """Requested slice time lies outside the ball's temporal extent."""
 
 
-class ToleranceNotMet(KolpotError):
-    """Adaptive integration exhausted its budget before reaching tolerance."""
-
-
 class TestPointInsideDomain(KolpotError):
     """An exterior-identity test point lies inside the test domain."""
 
@@ -65,10 +61,6 @@ class ConfigParseError(KolpotError):
 
 class SchemaError(KolpotError):
     """Experiment configuration violates the schema."""
-
-
-class ExperimentFailure(KolpotError):
-    """An experiment exceeded its configured thresholds."""
 
 
 class IllConditionedWarning(UserWarning):

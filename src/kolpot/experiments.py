@@ -40,8 +40,8 @@ def _base_report(name: str, spec: OperatorSpec, cfg: QuadratureConfig) -> dict:
         "operator_hash": operator_hash(spec),
         "Q": spec.Q,
         "seed": cfg.seed,
-        # the worker count is deliberately not echoed: results are identical
-        # for any split, so reports must be too
+        # quadrature.workers is accepted by the config schema but changes
+        # nothing, so it is not echoed: reports are identical for any value
         "tolerances": {
             "time_tol": cfg.time_tol,
             "time_order": cfg.time_order,

@@ -144,12 +144,6 @@ class AnisoPolynomial:
         x, t = (z.x, z.t) if hasattr(z, "x") else z
         return float(self.evaluate(np.atleast_2d(x), t)[0])
 
-    def space_terms(self) -> dict:
-        """Collapse to a spatial polynomial; only valid if t-free."""
-        if any(k for (_a, k) in self.terms):
-            raise ValueError("polynomial has time dependence")
-        return {alpha: float(c) for (alpha, k), c in self.terms.items()}
-
     def __repr__(self):
         return f"AnisoPolynomial({format_polynomial(self)})"
 

@@ -32,7 +32,6 @@ from .balls import LBall, ball_bounding_box, unit_ball_volume
 from .domains import (
     BittenBall,
     ExactBall,
-    IndicatorDomain,
     RadiusMismatchBall,
     ScaledBall,
     SignedSliceStack,
@@ -106,39 +105,6 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
     return profile
 
 
-def _mc_box_kernel_gamma(domain: SlicedDomain, ball: LBall, z: GroupPoint,
-                         cfg: QuadratureConfig, t_min: float | None) -> IntegralResult:
-    """Coarse box Monte Carlo for indicator-only domains, flagged as such."""
-    lo, hi = domain.bounding_box()
-    if t_min is not None:
-        lo = lo.copy()
-        lo[-1] = max(lo[-1], t_min)
-    lo = lo.copy()
-    lo[-1] = max(lo[-1], z.t)
-    if hi[-1] <= lo[-1]:
-        return IntegralResult(0.0, 0.0, "mc", samples=0)
-    n = ball.spec.n
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) ^ 0x9E3779B9))
-    N = cfg.mc_samples
-    pts = lo + (hi - lo) * rng.random((N, n + 1))
-    vals = np.zeros(N)
-    ev = ball.ev
-    for i in range(N):
-        zeta = ball.spec.point(pts[i, :-1], pts[i, -1])
-        if not domain.contains(zeta):
-            continue
-        g = ev.Gamma(zeta, z)
-        if g == 0.0 or zeta.t == ball.z0.t:
-            continue
-        w = ev.W(ball.to_origin_frame(zeta))
-        vals[i] = g * w
-    box_vol = float(np.prod(hi - lo))
-    value = box_vol * float(np.mean(vals))
-    err = box_vol * float(np.std(vals) / math.sqrt(N))
-    return IntegralResult(value, err, "mc", samples=N, converged=False,
-                          flags=("mc_indicator_domain",))
-
-
 def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
                           cfg: QuadratureConfig, abs_scale: float | None = None,
                           t_min: float | None = None) -> IntegralResult:
@@ -149,11 +115,8 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     the kernel's singular time t0 it is split there.  A piece that ends or
     starts at t0 runs in sigma = log(S/s), with s = t0 - tau or tau - t0 and
     S its length (``quadrature._integrate_in_sigma``, as for mean values);
-    any other piece runs in tau.  Indicator-defined domains fall back to
-    flagged box Monte Carlo.
+    any other piece runs in tau.
     """
-    if isinstance(domain, IndicatorDomain):
-        return _mc_box_kernel_gamma(domain, ball, z, cfg, t_min)
     t_lo, t_hi = domain.time_interval
     lo = max(t_lo, z.t)
     if t_min is not None:
@@ -211,15 +174,15 @@ def gamma_potential(domain: SlicedDomain, ball: LBall, z: GroupPoint,
 def mean_value(u, ball: LBall, cfg: QuadratureConfig) -> IntegralResult:
     """M_r(u)(z0) = (1/r) int over the ball of u(zeta) W(z0^{-1} o zeta).
 
-    For a polynomial u the slice integrals are exact; for a general callable
-    the kernel-importance Monte Carlo path is used.  For functions with
-    L u = 0 on a neighborhood of the closed ball the result reproduces u(z0)
-    up to quadrature tolerance.
+    u is a polynomial exposing ``evaluate`` and ``space_degree`` (an
+    ``AnisoPolynomial``); anything else raises TypeError.  The slice
+    integrals are exact (``integrate_over_ball``).  For u with L u = 0 on a
+    neighborhood of the closed ball the result reproduces u(z0) up to
+    quadrature tolerance.
     """
     res = integrate_over_ball(u, ball, cfg, kernel=True)
     return IntegralResult(res.value / ball.r, res.error / ball.r, res.method,
-                          cells=res.cells, samples=res.samples,
-                          converged=res.converged, flags=res.flags)
+                          cells=res.cells, converged=res.converged, flags=res.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +547,8 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     Zero for the exact ball.  The time integral runs over a profile that
     handles all nodes of a refinement step in one stacked pass (``_lp_profile``):
     exact degree-2p cubature for nested-slice perturbations at integer p,
-    Monte Carlo on the slices otherwise; indicator domains fall back to box
-    Monte Carlo.  The integral stops at the floor s = 1e-7 span below the
+    Monte Carlo on the slices otherwise, from 512-sample streams keyed by
+    ``cfg.seed``.  The integral stops at the floor s = 1e-7 span below the
     latest time, s = hi - tau, and is taken tail first in two disjoint pieces:
     the last two decades, 1e-7 span < s < 1e-5 span, in sigma = log(span/s),
     then the head in tau, to an absolute tolerance of 1e-6 of the tail.  When
@@ -602,12 +565,6 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
         flags.append("p_not_above_Q_half")
     if isinstance(domain, ExactBall) and domain.ball is ball:
         return LpCheck(p, 0.0, 0.0, True, tuple(flags))
-    if isinstance(domain, IndicatorDomain):
-        integral = _mc_box_lp(domain, ball, p, cfg)
-        flags.append("mc_indicator_domain")
-        return LpCheck(p, integral ** (1.0 / p) if integral > 0 else 0.0,
-                       integral, False, tuple(flags))
-
     profile = _lp_profile(domain, ball, p, cfg.seed)
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
@@ -629,29 +586,6 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
         flags.append("tail_divergence_suspected")
     norm = integral ** (1.0 / p) if integral > 0 else 0.0
     return LpCheck(p, norm, integral, certified, tuple(flags))
-
-
-def _mc_box_lp(domain: SlicedDomain, ball: LBall, p: float,
-               cfg: QuadratureConfig) -> float:
-    """Box Monte Carlo of the gluing integrand for indicator domains."""
-    lo_d, hi_d = domain.bounding_box()
-    lo_b, hi_b = ball_bounding_box(ball)
-    lo = np.minimum(lo_d, lo_b)
-    hi = np.maximum(hi_d, hi_b)
-    n = ball.spec.n
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) ^ 0x5DEECE66D))
-    N = cfg.mc_samples
-    pts = lo + (hi - lo) * rng.random((N, n + 1))
-    vals = np.zeros(N)
-    for i in range(N):
-        zeta = ball.spec.point(pts[i, :-1], pts[i, -1])
-        in_d = domain.contains(zeta)
-        in_b = ball.contains(zeta)
-        if in_d == in_b or zeta.t == ball.z0.t:
-            continue
-        w = ball.ev.W(ball.to_origin_frame(zeta))
-        vals[i] = w ** p
-    return float(np.prod(hi - lo)) * float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------

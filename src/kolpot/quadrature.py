@@ -1,12 +1,12 @@
 """Integration machinery over level-set balls and their ellipsoidal slices.
 
-Three layers:
+Two layers:
 
-* exact slice integrals: polynomials over ellipsoids via unit-ball monomial
-  moments (or degree-exact product cubature on the unit ball), quadratics in
-  closed form, and Gaussian-times-quadratic integrands by one stacked
-  engine, ``gaussian_quadratic_stack``, which integrates a whole stack of
-  slices (a leading slice axis; all nodes of a refinement step) per call: a
+* exact slice integrals: polynomials by a degree-exact product cubature on
+  the unit ball mapped onto each slice (``ball_rule``), and
+  Gaussian-times-quadratic integrands by one stacked engine,
+  ``gaussian_quadratic_stack``, which integrates a whole stack of slices (a
+  leading slice axis; all nodes of a refinement step) per call: a
   closed-form full-space or zero classification, then a normal-aligned
   tensor rule whose sections lie on lines carrying their Schur-vertex data
   once, sections (and for n = 3 lines, ``_short``) at a priori graded
@@ -20,10 +20,7 @@ Three layers:
   integrator asks its profile for all cells of a refinement step in one
   call, and the stacked kernels behind the profiles work through a call in
   blocks of at most one cell (``_CELL``), so their working set does not
-  grow with the cells a call carries;
-* seeded Monte Carlo with fixed-size counter-keyed chunks (Philox), so sample
-  streams are reproducible and independent of how work is split across
-  workers.
+  grow with the cells a call carries.
 """
 
 from __future__ import annotations
@@ -31,36 +28,25 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, ndtri
+from scipy.special import erf
 
-from .balls import Ellipsoid, LBall, SliceStack, unit_ball_volume
-from .errors import SliceOutOfRange, ToleranceWarning
-from .harmonic import AnisoPolynomial
-from .operators import GroupPoint
+from .balls import LBall, unit_ball_volume
+from .errors import ToleranceWarning
 
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
-    "MonomialMoments",
-    "unit_ball_moment",
     "ball_rule",
-    "ellipsoid_polynomial_integral",
-    "ellipsoid_quadratic_integral",
     "gaussian_quadratic_stack",
     "gaussian_quadratic_fullspace",
     "integrate_time_profile",
     "integrate_over_ball",
-    "mc_sample_ball",
-    "MCSampler",
 ]
-
-MC_CHUNK = 4096  # samples per Philox key; fixed so chunking never affects streams
 
 
 @dataclass(frozen=True)
@@ -70,9 +56,11 @@ class QuadratureConfig:
     ``time_order`` = m selects the time rule's Gauss-Kronrod pair G_m/K_{2m+1}
     (2m + 1 profile nodes per cell), ``time_tol`` its tolerance, and
     ``endpoint_depth`` caps its dyadic refinement depth, counted in sigma =
-    log(S/s) on the integrals that reach the kernel's pole.  ``mc_samples``
-    and ``seed`` control the Monte Carlo paths.  ``workers`` only splits
-    Monte Carlo chunks; results are identical for any worker count.
+    log(S/s) on the integrals that reach the kernel's pole.  ``max_cells``
+    caps the cells of one time integral; the rule always spends its 4
+    initial cells, so it is at least 4.  ``seed`` keys the Monte Carlo
+    samples of the L^p gluing check.  ``mc_samples`` changes no number: the
+    reports echo it under ``tolerances``.
     """
 
     time_order: int = 10
@@ -81,13 +69,16 @@ class QuadratureConfig:
     max_cells: int = 4096
     mc_samples: int = 20000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.time_order < 1:
             raise ValueError("time order must be at least 1")
         if self.time_tol <= 0.0:
             raise ValueError("time tolerance must be positive")
+        if self.endpoint_depth < 1:
+            raise ValueError("endpoint_depth must be at least 1")
+        if self.max_cells < 4:
+            raise ValueError("max_cells must be at least 4, the time rule's initial cells")
         if self.mc_samples <= 0:
             raise ValueError("mc_samples must be positive")
         if not 0 <= int(self.seed) < 2 ** 63:
@@ -100,7 +91,6 @@ class IntegralResult:
     error: float
     method: str
     cells: int = 0
-    samples: int = 0
     converged: bool = True
     flags: tuple[str, ...] = field(default_factory=tuple)
 
@@ -109,38 +99,8 @@ class IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# unit-ball moments and degree-exact rules
+# degree-exact unit-ball rules
 # ---------------------------------------------------------------------------
-
-
-def unit_ball_moment(alpha: tuple[int, ...]) -> float:
-    """int_{|u|<1} u^alpha du; zero unless every exponent is even."""
-    if any(a % 2 for a in alpha):
-        return 0.0
-    n = len(alpha)
-    num = 1.0
-    for a in alpha:
-        num *= math.gamma((a + 1) / 2.0)
-    return num / math.gamma((sum(alpha) + n) / 2.0 + 1.0)
-
-
-class MonomialMoments:
-    """Cached unit-ball monomial moments in a fixed dimension."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._cache: dict[tuple[int, ...], float] = {}
-
-    def moment(self, alpha) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.n:
-            raise ValueError(f"multi-index length {len(alpha)} != dimension {self.n}")
-        try:
-            return self._cache[alpha]
-        except KeyError:
-            m = unit_ball_moment(alpha)
-            self._cache[alpha] = m
-            return m
 
 
 @lru_cache(maxsize=None)
@@ -191,86 +151,6 @@ def ball_rule(n: int, degree: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-# ---------------------------------------------------------------------------
-# exact ellipsoid integrals
-# ---------------------------------------------------------------------------
-
-
-def _poly_terms(poly) -> dict[tuple[int, ...], float]:
-    """Accept a {multi-index: coefficient} dict or an object exposing one."""
-    if isinstance(poly, dict):
-        return poly
-    if hasattr(poly, "space_terms"):
-        return poly.space_terms()
-    raise TypeError("polynomial must be a dict of terms or expose space_terms()")
-
-
-def _affine_monomial(alpha, c, T):
-    """Expansion of prod_i (c_i + (T u)_i)^alpha_i as {beta: coeff} over u."""
-    n = T.shape[1]
-    out = {tuple([0] * n): 1.0}
-    for i, ai in enumerate(alpha):
-        row = {tuple([0] * n): c[i]}
-        for j in range(n):
-            if T[i, j] != 0.0:
-                key = tuple(1 if k == j else 0 for k in range(n))
-                row[key] = row.get(key, 0.0) + T[i, j]
-        for _ in range(ai):
-            new = {}
-            for b1, c1 in out.items():
-                for b2, c2 in row.items():
-                    key = tuple(x + y for x, y in zip(b1, b2))
-                    new[key] = new.get(key, 0.0) + c1 * c2
-            out = new
-    return out
-
-
-def ellipsoid_polynomial_integral(poly, ell: Ellipsoid,
-                                  moments: MonomialMoments | None = None) -> float:
-    """Exact integral of a polynomial over an ellipsoid.
-
-    Affine change of variables onto the unit ball, then cached monomial
-    moments.  ``poly`` maps multi-indices over R^n to coefficients.
-    """
-    terms = _poly_terms(poly)
-    n = ell.n
-    moments = moments if moments is not None else MonomialMoments(n)
-    T = ell.ball_map()
-    jac = ell.level ** (n / 2.0) / math.sqrt(np.linalg.det(ell.shape))
-    total = 0.0
-    for alpha, coef in terms.items():
-        if coef == 0.0:
-            continue
-        expanded = _affine_monomial(alpha, ell.center, T)
-        acc = 0.0
-        for beta, c in expanded.items():
-            if c != 0.0:
-                acc += c * moments.moment(beta)
-        total += coef * acc
-    return jac * total
-
-
-def ellipsoid_quadratic_integral(ell: Ellipsoid, M: np.ndarray,
-                                 q_center: np.ndarray | None = None,
-                                 const: float = 0.0,
-                                 lin: np.ndarray | None = None) -> float:
-    """Closed-form integral over an ellipsoid of
-
-        const + lin . (x - q_center) + (x - q_center)^T M (x - q_center).
-
-    Uses vol * (const + lin.dc + dc^T M dc + rho tr(M Q^{-1}) / (n + 2)) with
-    dc the offset of the ellipsoid center from the quadratic's center.
-    """
-    n = ell.n
-    vol = ell.volume()
-    dc = ell.center - (q_center if q_center is not None else np.zeros(n))
-    Qinv = np.linalg.inv(ell.shape)
-    val = const + float(dc @ M @ dc) + ell.level * float(np.trace(M @ Qinv)) / (n + 2.0)
-    if lin is not None:
-        val += float(np.asarray(lin) @ dc)
-    return vol * val
 
 
 # ---------------------------------------------------------------------------
@@ -859,136 +739,6 @@ def _integrate_in_sigma(profile, S: float, Q: float, cfg: QuadratureConfig,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo over a ball
-# ---------------------------------------------------------------------------
-
-
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    key = (int(seed) << 64) ^ chunk_index
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class MCSampler:
-    """Seed-reproducible sampling over one ball.
-
-    Time is drawn from a tabulated marginal (slice volume for uniform
-    sampling, kernel slice mass for kernel-weighted estimates) via exact
-    inversion of the piecewise-linear density; space is uniform in the slice
-    ellipsoid.  Samples are generated in fixed chunks of ``MC_CHUNK`` with
-    per-chunk Philox keys, so any worker partition yields the same stream.
-    """
-
-    GRID = 4096
-
-    def __init__(self, ball: LBall):
-        self.ball = ball
-        self.n = ball.spec.n
-        w = np.linspace(0.0, 1.0, self.GRID + 1)
-        s = ball.s_max * w ** 2
-        jac = 2.0 * ball.s_max * w
-        sl = ball.slices(s)
-        vols = np.zeros(s.size)
-        vols[sl.idx] = sl.volume
-        # int over the slice of W(-s) = vol * rho tr(W(-s) shape^{-1}) / (n + 2),
-        # and tr(W(-s) shape^{-1}) = tr(G1) / s
-        trace_g1 = float(np.trace(_unit_kernel(ball)))
-        kmass = np.zeros(s.size)
-        kmass[sl.idx] = sl.volume * (sl.rho / sl.s) * (trace_g1 / (self.n + 2.0))
-        self.w_grid = w
-        self.vol_density = vols * jac
-        self.kernel_density = kmass * jac
-        self.volume, self.vol_cdf = self._build_cdf(self.vol_density)
-        self.kernel_mass, self.kernel_cdf = self._build_cdf(self.kernel_density)
-
-    def _build_cdf(self, density: np.ndarray):
-        dw = np.diff(self.w_grid)
-        masses = 0.5 * (density[:-1] + density[1:]) * dw
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        return float(cdf[-1]), cdf
-
-    def _invert(self, u: np.ndarray, density: np.ndarray, cdf: np.ndarray):
-        """Exact inversion of the piecewise-linear density; returns (w, pdf)."""
-        total = cdf[-1]
-        target = u * total
-        idx = np.clip(np.searchsorted(cdf, target, side="right") - 1, 0, cdf.size - 2)
-        w0 = self.w_grid[idx]
-        dw = self.w_grid[idx + 1] - w0
-        g0 = density[idx]
-        g1 = density[idx + 1]
-        rem = target - cdf[idx]
-        a = 0.5 * (g1 - g0) / dw
-        # solve a * y^2 + g0 * y = rem for y in (0, dw)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            y_quad = (-g0 + np.sqrt(np.maximum(g0 * g0 + 4.0 * a * rem, 0.0))) / (2.0 * a)
-            y_lin = rem / np.where(g0 > 0.0, g0, 1.0)
-        y = np.where(np.abs(a) * dw > 1e-12 * (g0 + g1 + 1e-300), y_quad, y_lin)
-        y = np.clip(y, 0.0, dw)
-        w = w0 + y
-        pdf = (g0 + 2.0 * a * y) / total
-        return w, pdf
-
-    def _spatial(self, u_dir: np.ndarray, u_rad: np.ndarray, sl: SliceStack) -> np.ndarray:
-        """Uniform points in the slices of ``sl``: center + scale * (u @ T1.T)."""
-        normals = ndtri(np.clip(u_dir, 1e-15, 1.0 - 1e-15))
-        nv = np.linalg.norm(normals, axis=1)
-        zero = nv == 0.0
-        normals[zero, 0] = 1.0
-        nv[zero] = 1.0
-        radius = u_rad ** (1.0 / self.n) * (1.0 - 1e-12)
-        u = normals / nv[:, None] * radius[:, None]
-        return sl.center + sl.scale * (u @ self.ball.ev.cov.T1.T)
-
-    def _uniforms(self, count: int, seed: int, workers: int = 1) -> np.ndarray:
-        cols = self.n + 2
-        out = np.empty((count, cols))
-        chunks = range((count + MC_CHUNK - 1) // MC_CHUNK)
-
-        def fill(j):
-            start = j * MC_CHUNK
-            stop = min(start + MC_CHUNK, count)
-            rng = _chunk_generator(seed, j)
-            block = rng.random((MC_CHUNK, cols))
-            out[start:stop] = block[: stop - start]
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, chunks))
-        else:
-            for j in chunks:
-                fill(j)
-        return out
-
-    def sample(self, count: int, seed: int, kernel: bool = False, workers: int = 1):
-        """Returns (points (count, n), depths s, importance density over (s, x)).
-
-        With ``kernel=False`` the marginal over s is the slice volume, so the
-        points are uniform in the ball.  With ``kernel=True`` the marginal is
-        the slice kernel mass (importance sampling for kernel-weighted
-        integrands).  The returned density is with respect to ds dx.
-        """
-        U = self._uniforms(count, seed, workers)
-        density = self.kernel_density if kernel else self.vol_density
-        cdf = self.kernel_cdf if kernel else self.vol_cdf
-        w, pdf_w = self._invert(U[:, 0], density, cdf)
-        s = self.ball.s_max * w ** 2
-        jac = 2.0 * self.ball.s_max * w
-        sl = self.ball.slices(s)
-        if sl.idx.size != count:
-            raise SliceOutOfRange("a sampled depth lies outside (0, s_max)")
-        X = self._spatial(U[:, 1: 1 + self.n], U[:, 1 + self.n], sl)
-        p_sx = pdf_w / jac / sl.volume
-        return X, s, p_sx
-
-
-def mc_sample_ball(ball: LBall, count: int, seed: int) -> list[GroupPoint]:
-    """Uniform samples in the ball, deterministic for a given seed."""
-    sampler = MCSampler(ball)
-    X, s, _ = sampler.sample(count, seed, kernel=False)
-    t0 = ball.z0.t
-    return [GroupPoint(X[i], t0 - s[i]) for i in range(count)]
-
-
-# ---------------------------------------------------------------------------
 # integrate over a ball
 # ---------------------------------------------------------------------------
 
@@ -1015,7 +765,7 @@ def _exact_ball_profile(f, ball: LBall, kernel: bool):
     its bits do not depend on how many cells a call carries.
     """
     n = ball.spec.n
-    deg = int(getattr(f, "space_degree", 0)) + (2 if kernel else 0)
+    deg = int(f.space_degree) + (2 if kernel else 0)
     nodes, weights = ball_rule(n, deg)
     P = nodes @ ball.ev.cov.T1.T
     mean_weights = weights / unit_ball_volume(n)
@@ -1041,37 +791,19 @@ def _exact_ball_profile(f, ball: LBall, kernel: bool):
 
 def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
                         kernel: bool = True) -> IntegralResult:
-    """Integral of f (optionally times the mean-value kernel) over the ball.
+    """Integral of a polynomial f (optionally times the mean-value kernel) over the ball.
 
-    Polynomial integrands (anything exposing ``evaluate`` and
-    ``space_degree``) take the exact path: degree-exact cubature per slice and
-    the adaptive time rule in sigma = log(s_max/s) (``_integrate_in_sigma``),
-    where the kernel mass decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past
-    sigma_max = 100/(Q-2) lies a Gamma(n/2+2) tail of that mass, at most
-    1.1e-18 of it for n <= 3.  General callables f(X, t) take the Monte Carlo
-    path, kernel-importance-sampled when ``kernel`` is set so the weight
-    singularity near the pole does not inflate the variance.
+    f must expose ``evaluate`` and ``space_degree``, as ``AnisoPolynomial``
+    does; anything else raises TypeError.  Each slice integral is exact,
+    by a degree-exact unit-ball cubature, and the adaptive time rule runs in
+    sigma = log(s_max/s) (``_integrate_in_sigma``), where the kernel mass
+    decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past sigma_max = 100/(Q-2)
+    lies a Gamma(n/2+2) tail of that mass, at most 1.1e-18 of it for n <= 3.
     """
-    if hasattr(f, "space_degree") or isinstance(f, dict):
-        if isinstance(f, dict):
-            f = AnisoPolynomial(ball.spec.n, {(k, 0): float(c) for k, c in f.items()})
-        scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
-        return _integrate_in_sigma(_exact_ball_profile(f, ball, kernel), ball.s_max,
-                                   ball.spec.Q, cfg, cfg.time_tol * scale)
-
-    sampler = MCSampler(ball)
-    X, s, p = sampler.sample(cfg.mc_samples, cfg.seed, kernel=kernel,
-                             workers=cfg.workers)
-    t = ball.z0.t - s
-    fx = np.empty(cfg.mc_samples)
-    for i in range(cfg.mc_samples):
-        fx[i] = f(X[i], t[i])
-    if kernel:
-        # W(x, -s) = y^T W_quadratic(-s) y with y = x - c(s)
-        Y = X - ball.slices(s).center
-        fx = fx * np.einsum("ij,ijk,ik->i", Y, ball.ev.W_quadratic(-s), Y)
-    contrib = fx / p
-    value = float(np.mean(contrib))
-    err = float(np.std(contrib, ddof=1) / math.sqrt(cfg.mc_samples))
-    return IntegralResult(value, err, "mc", samples=cfg.mc_samples)
+    if not (hasattr(f, "evaluate") and hasattr(f, "space_degree")):
+        raise TypeError("integrate_over_ball takes a polynomial exposing evaluate and "
+                        f"space_degree (such as AnisoPolynomial), not {type(f).__name__}")
+    scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
+    return _integrate_in_sigma(_exact_ball_profile(f, ball, kernel), ball.s_max,
+                               ball.spec.Q, cfg, cfg.time_tol * scale)
 

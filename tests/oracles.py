@@ -28,6 +28,8 @@
 * ``two_floor_lp_check``: the L^p gluing certificate as ``lp_condition_norm``
   decided it before its integral was split tail first: two integrals in tau
   over the whole span, to the 1e-5 and the 1e-7 floor, compared.
+* ``unit_ball_moment`` and ``MonomialMoments``: closed-form monomial moments
+  of the unit ball, the reference for the degree-exact ``ball_rule``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,41 @@ from kolpot.quadrature import (
     gaussian_quadratic_stack,
     integrate_time_profile,
 )
+
+
+# ---------------------------------------------------------------------------
+# unit-ball monomial moments
+# ---------------------------------------------------------------------------
+
+
+def unit_ball_moment(alpha: tuple[int, ...]) -> float:
+    """int_{|u|<1} u^alpha du; zero unless every exponent is even."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    n = len(alpha)
+    num = 1.0
+    for a in alpha:
+        num *= math.gamma((a + 1) / 2.0)
+    return num / math.gamma((sum(alpha) + n) / 2.0 + 1.0)
+
+
+class MonomialMoments:
+    """Cached unit-ball monomial moments in a fixed dimension."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._cache: dict[tuple[int, ...], float] = {}
+
+    def moment(self, alpha) -> float:
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.n:
+            raise ValueError(f"multi-index length {len(alpha)} != dimension {self.n}")
+        try:
+            return self._cache[alpha]
+        except KeyError:
+            m = unit_ball_moment(alpha)
+            self._cache[alpha] = m
+            return m
 
 
 # ---------------------------------------------------------------------------

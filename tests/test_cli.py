@@ -121,10 +121,12 @@ _NAN, _INF = float("nan"), float("inf")
     ("quadrature", "time_order", "abc"),
     ("quadrature", "time_order", 0),
     ("quadrature", "time_tol", _NAN),
+    ("quadrature", "max_cells", 3),
+    ("quadrature", "endpoint_depth", 0),
 ], ids=["r_string", "r_nan", "r_inf", "r_bool", "r_huge_int", "r_factors_string", "r_factors_nan",
         "r_factors_bool", "z0_string", "z0_inf", "A0_string", "A0_nan", "A0_bool",
         "A0_not_positive", "block_sizes_string", "time_order_string", "time_order_zero",
-        "time_tol_nan"])
+        "time_tol_nan", "max_cells_below_initial_cells", "endpoint_depth_zero"])
 def test_schema_rejects_values_it_cannot_run(tmp_path, section, key, value):
     payload = _tiny_config(tmp_path / "o")
     payload[section][key] = value
@@ -180,8 +182,11 @@ def test_schema_accepts_experiment_values_at_their_limits(tmp_path):
     payload = _tiny_config(tmp_path / "o")
     payload["experiments"] = [dict(_PI, points=1), dict(_MVF, max_degree=0, centers=[[0.5, 0.1]]),
                               dict(_RIGIDITY, lp_check=False, ratio_min=1e-3)]
+    # the time rule's 4 initial cells at depth 1 are the smallest budget it can keep
+    payload["quadrature"].update(max_cells=4, endpoint_depth=1)
     cfg = load_config(_write(tmp_path, payload))
     assert [e["name"] for e in cfg.experiments] == ["potential_identity", "mvf", "rigidity"]
+    assert (cfg.quadrature.max_cells, cfg.quadrature.endpoint_depth) == (4, 1)
 
 
 def test_nan_deviation_fails_its_verdict(monkeypatch):

@@ -268,30 +268,6 @@ def test_report_serialization_roundtrip(tmp_path, balls, quad_cfg):
     assert len(lines) == 5
 
 
-def test_indicator_domain_mc_paths(balls):
-    # indicator-defined domains go through flagged Monte Carlo fallbacks
-    from kolpot.domains import IndicatorDomain
-    from kolpot.lab import kernel_gamma_integral
-
-    ball = balls["heat1"]
-    lo, hi = kp.ball_bounding_box(ball)
-
-    def membership(z):
-        return ball.contains(z)  # the ball itself, defined only by a callable
-
-    domain = IndicatorDomain(ball, membership, (lo, hi))
-    cfg = QuadratureConfig(time_tol=1e-6, mc_samples=20000, seed=12)
-    z = ball.spec.point([0.3], -2.0)
-    rhs = ball.r * ball.gamma_from_center(z)
-    res = kernel_gamma_integral(domain, ball, z, cfg, abs_scale=rhs)
-    assert "mc_indicator_domain" in res.flags
-    assert abs(res.value - rhs) < 5.0 * res.error + 0.05 * rhs
-
-    lp = lp_condition_norm(domain, ball, 3, cfg)
-    assert "mc_indicator_domain" in lp.flags
-    assert math.isfinite(lp.norm)
-
-
 def test_potential_identity_off_origin_ball(proto, evaluators, quad_cfg):
     ball = kp.lball(proto, 2.0 * math.pi / math.sqrt(3.0), proto.point([0.3, 0.5], -0.4),
                     evaluators["proto"])

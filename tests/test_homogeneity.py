@@ -18,16 +18,14 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 import kolpot as kp
-from kolpot.balls import Ellipsoid, unit_ball_volume
+from kolpot.balls import unit_ball_volume
 from kolpot.covariance import CovarianceModel
 from kolpot.errors import SliceOutOfRange
 from kolpot.harmonic import AnisoPolynomial
 from kolpot.quadrature import (
-    MCSampler,
     QuadratureConfig,
     _exact_ball_profile,
     ball_rule,
-    ellipsoid_quadratic_integral,
     integrate_over_ball,
 )
 
@@ -216,54 +214,11 @@ def test_bounding_box_matches_per_node_extents(spec):
             assert sign * got == pytest.approx(ref, rel=1e-10, abs=1e-12 * width[i])
 
 
-def test_mc_sampler_tables_match_slice_integrals(spec):
+def test_kernel_mass_of_an_off_origin_ball_is_its_radius(spec):
+    # the exact path's bare kernel over a translated ball: its slices sit off
+    # the origin, so x - c(s) goes through the transport of z0
     ball = _translated_ball(spec)
-    sampler = MCSampler(ball)
-    w = sampler.w_grid
-    jac = 2.0 * ball.s_max * w
-    assert sampler.vol_density[0] == 0.0 and sampler.vol_density[-1] == 0.0
-    assert sampler.kernel_density[0] == 0.0 and sampler.kernel_density[-1] == 0.0
-    for j in (1229, 2048, 2867, 3686, 4055):
-        s = ball.s_max * w[j] ** 2
-        rho, shape, vol = _reference_slice(ball, s)
-        ell = Ellipsoid(np.zeros(spec.n), shape, rho)
-        vol_ref = ellipsoid_quadratic_integral(ell, np.zeros((spec.n, spec.n)), const=1.0)
-        kmass_ref = ellipsoid_quadratic_integral(ell, ball.ev.W_quadratic(-s))
-        assert vol_ref == pytest.approx(vol, rel=1e-11)
-        assert sampler.vol_density[j] / jac[j] == pytest.approx(vol_ref, rel=1e-10)
-        assert sampler.kernel_density[j] / jac[j] == pytest.approx(kmass_ref, rel=1e-10)
-
-
-def test_spatial_points_lie_in_their_slices(spec):
-    # at the origin x - c(s) is exact, so tiny slices are checked to roundoff
-    ball = kp.lball(spec, 3.0)
-    sampler = MCSampler(ball)
-    rng = np.random.default_rng(17)
-    m = 400
-    s = ball.s_max * rng.random(m) ** 2
-    u_rad = rng.random(m)
-    u_rad[:20] = 1.0  # radius 1 - 1e-12: right at the boundary
-    sl = ball.slices(s)
-    assert sl.idx.size == m
-    X = sampler._spatial(rng.random((m, spec.n)), u_rad, sl)
-    for k in range(m):
-        ell = ball.slice_at(s[k])
-        Y = X[k] - ball.slice_center(s[k])
-        q = float(Y @ ell.shape @ Y)
-        assert q == pytest.approx(ell.level * u_rad[k] ** (2.0 / spec.n), rel=1e-9)
-        if k >= 20:
-            assert ell.contains(Y)[0]
-
-
-def test_mc_kernel_weights_match_per_sample_kernel(spec):
-    # the stacked Monte Carlo kernel weights against ev.W at every sample; the
-    # bare kernel integrates to r over the ball
-    ball = _translated_ball(spec)
-    cfg = QuadratureConfig(mc_samples=4000, seed=8)
-    mc = integrate_over_ball(lambda x, t: 1.0, ball, cfg, kernel=True)
-    X, s, p = MCSampler(ball).sample(cfg.mc_samples, cfg.seed, kernel=True)
-    # the kernel at (xi, -s), with xi = x - E(-s) x0 the point in the slice frame
-    W = np.array([ball.ev.W(spec.point(x - ball.slice_center(sk), -sk))
-                  for x, sk in zip(X, s)])
-    assert mc.value == pytest.approx(float(np.mean(W / p)), rel=1e-10)
-    assert abs(mc.value - ball.r) < 4.0 * mc.error
+    res = integrate_over_ball(AnisoPolynomial.constant(spec.n, 1.0), ball,
+                              QuadratureConfig(), kernel=True)
+    assert res.converged
+    assert res.value == pytest.approx(ball.r, rel=1e-9)

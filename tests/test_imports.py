@@ -1,0 +1,44 @@
+"""Every name a library module imports is used in it or re-exported by it.
+
+A deletion that leaves an import behind keeps a dead dependency in the
+module; this static check (stdlib ``ast`` only) finds it.  ``__init__.py``
+is skipped: its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kolpot"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import in the module, at any depth."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((SRC / module).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = used | _exported_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in kept}
+    assert not unused, f"{module}: imported but unused (name: line) {unused}"

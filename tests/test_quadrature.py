@@ -13,24 +13,20 @@ from kolpot.domains import ExactBall
 from kolpot.harmonic import AnisoPolynomial
 from kolpot.lab import exterior_test_points, kernel_gamma_integral
 from kolpot.quadrature import (
-    MCSampler,
-    MonomialMoments,
     QuadratureConfig,
     _exact_ball_profile,
     ball_rule,
-    ellipsoid_polynomial_integral,
-    ellipsoid_quadratic_integral,
     gaussian_quadratic_fullspace,
     integrate_over_ball,
     integrate_time_profile,
-    mc_sample_ball,
-    unit_ball_moment,
 )
 from conftest import HEAT1_R
 from oracles import (
+    MonomialMoments,
     gaussian_quadratic_auto,
     gaussian_quadratic_ellipsoid,
     gaussian_quadratic_tensor,
+    unit_ball_moment,
 )
 
 
@@ -70,42 +66,6 @@ def test_ball_rules_are_degree_exact():
                 vals = np.prod(nodes ** np.asarray(alpha), axis=1)
                 assert float(weights @ vals) == pytest.approx(
                     m.moment(alpha), rel=1e-12, abs=1e-14)
-
-
-def test_ellipsoid_polynomial_integrals():
-    e1 = Ellipsoid([0.0], [[1.0]], 1.0)
-    assert ellipsoid_polynomial_integral({(0,): 1.0}, e1) == pytest.approx(2.0)
-    assert ellipsoid_polynomial_integral({(2,): 1.0}, e1) == pytest.approx(2.0 / 3.0)
-    # x^2 over the ellipse x^2/4 + y^2 < 1 equals 2 pi
-    e2 = Ellipsoid([0.0, 0.0], np.diag([0.25, 1.0]), 1.0)
-    assert ellipsoid_polynomial_integral({(2, 0): 1.0}, e2) == pytest.approx(2.0 * math.pi)
-    # shifted ellipsoid: int (x - c) over it vanishes, int 1 gives the volume
-    e3 = Ellipsoid([2.0, -1.0], np.array([[2.0, 0.3], [0.3, 1.0]]), 1.5)
-    vol = e3.volume()
-    assert ellipsoid_polynomial_integral({(0, 0): 1.0}, e3) == pytest.approx(vol, rel=1e-12)
-    got = ellipsoid_polynomial_integral({(1, 0): 1.0}, e3)
-    assert got == pytest.approx(2.0 * vol, rel=1e-12)
-
-
-def test_quadratic_closed_form_matches_moments():
-    rng = np.random.default_rng(8)
-    for n in (1, 2, 3):
-        A = rng.standard_normal((n, n))
-        Mq = A @ A.T + 0.1 * np.eye(n)
-        shape = np.eye(n) + 0.2 * np.ones((n, n))
-        ell = Ellipsoid(rng.standard_normal(n), shape, 1.7)
-        qc = rng.standard_normal(n)
-        got = ellipsoid_quadratic_integral(ell, Mq, q_center=qc)
-        poly = {}
-        for i in range(n):
-            for j in range(n):
-                key = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))
-                poly[key] = poly.get(key, 0.0) + Mq[i, j]
-            key = tuple(1 if k == i else 0 for k in range(n))
-            poly[key] = poly.get(key, 0.0) - 2.0 * float(Mq[i] @ qc)
-        poly[tuple([0] * n)] = poly.get(tuple([0] * n), 0.0) + float(qc @ Mq @ qc)
-        ref = ellipsoid_polynomial_integral(poly, ell)
-        assert got == pytest.approx(ref, rel=1e-12)
 
 
 def _gauss_quad_1d_oracle(ell, mean, C, M, qc):
@@ -369,15 +329,14 @@ def test_kernel_integral_equals_radius(balls, quad_cfg):
         assert abs(res.value - ball.r) < 1e-7 * ball.r, name
 
 
-@pytest.mark.parametrize("kernel", [False, True])
-def test_dict_polynomial_matches_aniso_polynomial(balls, quad_cfg, kernel):
-    # a {multi-index: coefficient} dict is the t-free AnisoPolynomial
-    ball = balls["proto"]
-    terms = {(0, 0): 1.0, (2, 0): 0.5, (1, 1): -0.3, (0, 3): 0.2}
-    upoly = AnisoPolynomial(2, {(alpha, 0): c for alpha, c in terms.items()})
-    got = integrate_over_ball(terms, ball, quad_cfg, kernel=kernel)
-    ref = integrate_over_ball(upoly, ball, quad_cfg, kernel=kernel)
-    assert got.value == ref.value and got.error == ref.error and got.cells == ref.cells
+@pytest.mark.parametrize("f", [lambda x, t: 1.0, {(0,): 1.0}], ids=["callable", "dict"])
+def test_ball_integrals_take_only_polynomials(balls, quad_cfg, f):
+    # a plain callable or a {multi-index: coefficient} dict has no exact path
+    ball = balls["heat1"]
+    with pytest.raises(TypeError, match="AnisoPolynomial"):
+        integrate_over_ball(f, ball, quad_cfg, kernel=True)
+    with pytest.raises(TypeError, match="AnisoPolynomial"):
+        kp.mean_value(f, ball, quad_cfg)
 
 
 def _inside(ball, pts):
@@ -416,64 +375,6 @@ def test_ball_volume_against_rejection_mc(balls, quad_cfg):
         est = box_vol * hits / N
         sd = box_vol * math.sqrt(hits) / N
         assert abs(vol - est) < 3.0 * sd
-
-
-def test_mc_sampler_deterministic(balls):
-    ball = balls["proto"]
-    s1 = mc_sample_ball(ball, 500, seed=101)
-    s2 = mc_sample_ball(ball, 500, seed=101)
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a.x, b.x) and a.t == b.t
-    s3 = mc_sample_ball(ball, 500, seed=102)
-    assert any(not np.array_equal(a.x, c.x) for a, c in zip(s1, s3))
-
-
-def test_mc_samples_inside_and_marginal(balls):
-    ball = balls["heat1"]
-    pts = mc_sample_ball(ball, 20000, seed=7)
-    for z in pts[:2000]:
-        assert ball.contains(z)
-    # Kolmogorov-Smirnov distance of the time marginal against the
-    # slice-volume law
-    sampler = MCSampler(ball)
-    depths = np.sort(np.array([ball.z0.t - z.t for z in pts]))
-    w = np.sqrt(depths / ball.s_max)
-    cdf_tab = np.interp(w, sampler.w_grid, sampler.vol_cdf / sampler.vol_cdf[-1])
-    emp = np.arange(1, depths.size + 1) / depths.size
-    ks = float(np.max(np.abs(emp - cdf_tab)))
-    assert ks < 0.01
-
-
-def test_mc_worker_count_invariance(balls):
-    ball = balls["proto"]
-    sampler = MCSampler(ball)
-    X1, s1, p1 = sampler.sample(3000, seed=99, kernel=True, workers=1)
-    X2, s2, p2 = sampler.sample(3000, seed=99, kernel=True, workers=3)
-    assert np.array_equal(X1, X2) and np.array_equal(s1, s2) and np.array_equal(p1, p2)
-
-
-def test_mc_path_agrees_with_exact_kernel_integral(balls):
-    # kernel-importance Monte Carlo of u w against the exact path, u smooth
-    ball = balls["heat1"]
-    cfg = QuadratureConfig(time_tol=1e-9, mc_samples=60000, seed=31337)
-
-    def u(x, t):
-        return 1.0 + 0.5 * float(x[0]) + 0.1 * float(x[0]) ** 2 + 0.2 * float(t)
-
-    mc = integrate_over_ball(u, ball, cfg, kernel=True)
-    upoly = AnisoPolynomial(1, {((0,), 0): 1.0, ((1,), 0): 0.5,
-                                ((2,), 0): 0.1, ((0,), 1): 0.2})
-    exact = integrate_over_ball(upoly, ball, cfg, kernel=True)
-    assert abs(mc.value - exact.value) < 4.0 * mc.error
-    assert mc.error < 0.01 * abs(exact.value)
-
-
-def test_mc_path_bare_kernel(balls):
-    # sampling from the kernel marginal makes the f = W estimate nearly exact
-    ball = balls["heat1"]
-    cfg = QuadratureConfig(time_tol=1e-9, mc_samples=30000, seed=2718)
-    mc = integrate_over_ball(lambda x, t: 1.0, ball, cfg, kernel=True)
-    assert abs(mc.value - ball.r) < 4.0 * max(mc.error, 1e-12) + 1e-4 * ball.r
 
 
 def _sigma_max(ball, monkeypatch):
