@@ -122,7 +122,7 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     if t_min is not None:
         lo = max(lo, t_min)
     if t_hi <= lo:
-        return IntegralResult(0.0, 0.0, "exact", cells=0)
+        return IntegralResult(0.0, 0.0, cells=0)
     profile = _kernel_gamma_profile(domain, ball, z)
     abs_tol = cfg.time_tol * (abs_scale if abs_scale is not None else 1.0)
     pieces = [(lo, t_hi)]
@@ -148,8 +148,7 @@ def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
         cells += res.cells
         converged = converged and res.converged
     flags = () if converged else ("tolerance_not_met",)
-    return IntegralResult(total, err, "exact", cells=cells, converged=converged,
-                          flags=flags)
+    return IntegralResult(total, err, cells=cells, converged=converged, flags=flags)
 
 
 def gamma_potential(domain: SlicedDomain, ball: LBall, z: GroupPoint,
@@ -162,8 +161,8 @@ def gamma_potential(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     rhs_scale = ball.r * ball.gamma_from_center(z)
     res = kernel_gamma_integral(domain, ball, z, cfg,
                                 abs_scale=max(rhs_scale, 1e-300))
-    return IntegralResult(res.value / ball.r, res.error / ball.r, res.method,
-                          cells=res.cells, converged=res.converged, flags=res.flags)
+    return IntegralResult(res.value / ball.r, res.error / ball.r, cells=res.cells,
+                          converged=res.converged, flags=res.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +180,8 @@ def mean_value(u, ball: LBall, cfg: QuadratureConfig) -> IntegralResult:
     quadrature tolerance.
     """
     res = integrate_over_ball(u, ball, cfg, kernel=True)
-    return IntegralResult(res.value / ball.r, res.error / ball.r, res.method,
-                          cells=res.cells, converged=res.converged, flags=res.flags)
+    return IntegralResult(res.value / ball.r, res.error / ball.r, cells=res.cells,
+                          converged=res.converged, flags=res.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Two layers:
   leading slice axis; all nodes of a refinement step) per call: a
   closed-form full-space or zero classification, then a normal-aligned
   tensor rule whose sections lie on lines carrying their Schur-vertex data
-  once, sections (and for n = 3 lines, ``_short``) at a priori graded
-  orders, and every offset formed from the half-widths, so slices near the
-  kernel's pole keep their digits;
+  once, sections at a priori graded orders, short lines and n = 3 outer
+  ranges (``_short``) by one rule over the whole chord, whose square-root
+  ends it takes exactly, and every offset formed from the half-widths, so
+  slices near the kernel's pole keep their digits;
 * a 1-d adaptive time integrator: a Gauss-Kronrod pair per cell with
   QUADPACK's error model, and square-root compression at both endpoints,
   which tames the degenerating slices at the ends.  Integrals that reach the
@@ -89,7 +90,6 @@ class QuadratureConfig:
 class IntegralResult:
     value: float
     error: float
-    method: str
     cells: int = 0
     converged: bool = True
     flags: tuple[str, ...] = field(default_factory=tuple)
@@ -177,9 +177,9 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 _BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
 _CELL = 21  # slices per stacked-kernel block: one time cell's nodes at the default order 10
-_LINE_ORDER = {2: 48, 3: 32}  # compressed Gauss-Legendre nodes per half line
-_SHORT = 16  # nodes per half line on a short line or outer range (``_short``)
-_KAPPA0 = 4.0  # the bound on kappa of a short one (``_short``)
+_LINE_ORDER = {2: 48, 3: 32}  # compressed Gauss-Legendre nodes per half line of a long line
+_SHORT = 16  # nodes on a short chord, line or outer range (``_short``, ``_chord_nodes``)
+_KAPPA0 = 4.0  # the bound on kappa of a short chord (``_short``)
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -210,6 +210,33 @@ def _line_nodes(c, half, order: int):
     w = span * (2.0 * y * wy)
     return dv, np.concatenate([w, w], axis=-1) * _gauss_inplace(
         np.concatenate([a + sy, b - sy], axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _chord_rule(m: int, weighted: bool):
+    """(t, w, 1 - t^2) of an m-node rule on (-1, 1).  ``weighted``: Gauss-
+    Chebyshev of the second kind, t_i = cos(theta_i), theta_i = i pi / (m + 1),
+    exact on sqrt(1 - t^2) p(t) for deg p < 2m; its weights pi / (m + 1)
+    sin^2(theta_i) come divided by sqrt(1 - t_i^2) = sin(theta_i), so the rule
+    takes the whole integrand.  Else Gauss-Legendre."""
+    if weighted:
+        theta = np.arange(1, m + 1) * (math.pi / (m + 1))
+        st = np.sin(theta)
+        return np.cos(theta), (math.pi / (m + 1)) * st, st * st
+    t, w = np.polynomial.legendre.leggauss(m)
+    return t, w, (1.0 - t) * (1.0 + t)
+
+
+def _chord_nodes(c, half, weighted: bool):
+    """(dv, weights times e^{-v^2}, 1 - (dv / half)^2) of the ``_SHORT``-node
+    ``_chord_rule`` over the whole chord c -/+ half, which the Gaussian window
+    does not clip (``_short``).  The nodes are offsets dv from c, and the
+    third array, the share of the level left at each node, is exact: it does
+    not round through dv.  Nodes go on a new last axis."""
+    t, w, rest = _chord_rule(_SHORT, weighted)
+    half = half[..., None]
+    dv = half * t
+    return dv, half * w * _gauss_inplace(c[..., None] + dv), rest
 
 
 def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -382,7 +409,7 @@ class _Lines(NamedTuple):
     axis: np.ndarray    # the w-coordinate swept (1 for n = 2)
     vertex: np.ndarray  # (L, n) the vertex point in w: w1_0 and v* among its coordinates
     half: np.ndarray    # the half-length of the line: v* -/+ half, before the Gaussian window
-    short: np.ndarray   # whether the line takes _SHORT nodes per half line
+    short: np.ndarray   # whether the line is a short chord (``_short``)
     weight: np.ndarray  # the outer weight: 1 for n = 2, wt e^{-o^2} for n = 3
     lev0: np.ndarray
     a_v: np.ndarray
@@ -392,17 +419,20 @@ class _Lines(NamedTuple):
 
 
 def _short(c, half) -> np.ndarray:
-    """Whether the boxes c -/+ half (coordinates on the last axis) take
-    ``_SHORT`` nodes per half line: kappa, the sum of len (|mid| + len) over
-    the box inside the window, is at most ``_KAPPA0``.  The exponent of
-    e^{-|w|^2} moves by at most kappa there: a compressed half line's 16-node
-    remainder, (2 kappa)^32 (16!)^4 / (33 (32!)^3), is below 1e-25, and the
-    section-width factor y sqrt(2 - y^2), analytic out to Bernstein rho =
-    3.36, leaves rho^-32 = 1e-17.  A line's box covers its sections' reach in
-    w1: sections reaching the Gaussian's core vary like erf(half-width)."""
+    """Whether the boxes c -/+ half (coordinates on the last axis) are short,
+    and take a ``_SHORT``-node rule over the whole chord (``_chord_nodes``):
+    the Gaussian window clips none of their coordinates, and kappa, the sum of
+    len (|mid| + len) over them, is at most ``_KAPPA0``.  The exponent of
+    e^{-|w|^2} moves by at most kappa over the box, and the 16-node
+    Gauss-Legendre remainder, (2 kappa)^32 (16!)^4 / (33 (32!)^3), is 2.5e-26
+    at kappa = 4.  A line's box covers its sections' reach in w1: sections
+    reaching the Gaussian's core vary like erf(half-width).  A clipped box
+    ends inside the domain, where no square-root factor vanishes for the
+    chord rule to take up, so it is never short."""
     lo, hi = _reach(c, half)
-    length = hi - lo
-    return np.sum(length * (np.abs(c + 0.5 * (lo + hi)) + length), axis=-1) <= _KAPPA0
+    unclipped = np.all((lo == -half) & (hi == half), axis=-1)
+    length = 2.0 * half
+    return unclipped & (np.sum(length * (np.abs(c) + length), axis=-1) <= _KAPPA0)
 
 
 def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
@@ -414,12 +444,14 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
     eliminated, the level left on a rest coordinate r falls as
     (r - c_r)^2 / (A^-1)_rr about the ellipsoid centre c_w (A = S^T shape S).
     n = 2 sweeps its one rest coordinate, from the vertex c_w, and n = 3 the
-    one of smaller reach, one line per compressed Gauss-Legendre node of the
-    outer one, o, whose vertex moves from c_w along the conjugate direction
-    u = (k1, km, 1) of (w1, v, o).  For n = 3 a short slice (``_short``)
-    takes ``_SHORT`` outer nodes per half, padded with negative levels (no
-    lines), and a short line ``_SHORT`` nodes per half line.  n = 2 has one
-    line per slice: a second sweep block would cost more than it saves.
+    one of smaller reach, one line per outer node of the other one, o, whose
+    vertex moves from c_w along the conjugate direction u = (k1, km, 1) of
+    (w1, v, o).  The outer nodes are compressed Gauss-Legendre ones, except
+    on a short slice (``_short``): a cross-section of an ellipsoid shrinks
+    as 1 - tau^2 at o = c_o + h_o tau, so a line's integral is (1 - tau^2)
+    times an entire function of tau, and ``_SHORT`` plain Gauss-Legendre
+    nodes over the whole outer chord take it, padded with negative levels
+    (no lines).  Each line is marked short or not by its box in (v, w1).
     """
     K, n = center.shape
     L2 = 2.0 * chol_cov_half
@@ -446,10 +478,10 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
         kv = np.flatnonzero(hi > lo)
         co, cm, c_o, h_o = co[kv], 3 - co[kv], c_w[kv, co[kv]], reach[kv, co[kv]]  # swept: cm
         do, wo = _line_nodes(c_o, h_o, order)  # (Kv, J2) offsets from c_o, weights
-        short, J = np.flatnonzero(_short(c_w[kv], reach[kv])), 2 * _SHORT
-        do[short, :J], wo[short, :J] = _line_nodes(c_o[short], h_o[short], _SHORT)
         lev0 = level[kv, None] - do * do / var[kv, co][:, None]
-        lev0[short, J:] = -1.0
+        short, J = np.flatnonzero(_short(c_w[kv], reach[kv])), _SHORT
+        do[short, :J], wo[short, :J], rest = _chord_nodes(c_o[short], h_o[short], False)
+        lev0[short, :J], lev0[short, J:] = level[kv[short], None] * rest, -1.0
         a11, a1m, a1o = A[kv, 0, 0], A[kv, 0, cm], A[kv, 0, co]
         a_m = A[kv, cm, cm] - a1m * a1m / a11  # Schur curvature of the swept coordinate
         km = -(A[kv, cm, co] - a1m * a1o / a11) / a_m
@@ -466,31 +498,38 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
         weight = wo[pk, jk]
 
     sv, s1, a11 = S[k, :, axis], S[k, :, 0], A[k, 0, 0]
-    g1, short = -A[k, 0, axis] / a11, np.zeros(k.size, dtype=bool)
-    if n == 3:  # the line's box: v, and the sections' reach in w1
-        reach_1 = np.abs(g1) * half + np.sqrt(lev0 / a11)
-        short = _short(np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
-                       np.stack([half, reach_1], axis=-1))
+    g1 = -A[k, 0, axis] / a11
+    reach_1 = np.abs(g1) * half + np.sqrt(lev0 / a11)  # the line's box: v, and its sections' w1
+    short = _short(np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
+                   np.stack([half, reach_1], axis=-1))
     return _Lines(k, axis, vertex, half, short, weight, lev0, a_v, g1, a11,
                   _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
 
 
 def _line_sweep(ln: _Lines, order: int, K: int) -> np.ndarray:
     """The sum over the lines of each of K slices of their weight times
-    sum_j wt_j e^{-v_j^2} I(v_j), over compressed nodes v = v* + dv on the
-    line, with I(v) the w1 integral of the section at v; nodes and sections
-    are offsets from the line's vertex.  A short line takes ``_SHORT`` nodes
-    per half line, any other ``order``; each group goes in blocks of at most
-    ``_BLOCK`` sections."""
+    sum_j wt_j e^{-v_j^2} I(v_j), over nodes v = v* + dv on the line, with
+    I(v) the w1 integral of the section at v; nodes and sections are offsets
+    from the line's vertex.  At dv = half t the section's half-width is
+    H sqrt(1 - t^2), and I(v) is that times an entire function of t.  A short
+    line (``_short``) takes the ``_SHORT``-node Gauss-Chebyshev rule of the
+    second kind over its whole chord, whose weight is that square root; any
+    other ``order`` compressed nodes per half line.  Each group goes in blocks
+    of at most ``_BLOCK`` sections: ``_BLOCK // _SHORT`` whole short lines, or
+    ``_BLOCK // (2 order)`` half-line pairs."""
     out = np.empty(ln.slice.size)
     v0, w1_0 = ln.vertex[np.arange(out.size), ln.axis], ln.vertex[:, 0]
-    for lines, J in ((np.flatnonzero(ln.short), _SHORT), (np.flatnonzero(~ln.short), order)):
-        step = max(_BLOCK // (2 * J), 1)
+    for chord, lines in ((True, np.flatnonzero(ln.short)), (False, np.flatnonzero(~ln.short))):
+        step = max(_BLOCK // (_SHORT if chord else 2 * order), 1)
         for a in range(0, lines.size, step):
             r = lines[a:a + step]
             P, Pv, P1, Qvv, Qv1, cc2 = ln.quad[:, r, None]
-            dv, wv = _line_nodes(v0[r], ln.half[r], J)
-            lev = ln.lev0[r, None] - ln.a_v[r, None] * dv * dv
+            if chord:
+                dv, wv, rest = _chord_nodes(v0[r], ln.half[r], True)
+                lev = ln.lev0[r, None] * rest
+            else:
+                dv, wv = _line_nodes(v0[r], ln.half[r], order)
+                lev = ln.lev0[r, None] - ln.a_v[r, None] * dv * dv
             d = ln.g1[r, None] * dv  # the section centre's offset from w1_0
             c = w1_0[r, None] + d
             vals = _w1_integrals(c, np.sqrt(np.maximum(lev, 0.0) / ln.alpha[r, None]), d,
@@ -507,10 +546,13 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
     boundary normal nearest the Gaussian centre, the w1 axis is integrated
     against its exact section limits (``_w1_integrals``), which for n = 1 is
     the whole integral.  For n = 2 and 3 the sections lie on lines carrying
-    their Schur-vertex data (``_lines``), swept with compressed
-    Gauss-Legendre nodes (``_line_sweep``), ``_CELL`` slices at a time: for
-    n = 3 a line or outer range whose box is short (``_short``) takes
-    ``_SHORT`` nodes per half line, any other ``_LINE_ORDER[n]``.
+    their Schur-vertex data (``_lines``) and are swept line by line
+    (``_line_sweep``).  A line or n = 3 outer range whose box is short
+    (``_short``) takes ``_SHORT`` nodes over its whole chord, any other
+    ``_LINE_ORDER[n]`` compressed Gauss-Legendre nodes per half line.  n = 2
+    has one line per slice and builds the lines of a whole call at once; n = 3
+    builds and sweeps ``_CELL`` slices at a time, so its working set does not
+    grow with the cells a call carries.
     """
     K, n = center.shape
     if n > 3:
@@ -523,9 +565,10 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
         half = np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0]))
         return math.pi ** (-0.5) * _w1_integrals(w0, half, 0.0, P, P1, cc2)
     order = _LINE_ORDER[n]
+    step = _CELL if n == 3 else max(K, 1)
     out = np.empty(K)
-    for a in range(0, K, _CELL):  # one block's lines alive at a time
-        r = slice(a, a + _CELL)
+    for a in range(0, K, step):  # one block's lines alive at a time
+        r = slice(a, a + step)
         out[r] = _line_sweep(_lines(center[r], shape[r], level[r], mean[r], chol_cov_half[r],
                                     M[r], q_center[r], const[r], None if lin is None else lin[r],
                                     order), order, out[r].size)
@@ -652,7 +695,7 @@ def integrate_time_profile(
     cell), cell after cell, each cell's 2 order + 1 nodes in increasing w.
     """
     if hi <= lo:
-        return IntegralResult(0.0, 0.0, "exact", cells=0)
+        return IntegralResult(0.0, 0.0, cells=0)
     H = 0.5 * (hi - lo)
     xk, wk, wg = _gauss_kronrod(order)
 
@@ -713,7 +756,7 @@ def integrate_time_profile(
             f"time integral reached budget (cells={ncells}) before tolerance",
             ToleranceWarning,
         )
-    return IntegralResult(total, total_err, "exact", cells=ncells,
+    return IntegralResult(total, total_err, cells=ncells,
                           converged=converged, flags=flags)
 
 

@@ -6,7 +6,8 @@
 * The pointwise reference engine (``reference_gaussian_quadratic_auto``):
   the one-slice-per-call normal-aligned tensor rule that evaluates the
   quadratic at every Gauss-Legendre node, as the library did before its
-  engine was stacked.
+  engine was stacked, with nodes and sections formed as offsets from the
+  slice centre, so it holds its digits on thin slices near the pole.
 * The one-slice calls into the stacked engine, ``gaussian_quadratic_auto``
   (``gaussian_quadratic_stack`` on one slice) and ``gaussian_quadratic_tensor``
   (its tensor rule, unclassified).
@@ -231,27 +232,22 @@ def gaussian_quadratic_ellipsoid(
 # ---------------------------------------------------------------------------
 
 
-def _reference_normal_frame(Aq: np.ndarray, cv: np.ndarray, level: float) -> np.ndarray:
+def _reference_normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Orthonormal frame whose first axis points along the domain boundary
-    normal nearest the origin (the Gaussian center)."""
+    normal nearest the origin (the Gaussian center).
+
+    The ray from the origin toward the ellipsoid centre cv meets the
+    boundary first at |cv| - h along chat = cv / |cv|, where the normal is
+    parallel to Aq chat; no root of the ray's quadratic is taken, whose
+    discriminant cancels to noise for a thin slice far from the origin."""
     n = Aq.shape[0]
     norm_c = np.linalg.norm(cv)
     if norm_c < 1e-12:
         lam, U = np.linalg.eigh(Aq)
         e1 = U[:, -1]  # largest eigenvalue: smallest axis, nearest boundary
     else:
-        chat = cv / norm_c
-        a = float(chat @ Aq @ chat)
-        b = -2.0 * float(chat @ Aq @ cv)
-        c = float(cv @ Aq @ cv) - level
-        disc = max(b * b - 4.0 * a * c, 0.0)
-        t1 = (-b - math.sqrt(disc)) / (2.0 * a)
-        t2 = (-b + math.sqrt(disc)) / (2.0 * a)
-        t = t1 if abs(t1) <= abs(t2) else t2
-        bstar = t * chat
-        grad = Aq @ (bstar - cv)
-        gn = np.linalg.norm(grad)
-        e1 = grad / gn if gn > 0 else chat
+        grad = -(Aq @ (cv / norm_c))
+        e1 = grad / np.linalg.norm(grad)
     # complete to an orthonormal basis
     basis = [e1]
     for k in range(n):
@@ -268,22 +264,32 @@ def _reference_normal_frame(Aq: np.ndarray, cv: np.ndarray, level: float) -> np.
 
 
 
-def _compressed_nodes(lo, hi, order: int):
-    """Nodes/weights over [lo, hi] with quadratic compression at both ends.
+def _window(c, half):
+    """The interval c -/+ half inside the Gaussian window: its ends as offsets
+    (lo, hi) from c, which keep the digits of a small half-width, and as
+    absolute points (a, b), exactly -/+ ``_WINDOW`` where the window binds.
+    hi <= lo: empty."""
+    return (np.maximum(-half, -_WINDOW - c), np.minimum(half, _WINDOW - c),
+            np.maximum(c - half, -_WINDOW), np.minimum(c + half, _WINDOW))
 
-    Two Gauss-Legendre pieces, each reparametrized as w = end + span * y^2
-    toward its outer endpoint; this renders sqrt(w - edge) factors from
-    grazing domain boundaries analytic.  ``lo``/``hi`` may be arrays; the
-    rule broadcasts over them (leading axes), nodes on the last axis.
+
+def _compressed_nodes(c, half, order: int):
+    """Nodes over c -/+ half inside the window with quadratic compression at
+    both ends: offsets from c, absolute points, and weights.
+
+    Two Gauss-Legendre pieces, each reparametrized as end + span * y^2
+    toward its outer end; this renders sqrt(w - edge) factors from grazing
+    domain boundaries analytic.  The offsets carry the geometry, the
+    absolute points (formed from the absolute ends, ``_window``) the
+    Gaussian.  ``c``/``half`` may be arrays; the rule broadcasts over them
+    (leading axes), nodes on the last axis.
     """
     y, wy = _leggauss01(order)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    mid = 0.5 * (lo + hi)
-    span = mid - lo
-    nodes = np.concatenate([lo + span * y ** 2, hi - span * y ** 2], axis=-1)
-    weights = np.concatenate([2.0 * span * y * wy, 2.0 * span * y * wy], axis=-1)
-    return nodes, weights
+    lo, hi, a, b = (np.asarray(e, dtype=float)[..., None] for e in _window(c, half))
+    sy = 0.5 * (hi - lo) * y ** 2
+    w = (hi - lo) * y * wy
+    return (np.concatenate([lo + sy, hi - sy], axis=-1),
+            np.concatenate([a + sy, b - sy], axis=-1), np.concatenate([w, w], axis=-1))
 
 
 def reference_gaussian_quadratic_tensor(
@@ -303,11 +309,18 @@ def reference_gaussian_quadratic_tensor(
     the quadratic section limits, and sweeps the remaining directions with
     Gauss-Legendre nodes compressed at true projection edges.
 
-    All section and coefficient data are assembled from x-space offsets, and
-    short or tail sections are evaluated pointwise from the geometric form,
-    so the huge-coefficient cancellation of a naive moment expansion (narrow
-    Gaussian far from the quadratic's center) never materializes.  Core
-    sections of moderate length use erf-moment closed forms.
+    Every node and section is an offset u = w - c_w from the slice centre
+    c_w, and a section's x-space offsets, from the slice's and from the
+    quadratic's centre, are formed from it (S u): a thin slice far from the
+    Gaussian's centre, near the kernel's pole, keeps the digits of its small
+    extent.  A section near the Gaussian's centre deep inside a much larger
+    slice starts from the Gaussian's centre instead (``segment_values``).
+    The Gaussian is taken at absolute points w formed from each interval's
+    absolute ends (``_window``), exactly -/+ the window where it binds.
+    Short or tail sections are evaluated pointwise from the geometric form,
+    so the huge-coefficient cancellation of a naive moment expansion
+    (narrow Gaussian far from the quadratic's center) never materializes.
+    Core sections of moderate length use erf-moment closed forms.
     """
     n = ell.n
     if order is None:
@@ -318,16 +331,17 @@ def reference_gaussian_quadratic_tensor(
     cv = np.linalg.solve(L2, ell.center - mean)
     Aq = L2.T @ Qe @ L2
     Aq = 0.5 * (Aq + Aq.T)
-    R = _reference_normal_frame(Aq, cv, rho)
+    R = _reference_normal_frame(Aq, cv)
     S = L2 @ R                       # x = mean + S w
-    E00 = mean - ell.center          # offset from the ellipsoid center
-    D0 = mean - q_center             # offset from the quadratic center
+    Sinv = np.linalg.inv(S)
+    c_w = Sinv @ (ell.center - mean)  # ellipsoid center in w-coordinates
+    E00 = mean - ell.center          # Gaussian center vs ellipsoid center
+    Dq = ell.center - q_center       # ellipsoid center vs quadratic center
     if lin is not None:
         lin = np.asarray(lin, dtype=float)
 
     A = S.T @ Qe @ S
     A = 0.5 * (A + A.T)
-    bvec = 2.0 * (S.T @ (Qe @ E00))
     alpha = float(A[0, 0])
     s1 = S[:, 0]
     Srest = S[:, 1:]
@@ -335,60 +349,80 @@ def reference_gaussian_quadratic_tensor(
     cc2 = float(s1 @ Ms1)
     Qs1 = Qe @ s1
 
-    def segment_values(w_rest: np.ndarray) -> np.ndarray:
-        """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section.
+    def quad_values(diffs):
+        qv = np.einsum("...n,nm,...m->...", diffs, M, diffs) + const
+        return qv if lin is None else qv + diffs @ lin
+
+    def segment_values(u_rest: np.ndarray, w_rest: np.ndarray) -> np.ndarray:
+        """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section, at rest
+        coordinates given as offsets u_rest from the slice centre and as
+        absolute points w_rest.
 
         Section endpoints come from the vertex form: the quadratic's minimum
         along w1 is evaluated geometrically (vector sums in x-space), which
         stays accurate where the textbook discriminant cancels to nothing.
+        The x-space offsets start from the slice centre (S u_rest), except
+        where the section's absolute centre c1 = c_w1 + u1 would come out of
+        a larger cancellation than the section's offset from the slice
+        centre does from the Gaussian's ((mean - centre) + S w_rest): a
+        section near the Gaussian's centre deep inside a slice much larger
+        than the Gaussian.
         """
-        K = w_rest.shape[0]
-        offs = E00 + w_rest @ Srest.T            # (K, n) w1 = 0 point vs ellipsoid center
-        w1s = -(offs @ Qs1) / alpha              # vertex of the section quadratic
-        offp = offs + w1s[:, None] * s1          # vertex point vs ellipsoid center
+        K = u_rest.shape[0]
+        rest = u_rest @ Srest.T                  # (K, n) the point u1 = 0 vs ellipsoid center
+        v1 = -(rest @ Qs1) / alpha               # the section's vertex, from that point
+        c1 = c_w[0] + v1                         # the sections' absolute centres in w1
+        near = (np.abs(c1) * np.linalg.norm(c_w)
+                < abs(c_w[0]) * np.hypot(v1, np.linalg.norm(u_rest, axis=1)))
+        offs, dq0 = rest, rest + Dq              # vs ellipsoid and quadratic centers
+        if np.any(near):
+            g = w_rest[near] @ Srest.T           # the point w1 = 0 vs the Gaussian center
+            offs[near], dq0[near] = g + E00, g + (mean - q_center)
+            v1[near] = -(offs[near] @ Qs1) / alpha
+            c1[near] = v1[near]
+        offp = offs + v1[:, None] * s1           # vertex point vs ellipsoid center
         lev = rho - np.einsum("ij,jk,ik->i", offp, Qe, offp)
         mask = lev > 0.0
         half = np.sqrt(np.where(mask, lev, 0.0) / alpha)
-        lo = np.clip(w1s - half, -_WINDOW, _WINDOW)
-        hi = np.clip(w1s + half, -_WINDOW, _WINDOW)
+        lo, hi, a_abs, b_abs = _window(c1, half)  # ends: offsets from the vertex, absolute
         mask = mask & (hi > lo)
         out = np.zeros(K)
         if not np.any(mask):
             return out
-        dif0 = D0 + w_rest @ Srest.T             # (K, n) w1 = 0 point vs quadratic center
+        dq = dq0 + v1[:, None] * s1              # (K, n) vertex point vs quadratic center
         width = hi - lo
-        core = (lo <= 0.8) & (hi >= -0.8)
+        core = (a_abs <= 0.8) & (b_abs >= -0.8)
         cf = mask & core & (width > 1.2)
         glm = mask & ~cf
 
         if np.any(cf):
-            F0, F1, F2 = _erf_moments(lo[cf], hi[cf])
-            d_cf = dif0[cf]
-            c0_tot = np.einsum("ij,jk,ik->i", d_cf, M, d_cf) + const
-            c1_tot = 2.0 * (d_cf @ Ms1)
+            # moments about w1 = 0, with the quadratic's coefficients there
+            F0, F1, F2 = _erf_moments(a_abs[cf], b_abs[cf])
+            d0 = dq[cf] - c1[cf, None] * s1
+            c0_tot = np.einsum("ij,jk,ik->i", d0, M, d0) + const
+            c1_tot = 2.0 * (d0 @ Ms1)
             if lin is not None:
-                c0_tot = c0_tot + d_cf @ lin
+                c0_tot = c0_tot + d0 @ lin
                 c1_tot = c1_tot + float(lin @ s1)
             out[cf] = c0_tot * F0 + c1_tot * F1 + cc2 * F2
 
         if np.any(glm):
-            lo_g, hi_g = lo[glm], hi[glm]
-            d_g = dif0[glm]
-            short = (hi_g - lo_g) <= 1.2
-            nodes_list, wts_list, rows = [], [], []
             idx_g = np.nonzero(glm)[0]
+            short = width[glm] <= 1.2
+            # nodes: offsets from the vertex and absolute points
+            rows, nodes_list, abs_list, wts_list = [], [], [], []
             y16, w16 = _leggauss01(16)
             if np.any(short):
-                a = lo_g[short][:, None]
-                bb = hi_g[short][:, None]
-                nodes_list.append(a + (bb - a) * y16)
-                wts_list.append((bb - a) * w16 * np.ones_like(y16))
-                rows.append(idx_g[short])
-            far = ~short
-            if np.any(far):
-                a = lo_g[far]
-                bb = hi_g[far]
-                # anchor panels at the endpoint nearest zero, truncate the far tail
+                rr = idx_g[short]
+                wd = width[rr][:, None]
+                nodes_list.append(lo[rr][:, None] + wd * y16)
+                abs_list.append(a_abs[rr][:, None] + wd * y16)
+                wts_list.append(wd * w16)
+                rows.append(rr)
+            if np.any(~short):
+                # anchor panels at the absolute endpoint nearest zero, truncate the far tail
+                rr = idx_g[~short]
+                a, bb = a_abs[rr], b_abs[rr]
                 neg = bb < 0.0
                 a2 = np.where(neg, -bb, a)
                 b2 = np.where(neg, -a, bb)
@@ -403,28 +437,20 @@ def reference_gaussian_quadratic_tensor(
                     pan_nodes.append(e0 + (e1 - e0) * y)
                     pan_wts.append((e1 - e0) * wy * np.ones_like(y))
                 nds = np.concatenate(pan_nodes, axis=1)
-                wt = np.concatenate(pan_wts, axis=1)
                 nds = np.where(neg[:, None], -nds, nds)
-                nodes_list.append(nds)
-                wts_list.append(wt)
-                rows.append(idx_g[far])
-            for nds, wt, rr in zip(nodes_list, wts_list, rows):
-                d_loc = dif0[rr]
-                diffs = d_loc[:, None, :] + nds[:, :, None] * s1[None, None, :]
-                qv = np.einsum("kjn,nm,kjm->kj", diffs, M, diffs)
-                if lin is not None:
-                    qv = qv + diffs @ lin
-                if const:
-                    qv = qv + const
-                out[rr] = np.einsum("kj,kj->k", wt * np.exp(-nds ** 2), qv)
+                nodes_list.append(nds - c1[rr, None])
+                abs_list.append(nds)
+                wts_list.append(np.concatenate(pan_wts, axis=1))
+                rows.append(rr)
+            for du, w1, wt, rr in zip(nodes_list, abs_list, wts_list, rows):
+                qv = quad_values(dq[rr][:, None, :] + du[:, :, None] * s1[None, None, :])
+                out[rr] = np.einsum("kj,kj->k", wt * np.exp(-w1 ** 2), qv)
         return out
 
     if n == 1:
-        return math.pi ** (-0.5) * float(segment_values(np.zeros((1, 0)))[0])
+        return math.pi ** (-0.5) * float(segment_values(np.zeros((1, 0)), np.zeros((1, 0)))[0])
 
-    # coordinate ranges of the domain in w, from support functions (stable)
-    Sinv = np.linalg.inv(S)
-    c_w = -(Sinv @ E00)  # ellipsoid center in w-coordinates
+    # coordinate ranges of the domain in u, from support functions (stable)
     Qinv = np.linalg.inv(Qe)
 
     def support(idx: int) -> float:
@@ -432,33 +458,30 @@ def reference_gaussian_quadratic_tensor(
         return math.sqrt(max(rho * float(g @ Qinv @ g), 0.0))
 
     if n == 2:
-        h2 = support(1)
-        lo_c, hi_c = max(c_w[1] - h2, -_WINDOW), min(c_w[1] + h2, _WINDOW)
+        lo_c, hi_c, _, _ = _window(c_w[1], support(1))
         if hi_c <= lo_c:
             return 0.0
-        nodes, wts = _compressed_nodes(lo_c, hi_c, order)
-        vals = segment_values(nodes[:, None])
-        return math.pi ** (-1.0) * float(wts @ (np.exp(-nodes ** 2) * vals))
+        nodes, w2, wts = _compressed_nodes(c_w[1], support(1), order)
+        vals = segment_values(nodes[:, None], w2[:, None])
+        return math.pi ** (-1.0) * float(wts @ (np.exp(-w2 ** 2) * vals))
 
     if n == 3:
-        # Schur data of the projection onto the rest-plane (eliminate w1)
+        # Schur data of the projection onto the rest-plane (eliminate u1)
         A_p = A[1:, 1:] - np.outer(A[0, 1:], A[0, 1:]) / alpha
         ext = np.array([support(1), support(2)])
         oi = int(np.argmax(ext))  # outer index within the rest-plane
         ii = 1 - oi
-        lo_c = max(c_w[1 + oi] - ext[oi], -_WINDOW)
-        hi_c = min(c_w[1 + oi] + ext[oi], _WINDOW)
+        lo_c, hi_c, _, _ = _window(c_w[1 + oi], ext[oi])
         if hi_c <= lo_c:
             return 0.0
-        o_nodes, o_wts = _compressed_nodes(lo_c, hi_c, order)  # (K,)
+        o_nodes, o_abs, o_wts = _compressed_nodes(c_w[1 + oi], ext[oi], order)  # (K,)
         s_mid = Srest[:, ii]
         s_out = Srest[:, oi]
-        # vertex of the projected quadratic in the middle coordinate, then its
-        # value evaluated geometrically through the doubly-minimizing point
-        b_p = bvec[1:] - bvec[0] * A[0, 1:] / alpha
-        beta_p = b_p[ii] + 2.0 * A_p[ii, oi] * o_nodes
-        m_star = -beta_p / (2.0 * A_p[ii, ii])
-        offs_mo = E00 + np.outer(m_star, s_mid) + np.outer(o_nodes, s_out)
+        # vertex of the projected quadratic in the middle coordinate (no
+        # linear term about the centre), then its level evaluated
+        # geometrically through the doubly-minimizing point
+        m_star = -A_p[ii, oi] * o_nodes / A_p[ii, ii]
+        offs_mo = np.outer(m_star, s_mid) + np.outer(o_nodes, s_out)
         w1_star = -(offs_mo @ Qs1) / alpha
         offp = offs_mo + w1_star[:, None] * s1
         lev_m = rho - np.einsum("ij,jk,ik->i", offp, Qe, offp)
@@ -466,21 +489,21 @@ def reference_gaussian_quadratic_tensor(
         if not np.any(okm):
             return 0.0
         half_m = np.sqrt(lev_m[okm] / A_p[ii, ii])
-        m_lo = np.clip(m_star[okm] - half_m, -_WINDOW, _WINDOW)
-        m_hi = np.clip(m_star[okm] + half_m, -_WINDOW, _WINDOW)
+        c_m = c_w[1 + ii] + m_star[okm]  # the lines' absolute centres
+        m_lo, m_hi, _, _ = _window(c_m, half_m)
         keep = m_hi > m_lo
         if not np.any(keep):
             return 0.0
-        o_nodes = o_nodes[okm][keep]
-        o_wts = o_wts[okm][keep]
-        m_nodes, m_wts = _compressed_nodes(m_lo[keep], m_hi[keep], order)  # (K, 2J)
+        o_nodes, o_abs, o_wts = o_nodes[okm][keep], o_abs[okm][keep], o_wts[okm][keep]
+        m_off, m_abs, m_wts = _compressed_nodes(c_m[keep], half_m[keep], order)  # (K, 2J)
+        m_nodes = m_star[okm][keep][:, None] + m_off
         K, J2 = m_nodes.shape
-        w_rest = np.empty((K, J2, 2))
-        w_rest[:, :, ii] = m_nodes
-        w_rest[:, :, oi] = o_nodes[:, None]
-        vals = segment_values(w_rest.reshape(-1, 2)).reshape(K, J2)
-        inner_sum = np.einsum("kj,kj->k", m_wts * np.exp(-m_nodes ** 2), vals)
-        total = float((o_wts * np.exp(-o_nodes ** 2)) @ inner_sum)
+        u_rest, w_rest = np.empty((K, J2, 2)), np.empty((K, J2, 2))
+        u_rest[:, :, ii], w_rest[:, :, ii] = m_nodes, m_abs
+        u_rest[:, :, oi], w_rest[:, :, oi] = o_nodes[:, None], o_abs[:, None]
+        vals = segment_values(u_rest.reshape(-1, 2), w_rest.reshape(-1, 2)).reshape(K, J2)
+        inner_sum = np.einsum("kj,kj->k", m_wts * np.exp(-m_abs ** 2), vals)
+        total = float((o_wts * np.exp(-o_abs ** 2)) @ inner_sum)
         return math.pi ** (-1.5) * total
 
     raise NotImplementedError(f"tensor engine not implemented for n={n}")

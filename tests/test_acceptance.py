@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import kolpot as kp
 from kolpot.domains import ExactBall, TimeShiftedBall, make_perturbation

@@ -194,7 +194,7 @@ def test_nan_deviation_fails_its_verdict(monkeypatch):
     from kolpot import experiments, lab
     from kolpot.quadrature import IntegralResult, QuadratureConfig
 
-    nan = IntegralResult(float("nan"), 0.0, "exact")
+    nan = IntegralResult(float("nan"), 0.0)
     monkeypatch.setattr(experiments, "integrate_over_ball", lambda *a, **k: nan)
     monkeypatch.setattr(experiments, "mean_value", lambda *a, **k: nan)
     monkeypatch.setattr(lab, "kernel_gamma_integral", lambda *a, **k: nan)

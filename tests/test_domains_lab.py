@@ -9,7 +9,6 @@ from kolpot.domains import (
     BittenBall,
     ExactBall,
     ScaledBall,
-    ShiftedBall,
     TimeShiftedBall,
     make_perturbation,
 )

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in it or re-exported by it.
+"""Every name a module imports is used in it or re-exported by it.
 
 A deletion that leaves an import behind keeps a dead dependency in the
-module; this static check (stdlib ``ast`` only) finds it.  ``__init__.py``
-is skipped: its imports are the package's exports.
+module; this static check (stdlib ``ast`` only) finds it.  It covers the
+library (``src/kolpot``, named by file) and the test, tool and demo scripts
+(``tests/``, ``tools/``, ``demos/``, named by directory and file).  The
+package's ``__init__.py`` is skipped: its imports are the package's exports.
 """
 
 import ast
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kolpot"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kolpot"
+MODULES = {p.name: p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+MODULES.update({f"{d}/{p.name}": p for d in ("tests", "tools", "demos")
+                for p in sorted((ROOT / d).glob("*.py"))})
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -37,7 +42,7 @@ def _exported_names(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    tree = ast.parse((SRC / module).read_text())
+    tree = ast.parse(MODULES[module].read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     kept = used | _exported_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in kept}

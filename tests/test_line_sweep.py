@@ -2,9 +2,10 @@
 
 * ``_w1_integrals`` against 30-digit ``mpmath.quad`` on short sections, thin
   ones far from zero included, on both orders of its width-graded rule.
-* The 16-node compressed line rule of a short line (``_short``) against
-  30-digit ``mpmath.quad``, and the graded sweep against an order-96 sweep
-  on the first criterion-6 points.
+* The whole-chord rules of a short line and a short outer range
+  (``_short``, ``_chord_nodes``) against 30-digit ``mpmath.quad``, a box the
+  Gaussian window clips never short, and the graded sweep against an
+  order-96 sweep on the first criterion-6 points.
 * The per-line Schur data of ``_lines`` against per-section values rebuilt
   from x-space offsets, as a sweep that carries no line data computes them:
   the level left, the section centre and the quadratic's coefficients.
@@ -25,7 +26,7 @@ from kolpot.lab import _kernel_gamma_profile, exterior_test_points, kernel_gamma
 from kolpot.quadrature import (
     QuadratureConfig,
     _KAPPA0,
-    _SHORT,
+    _chord_nodes,
     _line_nodes,
     _lines,
     _normal_frame,
@@ -264,31 +265,74 @@ def _mp_line(c, half, factor):
     return mpmath.exp(-c * c) * half * val
 
 
-def test_short_line_rule_against_mpmath():
-    # a short line takes 16 compressed nodes per half line: against e^{-v^2}
-    # times the section-width factor sqrt(lev(v)), lev = lev0 (1 - x^2), and
-    # times a whole section's Gaussian mass over w1 in c1(v) -/+ h1 sqrt(lev),
-    # with the line's box in (v, w1) short as a whole
+def _section_mass(c1, g1, h1):
+    """x -> the Gaussian mass over w1 of the section c1 + g1 x -/+ h1 sqrt(1 - x^2)."""
+    return lambda x: mpmath.sqrt(mpmath.pi) / 2 * (
+        mpmath.erf(c1 + g1 * x + h1 * mpmath.sqrt(1 - x * x))
+        - mpmath.erf(c1 + g1 * x - h1 * mpmath.sqrt(1 - x * x)))
+
+
+def _check_chord_rule(weighted, factors):
+    """The ``_SHORT``-node chord rule over each short chord of
+    ``_short_lines`` against ``_mp_line``, for each factor of x that a maker
+    in ``factors`` builds from (mid, half); a maker may return None to skip
+    a chord."""
     lines = _short_lines()
     assert max(kappa for _, kappa, _ in lines) > 0.99 * _KAPPA0
     with mpmath.workdps(30):
         for mid, kappa, half in lines:
-            c1, g1, h1 = 0.4 * mid, 0.25, 0.5  # the sections' box in w1
-            reach_1 = abs(g1) * half + h1
-            box = np.array([[mid, c1]]), np.array([[half, reach_1]])
-            width = (lambda x: mpmath.sqrt(1 - x * x),)
-            if quadrature._short(*box)[0]:
-                width += (lambda x: mpmath.sqrt(mpmath.pi) / 2 * (
-                    mpmath.erf(c1 + g1 * half * x + h1 * mpmath.sqrt(1 - x * x))
-                    - mpmath.erf(c1 + g1 * half * x - h1 * mpmath.sqrt(1 - x * x))),)
             assert quadrature._short(np.array([[mid]]), np.array([[half]]))[0]
-            dv, w = _line_nodes(np.array(mid), np.array(half), _SHORT)  # w: times e^{-v^2}
-            for factor in width:
+            dv, w, _ = _chord_nodes(np.array(mid), np.array(half), weighted)  # w: times e^{-v^2}
+            for make in factors:
+                factor = make(mid, half)
+                if factor is None:
+                    continue
                 got = sum(mpmath.mpf(float(wj)) * factor(mpmath.mpf(float(dj)) / mpmath.mpf(half))
                           for wj, dj in zip(w, dv))
                 ref = _mp_line(mid, half, factor)
                 err = abs(got - ref) / ref
                 assert err <= 1e-14, (mid, kappa, float(err))
+
+
+def _short_section_mass(mid, half):
+    """The Gaussian mass of a line's sections, c1(x) -/+ h1 sqrt(1 - x^2) in w1,
+    or None where the line's box in (v, w1) is not short."""
+    c1, g1, h1 = 0.4 * mid, 0.25, 0.5
+    box = np.array([[mid, c1]]), np.array([[half, abs(g1) * half + h1]])
+    return _section_mass(c1, g1 * half, h1) if quadrature._short(*box)[0] else None
+
+
+def test_short_line_chord_rule_against_mpmath():
+    # a short line takes the Gauss-Chebyshev rule of the second kind over its
+    # whole chord: against e^{-v^2} times the section-width factor
+    # sqrt(1 - x^2), lev = lev0 (1 - x^2), and times a whole section's
+    # Gaussian mass over w1 in c1(v) -/+ h1 sqrt(1 - x^2)
+    _check_chord_rule(True, (lambda mid, half: lambda x: mpmath.sqrt(1 - x * x),
+                             _short_section_mass))
+
+
+def test_short_outer_chord_rule_against_mpmath():
+    # a short slice's outer range takes plain Gauss-Legendre over its whole
+    # chord: against e^{-o^2} times the cross-section factor 1 - x^2, and
+    # times a line's sections' mass, sqrt(1 - x^2) times the section mass of
+    # a chord of half-width sqrt(1 - x^2): (1 - x^2) times an entire function
+    def line_mass(mid, half):
+        mass = _short_section_mass(mid, half)
+        return None if mass is None else lambda x: mpmath.sqrt(1 - x * x) * mass(x)
+
+    _check_chord_rule(False, (lambda mid, half: lambda x: 1 - x * x, line_mass))
+
+
+def test_window_clipped_box_is_never_short():
+    # kappa alone would pass these boxes, but the window cuts a coordinate
+    # inside the chord, where no square-root factor vanishes
+    c = np.array([[8.45, 0.0], [0.0, -8.45], [8.5, 0.0]])
+    half = np.array([[0.1, 0.1], [0.1, 0.1], [1e-3, 0.1]])
+    lo, hi = quadrature._reach(c, half)
+    length = hi - lo
+    assert np.all(np.sum(length * (np.abs(c + 0.5 * (lo + hi)) + length), axis=-1) <= _KAPPA0)
+    assert not np.any(quadrature._short(c, half))
+    assert np.all(quadrature._short(c * 0.99, half))  # inside the window: short
 
 
 @pytest.mark.parametrize("op", ["heat2", "proto", "chain"])
