@@ -50,7 +50,7 @@ _VALUES = {  # experiment key -> (check of a value at dimension n, what a value 
 }
 _NEEDS_SEED = {"potential_identity", "interior_inequality", "rigidity", "lp_check"}
 _PERTURBATION_KINDS = {"spatial_shift", "radius_mismatch", "slice_scale", "bite"}
-_MAX_N = 3  # the slice cubature rules (quadrature.ball_rule) cover n = 1, 2, 3
+_MAX_N = 3  # the Gaussian engine (quadrature._lines, _gauss_tensor_stack) covers n = 1, 2, 3
 _FLOAT_MAX = sys.float_info.max
 
 

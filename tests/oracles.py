@@ -31,6 +31,9 @@
   over the whole span, to the 1e-5 and the 1e-7 floor, compared.
 * ``unit_ball_moment`` and ``MonomialMoments``: closed-form monomial moments
   of the unit ball, the reference for the degree-exact ``ball_rule``.
+* ``polar_ball_rule``: the polar (n = 2) and spherical (n = 3) product rules
+  on the unit ball, an independent degree-exact rule for the references that
+  integrate polynomials over slices.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from kolpot.quadrature import (
     _gauss_tensor_stack,
     _leggauss01,
     _tail_gl,
-    ball_rule,
     gaussian_quadratic_fullspace,
     gaussian_quadratic_stack,
     integrate_time_profile,
@@ -100,6 +102,39 @@ class MonomialMoments:
             m = unit_ball_moment(alpha)
             self._cache[alpha] = m
             return m
+
+
+@lru_cache(maxsize=None)
+def polar_ball_rule(n: int, degree: int):
+    """Product rule on the unit ball of R^n (n <= 3) exact for polynomials <= degree.
+
+    Gauss-Legendre for n = 1; for n = 2 and 3 a Gauss-Legendre radial rule
+    times equispaced angles (the trapezoid rule is exact for trigonometric
+    polynomials) and, in R^3, Gauss-Legendre in cos(phi).  For n = 2 and 3 it
+    shares no nodes with the Gauss-Jacobi recursion of ``ball_rule``, so the
+    references that integrate over slices with it check that rule
+    independently.
+    """
+    degree = max(int(degree), 0)
+    if n == 1:
+        x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
+        return x[:, None], w
+    r, wr = _leggauss01(degree // 2 + 2)
+    ntheta = degree + 2
+    theta = 2.0 * math.pi * (np.arange(ntheta) + 0.5) / ntheta
+    wtheta = np.full(ntheta, 2.0 * math.pi / ntheta)
+    if n == 2:
+        R, T = np.meshgrid(r, theta, indexing="ij")
+        nodes = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=1)
+        return nodes, np.outer(wr * r, wtheta).ravel()
+    if n != 3:
+        raise ValueError(f"polar_ball_rule covers n <= 3, not n = {n}")
+    mu, wmu = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    R, MU, T = np.meshgrid(r, mu, theta, indexing="ij")
+    sin_phi = np.sqrt(1.0 - MU ** 2)
+    nodes = np.stack([(R * sin_phi * np.cos(T)).ravel(), (R * sin_phi * np.sin(T)).ravel(),
+                      (R * MU).ravel()], axis=1)
+    return nodes, np.einsum("i,j,k->ijk", wr * r ** 2, wmu, wtheta).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +684,14 @@ def reference_kernel_gamma_profile(domain, ball, z):
 
 def ball_cubature_kernel_gamma(ball, z, tau: float, degree: int = 30) -> float:
     """int over the exact ball's slice at time tau of Gamma(., z) W(z0^{-1} o .),
-    by the degree-exact unit-ball rule ``ball_rule(n, degree)`` mapped onto the
-    slice, x = c + T u with T T^T = level shape^{-1}.  Every offset, from the
+    by the degree-exact unit-ball rule ``polar_ball_rule(n, degree)`` mapped onto
+    the slice, x = c + T u with T T^T = level shape^{-1}.  Every offset, from the
     Gaussian's centre and from the kernel's, is the slice centre's offset plus
     T u, so a slice near the pole keeps the digits of its small extent."""
     spec, ev = ball.spec, ball.ev
     s = ball.t0 - tau
     ell = _reference_ball_slice(ball, s)
-    nodes, weights = ball_rule(spec.n, degree)
+    nodes, weights = polar_ball_rule(spec.n, degree)
     T = np.linalg.cholesky(ell.level * np.linalg.inv(ell.shape))
     Tu = nodes @ T.T
     delta = tau - z.t
@@ -682,8 +717,8 @@ def reference_W_quadratic(ev, t: float) -> np.ndarray:
 
 
 def _reference_slice_power_integral(ell, MW, cW, p: int, n: int) -> float:
-    """Exact integral of W^p over one ellipsoid via a degree-2p ball rule."""
-    nodes, weights = ball_rule(n, 2 * p)
+    """Exact integral of W^p over one ellipsoid via a degree-2p polar ball rule."""
+    nodes, weights = polar_ball_rule(n, 2 * p)
     T = ell.ball_map()
     X = ell.center + nodes @ T.T
     Y = X - cW

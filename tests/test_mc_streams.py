@@ -165,11 +165,12 @@ def test_contains_agrees_with_holds(op, name, balls):
 # lp_condition_norm at p = 4 on the radius-mismatch perturbation: the exact
 # path, float.hex of (integral, norm) as computed in the point-major layout
 # under the G10/K21 time rule, tail piece in sigma then head in tau (within
-# 8.3e-14 of the two-floor rule's values)
+# 8.3e-14 of the two-floor rule's values), slices by the recursive
+# Gauss-Jacobi ball rule
 _MISMATCH_P4 = {
     "heat1": ("0x1.1591c92300dcep+64", "0x1.053adb5ad9836p+16"),
-    "proto": ("0x1.650ea3de45bffp+47", "0x1.d3e1f3923a8d1p+11"),
-    "chain": ("0x1.b9380e0e60c8fp+41", "0x1.5cd1d875c2847p+10"),
+    "proto": ("0x1.650ea3de45c3ep+47", "0x1.d3e1f3923a8e6p+11"),
+    "chain": ("0x1.b9380e0e60d13p+41", "0x1.5cd1d875c2861p+10"),
 }
 
 

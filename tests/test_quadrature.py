@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     gaussian_quadratic_auto,
     gaussian_quadratic_ellipsoid,
     gaussian_quadratic_tensor,
+    polar_ball_rule,
     unit_ball_moment,
 )
 
@@ -54,18 +56,44 @@ def test_moments_match_monte_carlo():
 
 
 def test_ball_rules_are_degree_exact():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 3):
-        for degree in (2, 5, 8):
-            nodes, weights = ball_rule(n, degree)
-            m = MonomialMoments(n)
-            for _ in range(10):
-                alpha = tuple(rng.integers(0, degree + 1, n))
+    # every monomial through the degree, against the closed-form moments:
+    # the library's rule from (degree // 2 + 1)^n nodes, and the polar
+    # reference rule of the oracles for n <= 3
+    for n, degree in itertools.product((1, 2, 3, 4), range(9)):
+        m = MonomialMoments(n)
+        rules = [ball_rule(n, degree)] + ([polar_ball_rule(n, degree)] if n <= 3 else [])
+        assert rules[0][0].shape == ((degree // 2 + 1) ** n, n)
+        for nodes, weights in rules:
+            assert weights.shape == nodes.shape[:1]
+            for alpha in itertools.product(range(degree + 1), repeat=n):
                 if sum(alpha) > degree:
                     continue
                 vals = np.prod(nodes ** np.asarray(alpha), axis=1)
                 assert float(weights @ vals) == pytest.approx(
-                    m.moment(alpha), rel=1e-12, abs=1e-14)
+                    m.moment(alpha), rel=1e-12, abs=1e-14), (n, degree, alpha)
+
+
+def test_kinetic_operator_mean_values_at_n4():
+    # the kinetic Kolmogorov operator in R^(2+2+1) (Q = 10): mean values of
+    # its degree <= 4 solutions reproduce u(z0), and the kernel integrates to
+    # the radius, on balls about the origin and a translated centre
+    eye = np.eye(2)
+    spec = kp.validate_operator(4, [2, 2], eye, [eye])
+    assert spec.Q == 10
+    cfg = QuadratureConfig(time_tol=1e-9, seed=404)
+    basis = kp.harmonic_basis(spec, 4)
+    assert len(basis) == 21
+    one = AnisoPolynomial.constant(4, 1.0)
+    for center in (spec.origin(), spec.point([0.3, -0.2, 0.1, 0.4], 0.25)):
+        for r in (1.0, 4.0):
+            ball = kp.lball(spec, r, center)
+            mass = integrate_over_ball(one, ball, cfg, kernel=True)
+            assert mass.converged and mass.cells == 4
+            assert abs(mass.value - r) <= 1e-14 * r
+            for u in basis:
+                got = kp.mean_value(u, ball, cfg)
+                assert got.converged
+                assert abs(got.value - u(center)) <= 1e-13 * (1.0 + abs(u(center)))
 
 
 def _gauss_quad_1d_oracle(ell, mean, C, M, qc):
