@@ -10,10 +10,10 @@ Two layers:
   leading slice axis; all nodes of a refinement step) per call: a
   closed-form full-space or zero classification, then a normal-aligned
   tensor rule whose sections lie on lines carrying their Schur-vertex data
-  once, sections at a priori graded orders, short lines and n = 3 outer
-  ranges (``_short``) by one rule over the whole chord, whose square-root
-  ends it takes exactly, and every offset formed from the half-widths, so
-  slices near the kernel's pole keep their digits;
+  once, sections, lines and n = 3 outer ranges at a priori orders from their
+  boxes (``_rung``), short ones (``_short``) by one rule over the whole
+  chord, whose square-root ends it takes exactly, and every offset formed
+  from the half-widths, so slices near the kernel's pole keep their digits;
 * a 1-d adaptive time integrator: a Gauss-Kronrod pair per cell with
   QUADPACK's error model, and square-root compression at both endpoints,
   which tames the degenerating slices at the ends.  Integrals that reach the
@@ -21,7 +21,7 @@ Two layers:
   pole's power law and log factor become a smooth exponential tail.  The
   integrator asks its profile for all cells of a refinement step in one
   call, and the stacked kernels behind the profiles work through a call in
-  blocks of at most one cell (``_CELL``), so their working set does not
+  blocks of one or a few cells (``_CELL``), so their working set does not
   grow with the cells a call carries.
 """
 
@@ -104,10 +104,17 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: a cached rule hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _leggauss01(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=None)
@@ -135,9 +142,7 @@ def ball_rule(n: int, degree: int):
         nodes = np.concatenate([(rad[:, None, None] * y).reshape(-1, n - 1),
                                 np.repeat(t, wy.size)[:, None]], axis=1)
         weights = np.outer(wt, wy).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _frozen(nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +169,11 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
 _BLOCK = 4096  # sections per sweep block; keeps the (sections x nodes) temporaries small
 _CELL = 21  # slices per stacked-kernel block: one time cell's nodes at the default order 10
-_LINE_ORDER = {2: 48, 3: 32}  # compressed Gauss-Legendre nodes per half line of a long line
-_SHORT = 16  # nodes on a short chord, line or outer range (``_short``, ``_chord_nodes``)
 _KAPPA0 = 4.0  # the bound on kappa of a short chord (``_short``)
+# (kappa bound, nodes) rungs of the sweep's rules (``_rung``): a short box's whole-chord rule, and
+# compressed nodes per half line of a long n = 3 slice's outer range and of a long line (n = 2, 3)
+_RUNGS = {"chord": ((1.0, 8), (math.inf, 16)), "outer": ((12.0, 16), (64.0, 24), (math.inf, 32)),
+          2: ((math.inf, 48),), 3: ((math.inf, 32),)}
 
 
 def _erf_moments(lo: np.ndarray, hi: np.ndarray):
@@ -199,6 +206,15 @@ def _line_nodes(c, half, order: int):
         np.concatenate([a + sy, b - sy], axis=-1))
 
 
+def _rung(kind, kappa) -> np.ndarray:
+    """The nodes of each range's rule: the first rung of ``_RUNGS[kind]`` whose
+    bound its kappa meets.  The 8-node chord's remainder, (2 kappa)^16 (8!)^4 /
+    (17 (16!)^3), is 1e-17 at kappa 1.15; against 30-digit quadrature a
+    compressed half line first misses 1e-14 at kappa 16 (16 nodes), 76 (24)."""
+    bounds, nodes = zip(*_RUNGS[kind])
+    return np.asarray(nodes)[np.searchsorted(bounds, kappa)]
+
+
 @lru_cache(maxsize=None)
 def _chord_rule(m: int, weighted: bool):
     """(t, w, 1 - t^2) of an m-node rule on (-1, 1).  ``weighted``: Gauss-
@@ -209,18 +225,18 @@ def _chord_rule(m: int, weighted: bool):
     if weighted:
         theta = np.arange(1, m + 1) * (math.pi / (m + 1))
         st = np.sin(theta)
-        return np.cos(theta), (math.pi / (m + 1)) * st, st * st
+        return _frozen(np.cos(theta), (math.pi / (m + 1)) * st, st * st)
     t, w = np.polynomial.legendre.leggauss(m)
-    return t, w, (1.0 - t) * (1.0 + t)
+    return _frozen(t, w, (1.0 - t) * (1.0 + t))
 
 
-def _chord_nodes(c, half, weighted: bool):
-    """(dv, weights times e^{-v^2}, 1 - (dv / half)^2) of the ``_SHORT``-node
+def _chord_nodes(c, half, m: int, weighted: bool):
+    """(dv, weights times e^{-v^2}, 1 - (dv / half)^2) of the m-node
     ``_chord_rule`` over the whole chord c -/+ half, which the Gaussian window
     does not clip (``_short``).  The nodes are offsets dv from c, and the
     third array, the share of the level left at each node, is exact: it does
     not round through dv.  Nodes go on a new last axis."""
-    t, w, rest = _chord_rule(_SHORT, weighted)
+    t, w, rest = _chord_rule(m, weighted)
     half = half[..., None]
     dv = half * t
     return dv, half * w * _gauss_inplace(c[..., None] + dv), rest
@@ -270,9 +286,7 @@ def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tail_gl(order: int):
     """Panel fractions and panel-local GL nodes for tail segments."""
-    y, wy = _leggauss01(order)
-    fr = np.array([0.0, 0.18, 0.45, 1.0])
-    return fr, y, wy
+    return _frozen(np.array([0.0, 0.18, 0.45, 1.0]), *_leggauss01(order))
 
 
 def _vertex_scalars(D, sv, s1, M, const, lin) -> np.ndarray:
@@ -303,7 +317,7 @@ def _w1_rule(order: int):
     and the rows w tau^k (k = 0, 1, 2) that give the moments."""
     t, wt = _leggauss01(order)
     tau = t - 0.5
-    return tau[:, None], np.stack([wt, wt * tau, wt * tau * tau])
+    return _frozen(tau[:, None], np.stack([wt, wt * tau, wt * tau * tau]))
 
 
 def _gauss_inplace(x: np.ndarray) -> np.ndarray:
@@ -396,7 +410,7 @@ class _Lines(NamedTuple):
     axis: np.ndarray    # the w-coordinate swept (1 for n = 2)
     vertex: np.ndarray  # (L, n) the vertex point in w: w1_0 and v* among its coordinates
     half: np.ndarray    # the half-length of the line: v* -/+ half, before the Gaussian window
-    short: np.ndarray   # whether the line is a short chord (``_short``)
+    rule: np.ndarray    # m compressed nodes per half line, or -m: m over a short chord (``_short``)
     weight: np.ndarray  # the outer weight: 1 for n = 2, wt e^{-o^2} for n = 3
     lev0: np.ndarray
     a_v: np.ndarray
@@ -405,25 +419,27 @@ class _Lines(NamedTuple):
     quad: np.ndarray    # (6, L) P, Pv, P1, Qvv, Qv1, cc2
 
 
+def _kappa(c, lo, hi) -> np.ndarray:
+    """len (|mid| + len) of the intervals c + (lo, hi) (``_reach``): a box's kappa,
+    their sum over its coordinates, bounds the move of e^{-|w|^2}'s exponent on it."""
+    length = hi - lo
+    return length * (np.abs(c + 0.5 * (lo + hi)) + length)
+
+
 def _short(c, half) -> np.ndarray:
-    """Whether the boxes c -/+ half (coordinates on the last axis) are short,
-    and take a ``_SHORT``-node rule over the whole chord (``_chord_nodes``):
-    the Gaussian window clips none of their coordinates, and kappa, the sum of
-    len (|mid| + len) over them, is at most ``_KAPPA0``.  The exponent of
-    e^{-|w|^2} moves by at most kappa over the box, and the 16-node
-    Gauss-Legendre remainder, (2 kappa)^32 (16!)^4 / (33 (32!)^3), is 2.5e-26
-    at kappa = 4.  A line's box covers its sections' reach in w1: sections
-    reaching the Gaussian's core vary like erf(half-width).  A clipped box
-    ends inside the domain, where no square-root factor vanishes for the
-    chord rule to take up, so it is never short."""
+    """Whether the boxes c -/+ half (coordinates on the last axis) are short and
+    take a rule over the whole chord (``_chord_nodes``): the Gaussian window
+    clips none of their coordinates, and their kappa is at most ``_KAPPA0``,
+    where 16 nodes' remainder (2 kappa)^32 (16!)^4 / (33 (32!)^3) is 2.5e-26.
+    A line's box covers its sections' reach in w1: at the Gaussian's core they
+    vary like erf(half-width).  A clipped box ends inside the domain, where no
+    square-root factor vanishes for the chord rule to take up: never short."""
     lo, hi = _reach(c, half)
     unclipped = np.all((lo == -half) & (hi == half), axis=-1)
-    length = 2.0 * half
-    return unclipped & (np.sum(length * (np.abs(c) + length), axis=-1) <= _KAPPA0)
+    return unclipped & (np.sum(_kappa(c, lo, hi), axis=-1) <= _KAPPA0)
 
 
-def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
-           order: int) -> _Lines:
+def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin) -> _Lines:
     """The lines of a stack of slices (n = 2, 3) in the frame x = mean + S w.
 
     S whitens each Gaussian and turns its first axis to the domain boundary
@@ -433,12 +449,11 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
     n = 2 sweeps its one rest coordinate, from the vertex c_w, and n = 3 the
     one of smaller reach, one line per outer node of the other one, o, whose
     vertex moves from c_w along the conjugate direction u = (k1, km, 1) of
-    (w1, v, o).  The outer nodes are compressed Gauss-Legendre ones, except
-    on a short slice (``_short``): a cross-section of an ellipsoid shrinks
-    as 1 - tau^2 at o = c_o + h_o tau, so a line's integral is (1 - tau^2)
-    times an entire function of tau, and ``_SHORT`` plain Gauss-Legendre
-    nodes over the whole outer chord take it, padded with negative levels
-    (no lines).  Each line is marked short or not by its box in (v, w1).
+    (w1, v, o).  On a short slice (``_short``) a cross-section shrinks as
+    1 - tau^2 at o = c_o + h_o tau, so a line's integral is (1 - tau^2) times
+    an entire function of tau, which 16 plain Gauss-Legendre nodes over the
+    outer chord take; a long slice's outer range is graded by its kappa
+    (``_rung``).  A line is short, and in a long slice graded, by its (v, w1) box.
     """
     K, n = center.shape
     L2 = 2.0 * chol_cov_half
@@ -464,11 +479,18 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
         lo, hi = _reach(c_w[rows, co], reach[rows, co])
         kv = np.flatnonzero(hi > lo)
         co, cm, c_o, h_o = co[kv], 3 - co[kv], c_w[kv, co[kv]], reach[kv, co[kv]]  # swept: cm
-        do, wo = _line_nodes(c_o, h_o, order)  # (Kv, J2) offsets from c_o, weights
-        lev0 = level[kv, None] - do * do / var[kv, co][:, None]
-        short, J = np.flatnonzero(_short(c_w[kv], reach[kv])), _SHORT
-        do[short, :J], wo[short, :J], rest = _chord_nodes(c_o[short], h_o[short], False)
-        lev0[short, :J], lev0[short, J:] = level[kv[short], None] * rest, -1.0
+        key = np.where(_short(c_w[kv], reach[kv]), 0, _rung("outer", _kappa(c_o, lo[kv], hi[kv])))
+        do = np.zeros((kv.size, 2 * _rung("outer", math.inf)))  # offsets from c_o, a row per slice
+        wo, lev0 = np.zeros_like(do), np.full_like(do, -1.0)  # padding: no lines
+        for m in np.unique(key):  # 0: the whole-chord rule
+            g = np.flatnonzero(key == m)
+            if m:
+                d, w = _line_nodes(c_o[g], h_o[g], m)
+                lv = level[kv[g], None] - d * d / var[kv[g], co[g]][:, None]
+            else:
+                d, w, rest = _chord_nodes(c_o[g], h_o[g], _rung("chord", math.inf), False)
+                lv = level[kv[g], None] * rest
+            do[g, :d.shape[1]], wo[g, :d.shape[1]], lev0[g, :d.shape[1]] = d, w, lv
         a11, a1m, a1o = A[kv, 0, 0], A[kv, 0, cm], A[kv, 0, co]
         a_m = A[kv, cm, cm] - a1m * a1m / a11  # Schur curvature of the swept coordinate
         km = -(A[kv, cm, co] - a1m * a1o / a11) / a_m
@@ -482,37 +504,41 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin,
         vertex = c_w[k] + do[:, None] * u
         D_v = D[k] + do[:, None] * np.einsum("kij,kj->ki", S[k], u)
         half, lev0, a_v = half[pk, jk], lev0[pk, jk], a_m[pk]
-        weight = wo[pk, jk]
+        weight, graded = wo[pk, jk], key[pk] > 0
 
     sv, s1, a11 = S[k, :, axis], S[k, :, 0], A[k, 0, 0]
     g1 = -A[k, 0, axis] / a11
     reach_1 = np.abs(g1) * half + np.sqrt(lev0 / a11)  # the line's box: v, and its sections' w1
-    short = _short(np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
-                   np.stack([half, reach_1], axis=-1))
-    return _Lines(k, axis, vertex, half, short, weight, lev0, a_v, g1, a11,
+    box = (np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
+           np.stack([half, reach_1], axis=-1))
+    kappa = math.inf  # the last rung: every line of n = 2 and of a short n = 3 slice
+    if n == 3 and graded.any():
+        kappa = np.where(graded, np.sum(_kappa(box[0], *_reach(*box)), axis=-1), math.inf)
+    rule = np.where(_short(*box), -_rung("chord", kappa), _rung(n, math.inf))
+    return _Lines(k, axis, vertex, half, rule, weight, lev0, a_v, g1, a11,
                   _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
 
 
-def _line_sweep(ln: _Lines, order: int, K: int) -> np.ndarray:
+def _line_sweep(ln: _Lines, K: int) -> np.ndarray:
     """The sum over the lines of each of K slices of their weight times
     sum_j wt_j e^{-v_j^2} I(v_j), over nodes v = v* + dv on the line, with
     I(v) the w1 integral of the section at v; nodes and sections are offsets
     from the line's vertex.  At dv = half t the section's half-width is
     H sqrt(1 - t^2), and I(v) is that times an entire function of t.  A short
-    line (``_short``) takes the ``_SHORT``-node Gauss-Chebyshev rule of the
-    second kind over its whole chord, whose weight is that square root; any
-    other ``order`` compressed nodes per half line.  Each group goes in blocks
-    of at most ``_BLOCK`` sections: ``_BLOCK // _SHORT`` whole short lines, or
-    ``_BLOCK // (2 order)`` half-line pairs."""
+    line (``_short``) takes an m-node Gauss-Chebyshev rule of the second kind
+    over its whole chord, whose weight is that square root; any other m
+    compressed nodes per half line.  Each rule's lines go in blocks of at most
+    ``_BLOCK`` sections: ``_BLOCK // m`` short lines, or ``_BLOCK // (2 m)``."""
     out = np.empty(ln.slice.size)
     v0, w1_0 = ln.vertex[np.arange(out.size), ln.axis], ln.vertex[:, 0]
-    for chord, lines in ((True, np.flatnonzero(ln.short)), (False, np.flatnonzero(~ln.short))):
-        step = max(_BLOCK // (_SHORT if chord else 2 * order), 1)
+    for rule in np.unique(ln.rule):
+        lines, chord, order = np.flatnonzero(ln.rule == rule), rule < 0, abs(int(rule))
+        step = max(_BLOCK // (order if chord else 2 * order), 1)
         for a in range(0, lines.size, step):
             r = lines[a:a + step]
             P, Pv, P1, Qvv, Qv1, cc2 = ln.quad[:, r, None]
             if chord:
-                dv, wv, rest = _chord_nodes(v0[r], ln.half[r], True)
+                dv, wv, rest = _chord_nodes(v0[r], ln.half[r], order, True)
                 lev = ln.lev0[r, None] * rest
             else:
                 dv, wv = _line_nodes(v0[r], ln.half[r], order)
@@ -535,11 +561,11 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
     the whole integral.  For n = 2 and 3 the sections lie on lines carrying
     their Schur-vertex data (``_lines``) and are swept line by line
     (``_line_sweep``).  A line or n = 3 outer range whose box is short
-    (``_short``) takes ``_SHORT`` nodes over its whole chord, any other
-    ``_LINE_ORDER[n]`` compressed Gauss-Legendre nodes per half line.  n = 2
-    has one line per slice and builds the lines of a whole call at once; n = 3
-    builds and sweeps ``_CELL`` slices at a time, so its working set does not
-    grow with the cells a call carries.
+    (``_short``) takes one rule over its whole chord, any other compressed
+    Gauss-Legendre nodes per half line, at orders from ``_RUNGS``.  n = 2 has
+    one line per slice and builds the lines of a whole call at once; n = 3
+    builds and sweeps ``2 * _CELL`` slices, a refinement step's, at a time,
+    so its working set does not grow with the cells a call carries.
     """
     K, n = center.shape
     if n > 3:
@@ -551,14 +577,13 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
         P, _, P1, _, _, cc2 = _vertex_scalars(center - q_center, s, s, M, const, lin)
         half = np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0]))
         return math.pi ** (-0.5) * _w1_integrals(w0, half, 0.0, P, P1, cc2)
-    order = _LINE_ORDER[n]
-    step = _CELL if n == 3 else max(K, 1)
+    step = 2 * _CELL if n == 3 else max(K, 1)
     out = np.empty(K)
     for a in range(0, K, step):  # one block's lines alive at a time
         r = slice(a, a + step)
         out[r] = _line_sweep(_lines(center[r], shape[r], level[r], mean[r], chol_cov_half[r],
-                                    M[r], q_center[r], const[r], None if lin is None else lin[r],
-                                    order), order, out[r].size)
+                                    M[r], q_center[r], const[r], None if lin is None else lin[r]),
+                             out[r].size)
     return math.pi ** (-0.5 * n) * out
 
 
@@ -652,7 +677,7 @@ def _gauss_kronrod(m: int):
     w = np.linalg.solve(np.polynomial.legendre.legvander(x, 2 * m).T,
                         np.eye(2 * m + 1)[0] * 2.0)
     x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return 0.5 * (x + 1.0), 0.5 * w, 0.5 * wg
+    return _frozen(0.5 * (x + 1.0), 0.5 * w, 0.5 * wg)
 
 
 def integrate_time_profile(

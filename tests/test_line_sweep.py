@@ -3,9 +3,11 @@
 * ``_w1_integrals`` against 30-digit ``mpmath.quad`` on short sections, thin
   ones far from zero included, on both orders of its width-graded rule.
 * The whole-chord rules of a short line and a short outer range
-  (``_short``, ``_chord_nodes``) against 30-digit ``mpmath.quad``, a box the
-  Gaussian window clips never short, and the graded sweep against an
-  order-96 sweep on the first criterion-6 points.
+  (``_short``, ``_chord_nodes``) and the compressed half-line rule of a long
+  n = 3 outer range at the top kappa of each of its rungs (``_rung``)
+  against 30-digit ``mpmath.quad``, a box the Gaussian window clips never
+  short, and the graded sweep against an order-96 sweep on the first
+  criterion-6 points and on random chain slices, each rung taken.
 * The per-line Schur data of ``_lines`` against per-section values rebuilt
   from x-space offsets, as a sweep that carries no line data computes them:
   the level left, the section centre and the quadratic's coefficients.
@@ -33,6 +35,7 @@ from kolpot.quadrature import (
     _w1_integrals,
     gaussian_quadratic_stack,
 )
+from test_stacked_engine import _engine_cases
 
 
 def _sections(rng, count):
@@ -189,7 +192,7 @@ def test_line_data_matches_sections_rebuilt_from_x_space(op, balls, monkeypatch)
         ball = balls[op]
     stacks = _engine_stacks(ball, monkeypatch)
     assert stacks
-    order = quadrature._LINE_ORDER[ball.spec.n]
+    order = quadrature._rung(ball.spec.n, math.inf)  # the nodes the line data is checked at
     rng = np.random.default_rng(5)
     lines = 0
     for args in stacks:
@@ -197,7 +200,7 @@ def test_line_data_matches_sections_rebuilt_from_x_space(op, balls, monkeypatch)
         for c, li in ((const, lin), (rng.uniform(-1, 1, level.size),
                                      rng.standard_normal(center.shape))):
             call = args[:7] + (c, li)
-            ln = _lines(*call, order)
+            ln = _lines(*call)
             if ln.slice.size == 0:
                 continue
             v0, w1_0 = ln.vertex[np.arange(ln.slice.size), ln.axis], ln.vertex[:, 0]
@@ -243,26 +246,48 @@ def test_stack_call_makes_no_per_block_gather(balls, monkeypatch):
     assert counts["take"] == 0
 
 
-def _short_lines():
-    """(mid, kappa) of lines up to the short-line bound, |mid| up to 8.4,
-    with their half-lengths."""
+def _lines_to(top, window=False, edge=8.4):
+    """(mid, kappa, half) of lines of kappa up to ``top``, |mid| up to
+    ``edge``, inside the Gaussian window, or with ``window`` also those it
+    clips."""
     out = []
-    for mid in (0.0, 0.3, -1.5, 3.0, -6.0, 8.4):
-        for kappa in (1e-3, 0.1, 0.5, 1.0, 2.0, _KAPPA0 * (1.0 - 1e-12)):
+    for mid in (0.0, 0.3, -1.5, 3.0, -6.0, edge):
+        for kappa in (1e-3, 0.1, 0.5, 1.0, 2.0, 0.75 * top, top * (1.0 - 1e-12)):
             length = (-abs(mid) + math.sqrt(mid * mid + 4.0 * kappa)) / 2.0
-            if abs(mid) + length / 2.0 <= 8.5:
+            if kappa <= top and (window or abs(mid) + length / 2.0 <= 8.5):
                 out.append((mid, kappa, length / 2.0))
     return out
 
 
-def _mp_line(c, half, factor):
-    """int e^{-v^2} factor(x) dv over v = c + half x, x in [-1, 1], by
+def _mp_line(c, half, factor, ends=(-1.0, 1.0)):
+    """int e^{-v^2} factor(x) dv over v = c + half x, x in ``ends``, by
     ``mpmath.quad``, at the working precision (the integrands are positive)."""
     c, half = mpmath.mpf(c), mpmath.mpf(half)
+    a, b = (mpmath.mpf(float(e)) for e in ends)
     val, err = mpmath.quad(lambda t: mpmath.exp(-2 * c * half * t - half * half * t * t)
-                           * factor(t), [-1, 0, 1], error=True)
+                           * factor(t), [a, 0, b] if a < 0 < b else [a, b], error=True)
     assert err <= mpmath.mpf(10) ** -25 * val  # the reference converged
     return mpmath.exp(-c * c) * half * val
+
+
+def _check_rule(lines, nodes, factors):
+    """A rule, ``nodes(mid, half)`` -> (dv, w), over each line of ``lines``
+    against ``_mp_line`` over the same range, for each factor of x that a
+    maker in ``factors`` builds from (mid, half); a maker may return None to
+    skip a line."""
+    with mpmath.workdps(30):
+        for mid, kappa, half in lines:
+            dv, w = nodes(np.array(mid), np.array(half))  # w: times e^{-v^2}
+            lo, hi = quadrature._reach(np.array(mid), np.array(half))
+            for make in factors:
+                factor = make(mid, half)
+                if factor is None:
+                    continue
+                got = sum(mpmath.mpf(float(wj)) * factor(mpmath.mpf(float(dj)) / mpmath.mpf(half))
+                          for wj, dj in zip(w, dv))
+                ref = _mp_line(mid, half, factor, (lo / half, hi / half))
+                err = abs(got - ref) / ref
+                assert err <= 1e-14, (mid, kappa, float(err))
 
 
 def _section_mass(c1, g1, h1):
@@ -272,43 +297,38 @@ def _section_mass(c1, g1, h1):
         - mpmath.erf(c1 + g1 * x - h1 * mpmath.sqrt(1 - x * x)))
 
 
-def _check_chord_rule(weighted, factors):
-    """The ``_SHORT``-node chord rule over each short chord of
-    ``_short_lines`` against ``_mp_line``, for each factor of x that a maker
-    in ``factors`` builds from (mid, half); a maker may return None to skip
-    a chord."""
-    lines = _short_lines()
-    assert max(kappa for _, kappa, _ in lines) > 0.99 * _KAPPA0
-    with mpmath.workdps(30):
-        for mid, kappa, half in lines:
-            assert quadrature._short(np.array([[mid]]), np.array([[half]]))[0]
-            dv, w, _ = _chord_nodes(np.array(mid), np.array(half), weighted)  # w: times e^{-v^2}
-            for make in factors:
-                factor = make(mid, half)
-                if factor is None:
-                    continue
-                got = sum(mpmath.mpf(float(wj)) * factor(mpmath.mpf(float(dj)) / mpmath.mpf(half))
-                          for wj, dj in zip(w, dv))
-                ref = _mp_line(mid, half, factor)
-                err = abs(got - ref) / ref
-                assert err <= 1e-14, (mid, kappa, float(err))
+def _check_chord_rule(m, top, weighted, factors):
+    """The m-node chord rule over each short chord of ``_lines_to(top)``
+    (``_check_rule``)."""
+    lines = _lines_to(top)
+    assert max(kappa for _, kappa, _ in lines) > 0.99 * top
+    for mid, _, half in lines:
+        assert quadrature._short(np.array([[mid]]), np.array([[half]]))[0]
+    _check_rule(lines, lambda c, half: _chord_nodes(c, half, m, weighted)[:2], factors)
 
 
-def _short_section_mass(mid, half):
-    """The Gaussian mass of a line's sections, c1(x) -/+ h1 sqrt(1 - x^2) in w1,
-    or None where the line's box in (v, w1) is not short."""
-    c1, g1, h1 = 0.4 * mid, 0.25, 0.5
+def _short_section_mass(mid, half, top=_KAPPA0):
+    """The Gaussian mass of a line's sections, c1(x) -/+ h1 sqrt(1 - x^2) in
+    w1, h1 = top / 8, or None where the line's box in (v, w1) is not short or
+    its kappa exceeds ``top``."""
+    c1, g1, h1 = 0.4 * mid, 0.25, top / 8.0
     box = np.array([[mid, c1]]), np.array([[half, abs(g1) * half + h1]])
-    return _section_mass(c1, g1 * half, h1) if quadrature._short(*box)[0] else None
+    kappa = np.sum(quadrature._kappa(box[0], *quadrature._reach(*box)))
+    keep = quadrature._short(*box)[0] and kappa <= top
+    return _section_mass(c1, g1 * half, h1) if keep else None
 
 
 def test_short_line_chord_rule_against_mpmath():
     # a short line takes the Gauss-Chebyshev rule of the second kind over its
     # whole chord: against e^{-v^2} times the section-width factor
     # sqrt(1 - x^2), lev = lev0 (1 - x^2), and times a whole section's
-    # Gaussian mass over w1 in c1(v) -/+ h1 sqrt(1 - x^2)
-    _check_chord_rule(True, (lambda mid, half: lambda x: mpmath.sqrt(1 - x * x),
-                             _short_section_mass))
+    # Gaussian mass over w1 in c1(v) -/+ h1 sqrt(1 - x^2), where the line's
+    # box in (v, w1) takes the rule; each rung to its top kappa, 8 nodes to 1
+    for bound, m in quadrature._RUNGS["chord"]:
+        top = min(bound, _KAPPA0)  # no chord beyond kappa0 is short
+        assert quadrature._rung("chord", np.array([top])).tolist() == [m]
+        _check_chord_rule(m, top, True, (lambda mid, half: lambda x: mpmath.sqrt(1 - x * x),
+                                         lambda mid, half: _short_section_mass(mid, half, top)))
 
 
 def test_short_outer_chord_rule_against_mpmath():
@@ -320,7 +340,28 @@ def test_short_outer_chord_rule_against_mpmath():
         mass = _short_section_mass(mid, half)
         return None if mass is None else lambda x: mpmath.sqrt(1 - x * x) * mass(x)
 
-    _check_chord_rule(False, (lambda mid, half: lambda x: 1 - x * x, line_mass))
+    _check_chord_rule(16, _KAPPA0, False, (lambda mid, half: lambda x: 1 - x * x, line_mass))
+
+
+@pytest.mark.parametrize("rung", range(len(quadrature._RUNGS["outer"]) - 1))
+def test_outer_range_rung_against_mpmath(rung):
+    # a long n = 3 slice's outer range takes compressed Gauss-Legendre nodes
+    # per half line, their number from its own kappa: at the top kappa of
+    # each rung, on ranges inside the window and clipped by it, against
+    # e^{-o^2} times the cross-section factor 1 - x^2 and times a line's
+    # sections' mass, sqrt(1 - x^2) times the mass of a chord of half-width
+    # sqrt(1 - x^2).  Ranges reach |mid| 8: a range clipped at mid 8.4 sits
+    # at 1.1e-14 to 1.5e-14 at every order, 64 too, from rounding e^{-v^2}
+    # at nodes near the window's edge
+    top, m = quadrature._RUNGS["outer"][rung]
+    assert quadrature._rung("outer", np.array([top, top * (1.0 + 1e-12)])).tolist() == [
+        m, quadrature._RUNGS["outer"][rung + 1][1]]
+    lines = _lines_to(top, window=True, edge=8.0)
+    assert any(abs(mid) + half > 8.5 for mid, _, half in lines)  # some clipped
+    _check_rule(lines, lambda c, half: tuple(a[0] for a in _line_nodes(c[None], half[None], m)),
+                (lambda mid, half: lambda x: 1 - x * x,
+                 lambda mid, half: lambda x: mpmath.sqrt(1 - x * x) * _section_mass(
+                     0.4 * mid, 0.25 * half, 0.5)(x)))
 
 
 def test_window_clipped_box_is_never_short():
@@ -333,6 +374,14 @@ def test_window_clipped_box_is_never_short():
     assert np.all(np.sum(length * (np.abs(c + 0.5 * (lo + hi)) + length), axis=-1) <= _KAPPA0)
     assert not np.any(quadrature._short(c, half))
     assert np.all(quadrature._short(c * 0.99, half))  # inside the window: short
+
+
+def _force_order_96(monkeypatch):
+    """Every line and outer range at 96 compressed nodes per half line: no
+    box is short, and every rung of every kind takes 96."""
+    monkeypatch.setattr(quadrature, "_KAPPA0", -1.0)
+    monkeypatch.setattr(quadrature, "_RUNGS", {kind: ((math.inf, 96),)
+                                               for kind in quadrature._RUNGS})
 
 
 @pytest.mark.parametrize("op", ["heat2", "proto", "chain"])
@@ -352,9 +401,52 @@ def test_graded_sweep_against_order_96_sweep(op, balls, monkeypatch):
                 for d in domains for z in below]
 
     got = integrals()
-    monkeypatch.setattr(quadrature, "_KAPPA0", -1.0)
-    monkeypatch.setattr(quadrature, "_LINE_ORDER", {2: 96, 3: 96})
+    _force_order_96(monkeypatch)
     ref = integrals()
     for g, r in zip(got, ref):
         assert g.converged and g.cells == r.cells
         assert abs(g.value - r.value) <= 1e-13 * abs(r.value), (g.value, r.value)
+
+
+def test_graded_chain_slices_against_order_96_sweep(chain, evaluators, monkeypatch):
+    # 300 random chain slices, Gaussians of delta 1e-6 to 2 near and far:
+    # within 1e-13 of each slice's quadratic scale of a sweep at 96 nodes per
+    # half line everywhere, with every rule of every rung taken by some slice
+    taken, stage = set(), []
+
+    def spy(name, kind=None):
+        fn = getattr(quadrature, name)
+
+        def wrapped(*args):
+            if kind is None:  # a stage: the outer ranges (``_lines``) or the lines
+                stage.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    stage.pop()
+            if np.size(args[0]):
+                taken.add((stage[-1], kind, int(args[2]), kind == "chord" and args[3]))
+            return fn(*args)
+
+        monkeypatch.setattr(quadrature, name, wrapped)
+
+    for name, kind in (("_lines", None), ("_line_sweep", None), ("_line_nodes", "half"),
+                       ("_chord_nodes", "chord")):
+        spy(name, kind)
+    cases = [_engine_cases(chain, evaluators["chain"], np.random.default_rng(seed), 100)
+             for seed in (7, 8, 9)]
+
+    def sweep():
+        return [gaussian_quadratic_stack(sl.center, sl.shape, sl.rho, mean, L, M, qc)
+                for sl, _, mean, L, M, qc in cases]
+
+    got = sweep()
+    outer = {("_lines", "half", m, False) for _, m in quadrature._RUNGS["outer"]}
+    line = {("_line_sweep", "chord", m, True) for _, m in quadrature._RUNGS["chord"]}
+    assert taken == outer | line | {("_lines", "chord", 16, False),
+                                    ("_line_sweep", "half", quadrature._rung(3, math.inf), False)}
+    _force_order_96(monkeypatch)
+    for (sl, reach, _, _, M, qc), g, r in zip(cases, got, sweep()):
+        size = np.max(np.abs(M), axis=(1, 2)) * (np.max(np.abs(sl.center - qc), axis=1)
+                                                 + np.max(reach, axis=1)) ** 2
+        assert np.all(np.abs(g - r) <= 1e-13 * size), np.max(np.abs(g - r) / size)

@@ -490,3 +490,16 @@ def test_kernel_integral_depth_cap_binds_and_keeps_its_error(balls):
     assert free.converged and free.cells > 4
     assert (free.value, free.error, free.cells) == (default.value, default.error, default.cells)
     assert abs(free.value - rhs) <= 1e-13 * rhs
+
+
+def test_cached_rule_arrays_are_read_only():
+    # the rule caches hand the same arrays to every caller, and a whole-chord
+    # rule's share of the level left comes back as the cached array itself
+    rules = (quadrature._leggauss01(8), quadrature._chord_rule(8, True),
+             quadrature._chord_rule(16, False), quadrature._w1_rule(8), quadrature._tail_gl(16),
+             quadrature._gauss_kronrod(10), quadrature.ball_rule(3, 4),
+             quadrature._chord_nodes(np.zeros(2), np.ones(2), 8, True)[2:])
+    for rule in rules:
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
