@@ -230,6 +230,7 @@ def harmonic_basis(spec: OperatorSpec, max_aniso_degree: int) -> list[AnisoPolyn
     norm below 1e-12 (float path).
     """
     exact = _entries_exact(spec.A, spec.B)
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     basis: list[AnisoPolynomial] = []
     for m in range(max_aniso_degree + 1):
         monos = _monomials_of_degree(spec, m)
@@ -239,18 +240,15 @@ def harmonic_basis(spec: OperatorSpec, max_aniso_degree: int) -> list[AnisoPolyn
         index = {key: i for i, key in enumerate(targets)}
         columns = []
         for key in monos:
-            u = AnisoPolynomial(spec.n, {key: Fraction(1) if exact else 1.0})
+            u = AnisoPolynomial(spec.n, {key: one})
             Lu = apply_L(u, spec)
-            col = [Fraction(0) if exact else 0.0 for _ in targets]
+            col = [zero for _ in targets]
             for tkey, c in Lu.terms.items():
                 col[index[tkey]] = c
             columns.append(col)
         if not targets:
-            null_vecs = [
-                [Fraction(1) if exact else 1.0 if i == j else (Fraction(0) if exact else 0.0)
-                 for j in range(len(monos))]
-                for i in range(len(monos))
-            ]
+            null_vecs = [[one if i == j else zero for j in range(len(monos))]
+                         for i in range(len(monos))]
         elif exact:
             rows = [[columns[c][r] for c in range(len(monos))] for r in range(len(targets))]
             null_vecs = _rational_nullspace(rows, len(monos))

@@ -151,18 +151,14 @@ def ball_rule(n: int, degree: int):
 
 
 def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
-                                 M: np.ndarray, q_center: np.ndarray,
-                                 const=0.0, lin: np.ndarray | None = None):
-    """E[q(X)] for X ~ N(mean, cov) and the centered quadratic q as above.
+                                 M: np.ndarray, q_center: np.ndarray):
+    """E[q(X)] for X ~ N(mean, cov) and q(x) = <M (x - q_center), x - q_center>.
 
     Leading axes of the arguments are a stack and give an array; one set of
     arguments gives a float.
     """
     d = mean - q_center
-    val = (const + np.einsum("...i,...ij,...j->...", d, M, d)
-           + np.einsum("...ij,...ji->...", M, cov))
-    if lin is not None:
-        val = val + np.einsum("...i,...i->...", lin, d)
+    val = np.einsum("...i,...ij,...j->...", d, M, d) + np.einsum("...ij,...ji->...", M, cov)
     return val if np.ndim(val) else float(val)
 
 
@@ -246,9 +242,11 @@ def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Orthonormal frames (columns) whose first axis points along the domain
     boundary normal nearest the origin (the Gaussian center), one per slice.
 
-    The domain is <Aq (w - cv), w - cv> < level.  The first axis is
-    completed by Gram-Schmidt over the coordinate axes, skipping those that
-    are numerically dependent.
+    The domain is <Aq (w - cv), w - cv> < level.  The first axis e1 is
+    completed by the Householder reflection I - 2 v v^T / |v|^2,
+    v = e1 + sign(e1_0) E0 (E0 the first coordinate axis), which swaps E0
+    with -sign(e1_0) e1; v_0 is at least 1 in size, so the reflection never
+    degenerates, whatever e1.  Its first column is then set to e1.
     """
     K, n = cv.shape
     norm_c = np.linalg.norm(cv, axis=1)
@@ -266,20 +264,11 @@ def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
         # noise for thin slices far from the center
         grad = -np.einsum("kij,kj->ki", Aq[off], cv[off] / norm_c[off, None])
         e1[off] = grad / np.linalg.norm(grad, axis=1)[:, None]
-    frame = np.zeros((K, n, n))
+    v = e1.copy()
+    v[:, 0] += np.where(e1[:, 0] < 0.0, -1.0, 1.0)
+    frame = np.eye(n) - (2.0 / np.einsum("ki,ki->k", v, v))[:, None, None] * (
+        v[:, :, None] * v[:, None, :])
     frame[:, :, 0] = e1
-    count = np.ones(K, dtype=int)
-    rows = np.arange(K)
-    for k in range(n):
-        v = np.zeros((K, n))
-        v[:, k] = 1.0
-        for j in range(n):  # columns not yet filled are zero and leave v alone
-            u = frame[:, :, j]
-            v = v - np.einsum("ki,ki->k", v, u)[:, None] * u
-        nv = np.linalg.norm(v, axis=1)
-        add = (nv > 1e-8) & (count < n)
-        frame[rows[add], :, count[add]] = v[add] / nv[add, None]
-        count = count + add
     return frame
 
 
@@ -289,17 +278,13 @@ def _tail_gl(order: int):
     return _frozen(np.array([0.0, 0.18, 0.45, 1.0]), *_leggauss01(order))
 
 
-def _vertex_scalars(D, sv, s1, M, const, lin) -> np.ndarray:
+def _vertex_scalars(D, sv, s1, M) -> np.ndarray:
     """(P, Pv, P1, Qvv, Qv1, cc2) per row, stacked, with the offsets D from
     the quadratic's centre: q(D + dv sv + d1 s1) = P + Pv dv + P1 d1
-    + Qvv dv^2 + 2 Qv1 dv d1 + cc2 d1^2."""
+    + Qvv dv^2 + 2 Qv1 dv d1 + cc2 d1^2, q(x) = <M x, x>."""
     MD, Ms1 = np.einsum("kij,kj->ki", M, D), np.einsum("kij,kj->ki", M, s1)
-    P = np.einsum("ki,ki->k", D, MD) + const
-    Pv, P1 = 2.0 * np.einsum("ki,ki->k", sv, MD), 2.0 * np.einsum("ki,ki->k", s1, MD)
-    if lin is not None:
-        P, Pv, P1 = (P + np.einsum("ki,ki->k", lin, D), Pv + np.einsum("ki,ki->k", lin, sv),
-                     P1 + np.einsum("ki,ki->k", lin, s1))
-    return np.stack([P, Pv, P1, np.einsum("ki,kij,kj->k", sv, M, sv),
+    return np.stack([np.einsum("ki,ki->k", D, MD), 2.0 * np.einsum("ki,ki->k", sv, MD),
+                     2.0 * np.einsum("ki,ki->k", s1, MD), np.einsum("ki,kij,kj->k", sv, M, sv),
                      np.einsum("ki,ki->k", sv, Ms1), np.einsum("ki,ki->k", s1, Ms1)])
 
 
@@ -439,21 +424,23 @@ def _short(c, half) -> np.ndarray:
     return unclipped & (np.sum(_kappa(c, lo, hi), axis=-1) <= _KAPPA0)
 
 
-def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin) -> _Lines:
+def _lines(center, shape, level, mean, chol_cov_half, M, q_center) -> _Lines:
     """The lines of a stack of slices (n = 2, 3) in the frame x = mean + S w.
 
     S whitens each Gaussian and turns its first axis to the domain boundary
-    normal nearest the Gaussian centre.  Once every other coordinate is
-    eliminated, the level left on a rest coordinate r falls as
-    (r - c_r)^2 / (A^-1)_rr about the ellipsoid centre c_w (A = S^T shape S).
-    n = 2 sweeps its one rest coordinate, from the vertex c_w, and n = 3 the
-    one of smaller reach, one line per outer node of the other one, o, whose
-    vertex moves from c_w along the conjugate direction u = (k1, km, 1) of
-    (w1, v, o).  On a short slice (``_short``) a cross-section shrinks as
-    1 - tau^2 at o = c_o + h_o tau, so a line's integral is (1 - tau^2) times
-    an entire function of tau, which 16 plain Gauss-Legendre nodes over the
-    outer chord take; a long slice's outer range is graded by its kappa
-    (``_rung``).  A line is short, and in a long slice graded, by its (v, w1) box.
+    normal nearest the Gaussian centre.  Each slice starts as one line along
+    its swept coordinate v, from its centre c_w at its whole level.  n = 3
+    first sweeps its rest coordinate of larger reach, o, whose reach about
+    c_w is sqrt(level (A^-1)_oo) (A = S^T shape S), and puts one line on
+    each outer node; the line's vertex moves from c_w along the conjugate
+    direction u = (k1, km, 1) of (w1, v, o), and its level falls as
+    (o - c_o)^2 / (A^-1)_oo.  On a short slice (``_short``) a cross-section
+    shrinks as 1 - tau^2 at o = c_o + h_o tau, so a line's integral is
+    (1 - tau^2) times an entire function of tau, which 16 plain
+    Gauss-Legendre nodes over the outer chord take; a long slice's outer
+    range is graded by its kappa (``_rung``).  Every line then falls along v
+    with the Schur complement of w1, a_v = A_vv - A_1v^2 / A_11.  A line is
+    short, and in a long n = 3 slice graded, by its (v, w1) box.
     """
     K, n = center.shape
     L2 = 2.0 * chol_cov_half
@@ -464,21 +451,23 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin) -
     A = 0.5 * (A + np.swapaxes(A, 1, 2))
     Sinv = np.linalg.inv(S)
     c_w = np.einsum("kij,kj->ki", Sinv, center - mean)  # ellipsoid centres in w
-    var = np.einsum("kri,kij,krj->kr", Sinv, np.linalg.inv(shape), Sinv)  # (A^-1)_rr
-    reach = np.sqrt(np.maximum(level[:, None] * var, 0.0))  # the slices' reach about c_w
     D = center - q_center  # ellipsoid centres against the quadratic's centres
-
-    if n == 2:
-        lo, hi = _reach(c_w[:, 1], reach[:, 1])
-        k = np.flatnonzero(hi > lo)
-        axis, vertex, D_v = np.ones(k.size, dtype=int), c_w[k], D[k]
-        half, weight, lev0, a_v = reach[k, 1], np.ones(k.size), level[k], 1.0 / var[k, 1]
-    else:
-        rows = np.arange(K)
+    rows = np.arange(K)
+    axis = np.ones(K, dtype=int)  # the swept coordinate v
+    if n == 3:
+        var = np.einsum("kri,kij,krj->kr", Sinv, np.linalg.inv(shape), Sinv)  # (A^-1)_rr
+        reach = np.sqrt(np.maximum(level[:, None] * var, 0.0))  # the slices' reach about c_w
         co = 1 + np.argmax(reach[:, 1:], axis=1)  # the outer coordinate
+        axis = 3 - co
+    a1v = A[rows, 0, axis]
+    a_v = A[rows, axis, axis] - a1v * a1v / A[:, 0, 0]  # Schur curvature of v
+    # the line state: one line per slice, its vertex c_w + do u at offset do = 0
+    k, do, u = rows, np.zeros(K), np.zeros((K, n))
+    lev0, weight, graded = level, np.ones(K), np.zeros(K, dtype=bool)
+    if n == 3:  # one line per outer node instead
         lo, hi = _reach(c_w[rows, co], reach[rows, co])
         kv = np.flatnonzero(hi > lo)
-        co, cm, c_o, h_o = co[kv], 3 - co[kv], c_w[kv, co[kv]], reach[kv, co[kv]]  # swept: cm
+        co, cm, c_o, h_o = co[kv], axis[kv], c_w[kv, co[kv]], reach[kv, co[kv]]
         key = np.where(_short(c_w[kv], reach[kv]), 0, _rung("outer", _kappa(c_o, lo[kv], hi[kv])))
         do = np.zeros((kv.size, 2 * _rung("outer", math.inf)))  # offsets from c_o, a row per slice
         wo, lev0 = np.zeros_like(do), np.full_like(do, -1.0)  # padding: no lines
@@ -491,32 +480,32 @@ def _lines(center, shape, level, mean, chol_cov_half, M, q_center, const, lin) -
                 d, w, rest = _chord_nodes(c_o[g], h_o[g], _rung("chord", math.inf), False)
                 lv = level[kv[g], None] * rest
             do[g, :d.shape[1]], wo[g, :d.shape[1]], lev0[g, :d.shape[1]] = d, w, lv
-        a11, a1m, a1o = A[kv, 0, 0], A[kv, 0, cm], A[kv, 0, co]
-        a_m = A[kv, cm, cm] - a1m * a1m / a11  # Schur curvature of the swept coordinate
-        km = -(A[kv, cm, co] - a1m * a1o / a11) / a_m
+        a11, a1m, a1o = A[kv, 0, 0], a1v[kv], A[kv, 0, co]
+        km = -(A[kv, cm, co] - a1m * a1o / a11) / a_v[kv]
         k1 = -(a1o + a1m * km) / a11
-        half = np.sqrt(np.maximum(lev0, 0.0) / a_m[:, None])
-        m_lo, m_hi = _reach(c_w[kv, cm][:, None] + km[:, None] * do, half)
-        pk, jk = np.nonzero(m_hi > m_lo)  # only where lev0 > 0
-        k, axis, do = kv[pk], cm[pk], do[pk, jk]
-        e = np.arange(3)
-        u = k1[pk, None] * (e == 0) + km[pk, None] * (e == axis[:, None]) + (e == co[pk, None])
-        vertex = c_w[k] + do[:, None] * u
-        D_v = D[k] + do[:, None] * np.einsum("kij,kj->ki", S[k], u)
-        half, lev0, a_v = half[pk, jk], lev0[pk, jk], a_m[pk]
-        weight, graded = wo[pk, jk], key[pk] > 0
+        u[kv, 0], u[kv, cm], u[kv, co] = k1, km, 1.0
+        k, do = np.repeat(kv, do.shape[1]), do.ravel()
+        lev0, weight, graded = lev0.ravel(), wo.ravel(), np.repeat(key > 0, wo.shape[1])
 
+    v0 = c_w[k, axis[k]] + do * u[k, axis[k]]  # the vertex's v
+    half = np.sqrt(np.maximum(lev0, 0.0) / a_v[k])
+    lo, hi = _reach(v0, half)
+    p = np.flatnonzero(hi > lo)  # only where lev0 > 0
+    k, do, v0, half, lev0, weight, graded = (k[p], do[p], v0[p], half[p], lev0[p], weight[p],
+                                             graded[p])
+    axis, a_v, u = axis[k], a_v[k], u[k]
+    vertex = c_w[k] + do[:, None] * u
+    D_v = D[k] + do[:, None] * np.einsum("kij,kj->ki", S[k], u)
     sv, s1, a11 = S[k, :, axis], S[k, :, 0], A[k, 0, 0]
     g1 = -A[k, 0, axis] / a11
     reach_1 = np.abs(g1) * half + np.sqrt(lev0 / a11)  # the line's box: v, and its sections' w1
-    box = (np.stack([vertex[np.arange(k.size), axis], vertex[:, 0]], axis=-1),
-           np.stack([half, reach_1], axis=-1))
+    box = np.stack([v0, vertex[:, 0]], axis=-1), np.stack([half, reach_1], axis=-1)
     kappa = math.inf  # the last rung: every line of n = 2 and of a short n = 3 slice
-    if n == 3 and graded.any():
+    if graded.any():
         kappa = np.where(graded, np.sum(_kappa(box[0], *_reach(*box)), axis=-1), math.inf)
     rule = np.where(_short(*box), -_rung("chord", kappa), _rung(n, math.inf))
     return _Lines(k, axis, vertex, half, rule, weight, lev0, a_v, g1, a11,
-                  _vertex_scalars(D_v, sv, s1, M[k], const[k], None if lin is None else lin[k]))
+                  _vertex_scalars(D_v, sv, s1, M[k]))
 
 
 def _line_sweep(ln: _Lines, K: int) -> np.ndarray:
@@ -551,30 +540,29 @@ def _line_sweep(ln: _Lines, K: int) -> np.ndarray:
     return np.bincount(ln.slice, weights=ln.weight * out, minlength=K)
 
 
-def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
-                        const, lin) -> np.ndarray:
+def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center) -> np.ndarray:
     """The normal-aligned tensor rule for a stack of slices (leading axis).
 
     In the whitened frame x = mean + S w, whose first axis is the domain
     boundary normal nearest the Gaussian centre, the w1 axis is integrated
     against its exact section limits (``_w1_integrals``), which for n = 1 is
     the whole integral.  For n = 2 and 3 the sections lie on lines carrying
-    their Schur-vertex data (``_lines``) and are swept line by line
-    (``_line_sweep``).  A line or n = 3 outer range whose box is short
-    (``_short``) takes one rule over its whole chord, any other compressed
-    Gauss-Legendre nodes per half line, at orders from ``_RUNGS``.  n = 2 has
-    one line per slice and builds the lines of a whole call at once; n = 3
-    builds and sweeps ``2 * _CELL`` slices, a refinement step's, at a time,
-    so its working set does not grow with the cells a call carries.
+    their Schur-vertex data, built on one path (``_lines``), and are swept
+    line by line (``_line_sweep``).  A line or n = 3 outer range whose box
+    is short (``_short``) takes one rule over its whole chord, any other
+    compressed Gauss-Legendre nodes per half line, at orders from
+    ``_RUNGS``.  n = 2 has one line per slice and builds the lines of a whole
+    call at once; n = 3 builds and sweeps ``2 * _CELL`` slices, a refinement
+    step's, at a time, so its working set does not grow with the cells a
+    call carries.
     """
     K, n = center.shape
     if n > 3:
         raise NotImplementedError(f"tensor engine not implemented for n={n}")
-    const = np.broadcast_to(np.asarray(const, dtype=float), (K,))
     if n == 1:
         s = 2.0 * chol_cov_half[:, :, 0]  # x = mean + s w
         w0 = (center - mean)[:, 0] / s[:, 0]
-        P, _, P1, _, _, cc2 = _vertex_scalars(center - q_center, s, s, M, const, lin)
+        P, _, P1, _, _, cc2 = _vertex_scalars(center - q_center, s, s, M)
         half = np.sqrt(np.maximum(level, 0.0) / (s[:, 0] ** 2 * shape[:, 0, 0]))
         return math.pi ** (-0.5) * _w1_integrals(w0, half, 0.0, P, P1, cc2)
     step = 2 * _CELL if n == 3 else max(K, 1)
@@ -582,13 +570,12 @@ def _gauss_tensor_stack(center, shape, level, mean, chol_cov_half, M, q_center,
     for a in range(0, K, step):  # one block's lines alive at a time
         r = slice(a, a + step)
         out[r] = _line_sweep(_lines(center[r], shape[r], level[r], mean[r], chol_cov_half[r],
-                                    M[r], q_center[r], const[r], None if lin is None else lin[r]),
-                             out[r].size)
+                                    M[r], q_center[r]), out[r].size)
     return math.pi ** (-0.5 * n) * out
 
 
-def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_center,
-                             const=0.0, lin=None) -> np.ndarray:
+def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M,
+                             q_center) -> np.ndarray:
     """Gaussian x quadratic integrals over a stack of ellipsoids (leading axis).
 
     Slice k integrates
@@ -597,14 +584,13 @@ def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_cen
 
     over {x : <shape (x - center), x - center> < level}, where
     ``chol_cov_half`` is the lower Cholesky factor L of C and q is the
-    centered quadratic (const, lin, M) around ``q_center``, M symmetric.
-    ``const`` is a scalar or one value per slice.  Each whitened domain is
-    classified first: a boundary everywhere beyond the Gaussian window
-    collapses to the closed-form full-space moment (or to zero when the
-    center is outside), and everything else goes to the normal-aligned
-    tensor rule (``_gauss_tensor_stack``).
+    centered quadratic q(x) = <M (x - q_center), x - q_center>, M symmetric:
+    the mean-value kernel W is one.  Each whitened domain is classified
+    first: a boundary everywhere beyond the Gaussian window collapses to the
+    closed-form full-space moment (or to zero when the center is outside),
+    and everything else goes to the normal-aligned tensor rule
+    (``_gauss_tensor_stack``).
     """
-    K = center.shape[0]
     E00 = mean - center
     h0 = np.sqrt(np.maximum(np.einsum("ki,kij,kj->k", E00, shape, E00) / level, 0.0))
     # conservative whitened distance from the Gaussian center to the domain
@@ -614,19 +600,16 @@ def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M, q_cen
     tr = np.einsum("kij,kij->k", shape @ L2, L2)
     amin = np.sqrt(np.where(tr > 0.0, level / np.where(tr > 0.0, tr, 1.0), 0.0))
     far = np.abs(h0 - 1.0) * amin >= _WINDOW
-    const = np.broadcast_to(np.asarray(const, dtype=float), (K,))
-    out = np.zeros(K)
+    out = np.zeros(center.shape[0])
     full = far & (h0 < 1.0)
     if np.any(full):
         L = chol_cov_half[full]
         out[full] = gaussian_quadratic_fullspace(
-            mean[full], 2.0 * (L @ np.swapaxes(L, 1, 2)), M[full], q_center[full],
-            const=const[full], lin=None if lin is None else lin[full])
+            mean[full], 2.0 * (L @ np.swapaxes(L, 1, 2)), M[full], q_center[full])
     near = ~far
     if np.any(near):
-        out[near] = _gauss_tensor_stack(
-            center[near], shape[near], level[near], mean[near], chol_cov_half[near],
-            M[near], q_center[near], const[near], None if lin is None else lin[near])
+        out[near] = _gauss_tensor_stack(center[near], shape[near], level[near], mean[near],
+                                        chol_cov_half[near], M[near], q_center[near])
     return out
 
 

@@ -197,8 +197,6 @@ def gaussian_quadratic_ellipsoid(
     chol_cov_half: np.ndarray,
     M: np.ndarray,
     q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
     resolution: int = 64,
 ) -> float:
     """Integral over an ellipsoid of
@@ -206,7 +204,7 @@ def gaussian_quadratic_ellipsoid(
         (4 pi)^{-n/2} det(C)^{-1/2} exp(-<C^{-1}(x-mean), x-mean>/4) * q(x)
 
     where ``chol_cov_half`` is the lower Cholesky factor L of C and q is the
-    centered quadratic (const, lin, M) around ``q_center``.
+    centered quadratic <M (x - q_center), x - q_center>.
 
     Substituting x = mean + 2 L v gives pi^{-n/2} e^{-|v|^2} against a
     quadratic over a transformed ellipsoid; in polar coordinates around the
@@ -224,13 +222,8 @@ def gaussian_quadratic_ellipsoid(
     c0 = float(d @ Qd) - ell.level
 
     dq = mean - q_center
-    q0 = const + float(dq @ M @ dq)
-    if lin is not None:
-        q0 += float(np.asarray(lin) @ dq)
-        l_eff = np.asarray(lin) + 2.0 * (M @ dq)
-    else:
-        l_eff = 2.0 * (M @ dq)
-    q1 = L2.T @ l_eff
+    q0 = float(dq @ M @ dq)
+    q1 = L2.T @ (2.0 * (M @ dq))
     Q2 = L2.T @ M @ L2
 
     omega, wts = sphere_rule(n, resolution)
@@ -333,8 +326,6 @@ def reference_gaussian_quadratic_tensor(
     chol_cov_half: np.ndarray,
     M: np.ndarray,
     q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
     order: int | None = None,
 ) -> float:
     """Pointwise tensor rule: the quadratic is evaluated at every GL node.
@@ -372,8 +363,6 @@ def reference_gaussian_quadratic_tensor(
     c_w = Sinv @ (ell.center - mean)  # ellipsoid center in w-coordinates
     E00 = mean - ell.center          # Gaussian center vs ellipsoid center
     Dq = ell.center - q_center       # ellipsoid center vs quadratic center
-    if lin is not None:
-        lin = np.asarray(lin, dtype=float)
 
     A = S.T @ Qe @ S
     A = 0.5 * (A + A.T)
@@ -385,8 +374,7 @@ def reference_gaussian_quadratic_tensor(
     Qs1 = Qe @ s1
 
     def quad_values(diffs):
-        qv = np.einsum("...n,nm,...m->...", diffs, M, diffs) + const
-        return qv if lin is None else qv + diffs @ lin
+        return np.einsum("...n,nm,...m->...", diffs, M, diffs)
 
     def segment_values(u_rest: np.ndarray, w_rest: np.ndarray) -> np.ndarray:
         """int e^{-w1^2} q(x(w1, w_rest)) dw1 over the domain section, at rest
@@ -434,11 +422,8 @@ def reference_gaussian_quadratic_tensor(
             # moments about w1 = 0, with the quadratic's coefficients there
             F0, F1, F2 = _erf_moments(a_abs[cf], b_abs[cf])
             d0 = dq[cf] - c1[cf, None] * s1
-            c0_tot = np.einsum("ij,jk,ik->i", d0, M, d0) + const
+            c0_tot = np.einsum("ij,jk,ik->i", d0, M, d0)
             c1_tot = 2.0 * (d0 @ Ms1)
-            if lin is not None:
-                c0_tot = c0_tot + d0 @ lin
-                c1_tot = c1_tot + float(lin @ s1)
             out[cf] = c0_tot * F0 + c1_tot * F1 + cc2 * F2
 
         if np.any(glm):
@@ -550,8 +535,6 @@ def reference_gaussian_quadratic_auto(
     chol_cov_half: np.ndarray,
     M: np.ndarray,
     q_center: np.ndarray,
-    const: float = 0.0,
-    lin: np.ndarray | None = None,
 ) -> float:
     """One slice, classified as the stacked engine does, then the pointwise tensor rule.
 
@@ -573,11 +556,9 @@ def reference_gaussian_quadratic_auto(
     if abs(h0 - 1.0) * amin >= _WINDOW:
         if h0 < 1.0:
             cov = 2.0 * (chol_cov_half @ chol_cov_half.T)
-            return gaussian_quadratic_fullspace(mean, cov, M, q_center,
-                                                const=const, lin=lin)
+            return gaussian_quadratic_fullspace(mean, cov, M, q_center)
         return 0.0
-    return reference_gaussian_quadratic_tensor(ell, mean, chol_cov_half, M, q_center,
-                                               const=const, lin=lin)
+    return reference_gaussian_quadratic_tensor(ell, mean, chol_cov_half, M, q_center)
 
 
 
@@ -587,25 +568,21 @@ def reference_gaussian_quadratic_auto(
 # ---------------------------------------------------------------------------
 
 
-def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center, lin):
+def _one_slice(ell: Ellipsoid, mean, chol_cov_half, M, q_center):
     """The arguments of one slice, as a stack of one for the engine."""
     args = dict(center=ell.center, shape=ell.shape, level=ell.level, mean=mean,
-                chol_cov_half=chol_cov_half, M=M, q_center=q_center, lin=lin)
-    return {k: None if a is None else np.asarray(a, dtype=float)[None] for k, a in args.items()}
+                chol_cov_half=chol_cov_half, M=M, q_center=q_center)
+    return {k: np.asarray(a, dtype=float)[None] for k, a in args.items()}
 
 
-def gaussian_quadratic_tensor(ell: Ellipsoid, mean, chol_cov_half, M, q_center,
-                              const: float = 0.0, lin=None) -> float:
+def gaussian_quadratic_tensor(ell: Ellipsoid, mean, chol_cov_half, M, q_center) -> float:
     """The tensor rule of ``gaussian_quadratic_stack`` on one slice, unclassified."""
-    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
-    return float(_gauss_tensor_stack(const=const, **args)[0])
+    return float(_gauss_tensor_stack(**_one_slice(ell, mean, chol_cov_half, M, q_center))[0])
 
 
-def gaussian_quadratic_auto(ell: Ellipsoid, mean, chol_cov_half, M, q_center,
-                            const: float = 0.0, lin=None) -> float:
+def gaussian_quadratic_auto(ell: Ellipsoid, mean, chol_cov_half, M, q_center) -> float:
     """``gaussian_quadratic_stack`` on one slice."""
-    args = _one_slice(ell, mean, chol_cov_half, M, q_center, lin)
-    return float(gaussian_quadratic_stack(const=const, **args)[0])
+    return float(gaussian_quadratic_stack(**_one_slice(ell, mean, chol_cov_half, M, q_center))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -123,3 +123,16 @@ def test_mean_value_reproduces_harmonic_polynomials(proto, balls, quad_cfg):
         target = u(ball.z0)
         got = mean_value(u, ball, quad_cfg)
         assert abs(got.value - target) < 1e-7 * (1.0 + abs(target))
+
+
+@pytest.mark.parametrize("n, blocks", [(2, [2]), (3, [3]), (4, [2, 2])])
+def test_basis_degree_one_is_the_coordinates(n, blocks):
+    # below anisotropic degree 2, L u = 0 holds for every monomial, so the
+    # basis is 1 and the degree-1 coordinates, each alone with coefficient 1
+    eye = np.eye(blocks[0])
+    spec = kp.validate_operator(n, blocks, eye, [eye] * (len(blocks) - 1))
+    basis = harmonic_basis(spec, 1)
+    coords = [tuple(int(i == j) for i in range(n)) for j in range(blocks[0])]
+    expected = [((0,) * n, 0)] + [(c, 0) for c in coords]
+    assert sorted(list(u.terms.items()) for u in basis) == sorted([(key, 1)] for key in expected)
+    assert all(isinstance(c, Fraction) for u in basis for c in u.terms.values())

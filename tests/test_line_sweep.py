@@ -8,6 +8,8 @@
   against 30-digit ``mpmath.quad``, a box the Gaussian window clips never
   short, and the graded sweep against an order-96 sweep on the first
   criterion-6 points and on random chain slices, each rung taken.
+* ``_normal_frame`` orthonormal with the boundary normal as its first
+  column, bit for bit, for normals along every coordinate axis too.
 * The per-line Schur data of ``_lines`` against per-section values rebuilt
   from x-space offsets, as a sweep that carries no line data computes them:
   the level left, the section centre and the quadratic's coefficients.
@@ -145,10 +147,28 @@ def _engine_stacks(ball, monkeypatch):
     return stacks
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normal_frame_is_orthonormal_with_the_normal_first(n):
+    # random stacks, then normals along -/+ each coordinate axis, which a
+    # completion by Gram-Schmidt over the coordinate axes has to skip
+    rng = np.random.default_rng(30 + n)
+    G = rng.standard_normal((40, n, n))
+    Aq = np.concatenate([G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(n),
+                         np.broadcast_to(np.eye(n), (2 * n, n, n))])
+    cv = np.concatenate([rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1)),
+                         2.5 * np.eye(n), -2.5 * np.eye(n)])  # normals -e_k, then +e_k
+    frame = _normal_frame(Aq, cv)
+    grad = -np.einsum("kij,kj->ki", Aq, cv / np.linalg.norm(cv, axis=1)[:, None])
+    e1 = grad / np.linalg.norm(grad, axis=1)[:, None]
+    assert np.array_equal(e1[40:], np.concatenate([-np.eye(n), np.eye(n)]))
+    assert np.array_equal(frame[:, :, 0], e1)
+    assert np.max(np.abs(np.swapaxes(frame, 1, 2) @ frame - np.eye(n))) <= 1e-15
+
+
 def _rebuilt_sections(args, ln, v):
     """Per-section level, centre and coefficients (about w1 = w1_0) at the
     swept nodes v, rebuilt from x-space offsets of each section."""
-    center, shape, level, mean, chol, M, qc, const, lin = args
+    center, shape, level, mean, chol, M, qc = args
     k, w1_0 = ln.slice, ln.vertex[:, 0]
     L2 = 2.0 * chol
     cv = np.linalg.solve(L2, (center - mean)[:, :, None])[:, :, 0]
@@ -168,18 +188,12 @@ def _rebuilt_sections(args, ln, v):
              w1_0[:, None, None] * s1[:, None, :])
     d = terms[0] + terms[1] + terms[2]
     Md = np.einsum("lij,lvj->lvi", Mk, d)
-    const = np.broadcast_to(const, level.shape)[k, None]
-    b0 = np.einsum("lvi,lvi->lv", d, Md) + const
+    b0 = np.einsum("lvi,lvi->lv", d, Md)
     b1 = 2.0 * np.einsum("lvi,li->lv", Md, s1)
     # the scale of each coefficient: the magnitudes of the terms these sums add
     dabs = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-    b0_scale = np.einsum("lvi,lij,lvj->lv", dabs, np.abs(Mk), dabs) + np.abs(const)
+    b0_scale = np.einsum("lvi,lij,lvj->lv", dabs, np.abs(Mk), dabs)
     b1_scale = 2.0 * np.einsum("lvi,lij,lj->lv", dabs, np.abs(Mk), np.abs(s1))
-    if lin is not None:
-        b0 = b0 + np.einsum("lvi,li->lv", d, lin[k])
-        b1 = b1 + np.einsum("li,li->l", s1, lin[k])[:, None]
-        b0_scale = b0_scale + np.einsum("lvi,li->lv", dabs, np.abs(lin[k]))
-        b1_scale = b1_scale + np.einsum("li,li->l", np.abs(s1), np.abs(lin[k]))[:, None]
     half = np.sqrt(level[k] / alpha)
     return lev, w1s, b0, b1, b0_scale, b1_scale, half
 
@@ -193,33 +207,29 @@ def test_line_data_matches_sections_rebuilt_from_x_space(op, balls, monkeypatch)
     stacks = _engine_stacks(ball, monkeypatch)
     assert stacks
     order = quadrature._rung(ball.spec.n, math.inf)  # the nodes the line data is checked at
-    rng = np.random.default_rng(5)
     lines = 0
     for args in stacks:
-        center, shape, level, mean, chol, M, qc, const, lin = args
-        for c, li in ((const, lin), (rng.uniform(-1, 1, level.size),
-                                     rng.standard_normal(center.shape))):
-            call = args[:7] + (c, li)
-            ln = _lines(*call)
-            if ln.slice.size == 0:
-                continue
-            v0, w1_0 = ln.vertex[np.arange(ln.slice.size), ln.axis], ln.vertex[:, 0]
-            lines += ln.slice.size
-            dv, _ = _line_nodes(v0, ln.half, order)
-            v = v0[:, None] + np.concatenate([0.0 * v0[:, None], dv], axis=1)  # vertex, nodes
-            lev, w1s, b0, b1, b0_scale, b1_scale, half = _rebuilt_sections(call, ln, v)
-            dv = v - v0[:, None]
-            # each against its scale along the line
-            lev_line = ln.lev0[:, None] - ln.a_v[:, None] * dv ** 2
-            assert np.max(np.abs(lev_line - lev) / level[ln.slice][:, None]) <= 1e-12
-            centre = w1_0[:, None] + ln.g1[:, None] * dv
-            centre_scale = np.max(np.abs(w1s), axis=1) + half
-            assert np.max(np.abs(centre - w1s) / centre_scale[:, None]) <= 1e-12
-            P, Pv, P1, Qvv, Qv1, _ = ln.quad[:, :, None]
-            B0 = P + Pv * dv + Qvv * dv ** 2
-            B1 = P1 + 2.0 * Qv1 * dv
-            assert np.max(np.abs(B0 - b0) / np.max(b0_scale, axis=1, keepdims=True)) <= 1e-12
-            assert np.max(np.abs(B1 - b1) / np.max(b1_scale, axis=1, keepdims=True)) <= 1e-12
+        level = args[2]
+        ln = _lines(*args)
+        if ln.slice.size == 0:
+            continue
+        v0, w1_0 = ln.vertex[np.arange(ln.slice.size), ln.axis], ln.vertex[:, 0]
+        lines += ln.slice.size
+        dv, _ = _line_nodes(v0, ln.half, order)
+        v = v0[:, None] + np.concatenate([0.0 * v0[:, None], dv], axis=1)  # vertex, nodes
+        lev, w1s, b0, b1, b0_scale, b1_scale, half = _rebuilt_sections(args, ln, v)
+        dv = v - v0[:, None]
+        # each against its scale along the line
+        lev_line = ln.lev0[:, None] - ln.a_v[:, None] * dv ** 2
+        assert np.max(np.abs(lev_line - lev) / level[ln.slice][:, None]) <= 1e-12
+        centre = w1_0[:, None] + ln.g1[:, None] * dv
+        centre_scale = np.max(np.abs(w1s), axis=1) + half
+        assert np.max(np.abs(centre - w1s) / centre_scale[:, None]) <= 1e-12
+        P, Pv, P1, Qvv, Qv1, _ = ln.quad[:, :, None]
+        B0 = P + Pv * dv + Qvv * dv ** 2
+        B1 = P1 + 2.0 * Qv1 * dv
+        assert np.max(np.abs(B0 - b0) / np.max(b0_scale, axis=1, keepdims=True)) <= 1e-12
+        assert np.max(np.abs(B1 - b1) / np.max(b1_scale, axis=1, keepdims=True)) <= 1e-12
     assert lines > 0
 
 
@@ -240,8 +250,7 @@ def test_stack_call_makes_no_per_block_gather(balls, monkeypatch):
 
     monkeypatch.setattr(np, "take", counted_take)
     monkeypatch.setattr(quadrature, "_w1_integrals", counted_w1)
-    center, shape, level, mean, chol, M, qc, const, lin = args
-    gaussian_quadratic_stack(center, shape, level, mean, chol, M, qc, const=const, lin=lin)
+    gaussian_quadratic_stack(*args)
     assert counts["blocks"] >= 4
     assert counts["take"] == 0
 

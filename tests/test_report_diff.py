@@ -66,3 +66,24 @@ def test_report_diff_absolute_column_tells_a_residue_from_a_value(tmp_path):
     # relative 1 at an absolute 3e-10, the value by 1/3 at an absolute 1
     assert lines[2:] == ["   3.00e-10   1.00e+00  rows[*].dev",
                          "   1.00e+00   3.33e-01  rows[*].value"]
+
+
+def test_report_diff_into_a_closed_pipe_keeps_its_exit_code(tmp_path):
+    # more lines than a pipe holds, read one, close: as under ``| head``.
+    # No traceback, and the exit code still tells numbers-only (0) from a
+    # differing flag (1)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    fields = {f"field_{k}": float(k) for k in range(5000)}
+    (old / "r.json").write_text(json.dumps(fields))
+    for flag, expected in ((True, 0), (False, 1)):
+        (new / "r.json").write_text(json.dumps({**fields, "field_0": 1.0}
+                                               | ({} if flag else {"extra": True})))
+        proc = subprocess.Popen([sys.executable, str(TOOL), str(old), str(new)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().split() == ["max", "|a-b|", "max", "rel", "field"]
+        proc.stdout.close()
+        assert proc.wait() == expected
+        assert proc.stderr.read() == ""
+        proc.stderr.close()

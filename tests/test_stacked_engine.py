@@ -181,21 +181,15 @@ def test_stacked_engine_matches_pointwise_reference(op, all_specs, evaluators):
     rng = np.random.default_rng(41)
     count = 12 if op == "chain" else 40
     sl, reach, mean, L, M, qc = _engine_cases(spec, ev, rng, count)
-    const = rng.uniform(-1.0, 1.0, count)
-    lin = rng.standard_normal((count, spec.n))
-    for c, li in ((0.0, None), (const, lin)):
-        got = gaussian_quadratic_stack(sl.center, sl.shape, sl.rho, mean, L, M, qc,
-                                       const=c, lin=li)
-        for k in range(count):
-            ell = Ellipsoid(sl.center[k], sl.shape[k], float(sl.rho[k]))
-            ck = c if np.ndim(c) == 0 else c[k]
-            ref = reference_gaussian_quadratic_auto(ell, mean[k], L[k], M[k], qc[k],
-                                                    const=ck, lin=None if li is None else li[k])
-            # relative per slice; where the Gaussian barely reaches the slice,
-            # against 1e-12 of the quadratic's size there
-            size = abs(ck) + float(np.max(np.abs(M[k]))) * (
-                float(np.max(np.abs(sl.center[k] - qc[k]))) + float(np.max(reach[k]))) ** 2
-            assert abs(got[k] - ref) <= 1e-12 * max(abs(ref), 1e-12 * size), (k, got[k], ref)
+    got = gaussian_quadratic_stack(sl.center, sl.shape, sl.rho, mean, L, M, qc)
+    for k in range(count):
+        ell = Ellipsoid(sl.center[k], sl.shape[k], float(sl.rho[k]))
+        ref = reference_gaussian_quadratic_auto(ell, mean[k], L[k], M[k], qc[k])
+        # relative per slice; where the Gaussian barely reaches the slice,
+        # against 1e-12 of the quadratic's size there
+        size = float(np.max(np.abs(M[k]))) * (
+            float(np.max(np.abs(sl.center[k] - qc[k]))) + float(np.max(reach[k]))) ** 2
+        assert abs(got[k] - ref) <= 1e-12 * max(abs(ref), 1e-12 * size), (k, got[k], ref)
 
 
 def test_chain_slices_against_polar_oracle(chain, evaluators):

@@ -14,7 +14,8 @@ relative 1 while its absolute change stays at rounding level; the absolute
 column tells the two apart.
 
 Exit codes: 0 when only numbers changed, 1 when a non-numeric field differs or
-a file is missing, 2 on a usage error.
+a file is missing, 2 on a usage error.  A reader that stops early, such as
+``| head``, changes neither the exit code nor the comparison.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -106,20 +108,25 @@ def main(argv=None) -> int:
     names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir()
                     if p.suffix in (".json", ".csv")})
     failed = False
-    print("  max |a-b|  max rel    field")
+    lines = ["  max |a-b|  max rel    field"]
     for name in names:
         old, new = args.old / name, args.new / name
         if not (old.is_file() and new.is_file()):
-            print(f"{name}: missing in {'NEW' if old.is_file() else 'OLD'}")
+            lines.append(f"{name}: missing in {'NEW' if old.is_file() else 'OLD'}")
             failed = True
             continue
         changes, differ = compare_file(old, new)
-        print(name)
+        lines.append(name)
         for field, (absolute, rel) in sorted(changes.items(), key=lambda kv: (-kv[1][1], kv[0])):
-            print(f"  {absolute:9.2e}  {rel:9.2e}  {field}")
-        for line in differ:
-            print(f"  DIFFERS    {line}")
+            lines.append(f"  {absolute:9.2e}  {rel:9.2e}  {field}")
+        lines.extend(f"  DIFFERS    {line}" for line in differ)
         failed = failed or bool(differ)
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to /dev/null, so that
+        # the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if failed else 0
 
 
