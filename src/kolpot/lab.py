@@ -14,7 +14,8 @@ For the exact ball and z outside, P equals r Gamma(z0, z); the rigidity
 experiments measure how strongly perturbed domains break that identity.  The
 L^p gluing check integrates W^p over the symmetric difference of a domain and
 the ball the same way: one stacked pass over the signed slices of both at all
-nodes of a refinement step.
+nodes of a refinement step, exact at integer p wherever a time's slices nest
+or lie apart, and Monte Carlo only where they overlap or p is not an integer.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from scipy.special import ndtri
 
 from . import __version__ as _version
 from .balls import LBall, ball_bounding_box, unit_ball_volume
-from .domains import (
-    BittenBall,
-    ExactBall,
-    RadiusMismatchBall,
-    ScaledBall,
-    SignedSliceStack,
-    SlicedDomain,
-    quadratic_form,
-)
+from .domains import ExactBall, SignedSliceStack, SlicedDomain, quadratic_form
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
 from .quadrature import (
@@ -464,20 +457,61 @@ def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int)
     return U, row
 
 
+def _apart(ca, Sa, la, cb, Sb, lb) -> np.ndarray:
+    """Whether the open ellipsoids {x : <S (x - c), x - c> < l} of each stacked pair lie
+    apart: their support functions along d = (Sa + Sb)(cb - ca) leave a gap,
+    sqrt(la <Sa^-1 d, d>) + sqrt(lb <Sb^-1 d, d>) < <d, cb - ca>.  Sound for any pair, and
+    exact for equal shapes, where it reads |cb - ca|_S > sqrt(la) + sqrt(lb)."""
+    delta = cb - ca
+    d = ((Sa + Sb) @ delta[:, :, None])[:, :, 0]
+
+    def reach(S, level):
+        return np.sqrt(level * np.sum(d * np.linalg.solve(S, d[:, :, None])[:, :, 0], axis=1))
+
+    return reach(Sa, la) + reach(Sb, lb) < np.sum(d * delta, axis=1)
+
+
+def _lp_classes(sd: SignedSliceStack, sb: SignedSliceStack, size: int):
+    """(nested, apart) per input time, for the signed slices of a domain and of the ball.
+
+    The ball's stack holds one +1 slice per time at most, so each +1 slice of
+    the domain pairs with the ball's slice at its time, if any.  A time is
+    nested when it has one such pair, whose slices share centre and shape bit
+    for bit, and the domain has no -1 region there unless its +1 slice is no
+    larger than the ball's: one side's region then holds the other's.  A
+    time is apart when every pair passes ``_apart``, and so when one side
+    has no slice.
+    """
+    at = np.full(size, -1)
+    at[sb.node] = np.arange(sb.node.size)
+    i = np.flatnonzero((sd.sign > 0) & (at[sd.node] >= 0))
+    j, k = at[sd.node[i]], sd.node[i]
+    bitten = np.bincount(sd.node[sd.sign < 0], minlength=size) > 0
+    same = (np.all(sd.center[i] == sb.center[j], axis=1)
+            & np.all(sd.shape[i] == sb.shape[j], axis=(1, 2))
+            & ((sd.level[i] <= sb.level[j]) | ~bitten[k]))
+    near = ~_apart(sd.center[i], sd.shape[i], sd.level[i], sb.center[j], sb.shape[j], sb.level[j])
+    nested = (np.bincount(k, minlength=size) == 1) & (np.bincount(k, same, size) == 1)
+    return nested, np.bincount(k, near, size) == 0
+
+
 def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     """Profile tau -> int of W(z0^{-1} o .)^p over the slices of the symmetric
     difference of the domain and the ball, one call per refinement step.
 
     Each call takes both stacks from one ``signed_slice_stack`` call each and
     the kernel W(u), u = tau - t0, centred at E(u) x0, from one ``W_quadratic``
-    call over the nodes that have a slice.  For nested families at integer p
-    the value is |int_D W^p - int_ball W^p|, each a signed sum of exact
-    degree-2p ``ball_rule`` integrals.  Otherwise every +1 slice of either
+    call over the nodes that have a slice.  At integer p, W^p is a polynomial
+    of degree 2p, and each time is sorted by its slices (``_lp_classes``):
+    where they nest, the value is |int_D W^p - int_ball W^p|, and where they
+    lie apart, int_D W^p + int_ball W^p, each a signed sum of exact degree-2p
+    ``ball_rule`` integrals.  Monte Carlo runs only at the times whose slices
+    overlap, and at every time for non-integer p: every +1 slice of either
     domain carries 512 samples from its node's Philox stream, and a sample
     counts where it lies in its own domain and not in the other.  The stream
     key reads |tau| in bins of 1e-7, so the times of one bin share one key
     block (``_node_uniforms``), drawn and mapped to the unit ball once per
-    block of ``_CELL`` +1 slices.  Both paths work per block of ``_CELL``
+    block of ``_CELL`` +1 slices.  Both rules work per block of ``_CELL``
     slices, which bounds the rule points and samples a call holds at once,
     however many time cells it carries.
     """
@@ -486,8 +520,7 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
     x0, t0 = ball.z0.x, ball.z0.t
     base = ExactBall(ball)
     p_int = int(round(p))
-    nested = isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
-    exact = abs(p - p_int) < 1e-12 and p_int >= 1 and nested
+    exact = abs(p - p_int) < 1e-12 and p_int >= 1
     gen = np.random.Generator(np.random.Philox(key=0))
 
     def profile(tau_arr):
@@ -506,11 +539,13 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
             Y = X - cW[k][:, :, None]
             return np.clip(quadratic_form(MW[k], Y), 0.0, None) ** p
 
-        def by_blocks(st, block_value):
-            vals = np.empty(st.node.size)
-            for a in range(0, vals.size, _CELL):
-                vals[a:a + _CELL] = block_value(SignedSliceStack(*(x[a:a + _CELL] for x in st)))
-            return np.bincount(st.node, weights=vals, minlength=tau.size)
+        def by_blocks(st, keep, block_value):
+            rows = np.flatnonzero(keep)
+            vals = np.empty(rows.size)
+            for a in range(0, rows.size, _CELL):
+                blk = rows[a:a + _CELL]
+                vals[a:a + _CELL] = block_value(SignedSliceStack(*(x[blk] for x in st)))
+            return np.bincount(st.node[rows], weights=vals, minlength=tau.size)
 
         def exact_block(blk):
             nodes, weights = ball_rule(n, 2 * p_int)
@@ -528,13 +563,19 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
             keep = src.holds(X, blk.node) & ~other.holds(X, blk.node)
             return unit_ball_volume(n) * jac * np.mean(w_power(X, blk.node) * keep, axis=1)
 
-        def mc_value(src, other, salt):
-            pos = SignedSliceStack(*(a[src.sign > 0] for a in src))
-            return by_blocks(pos, lambda blk: mc_block(blk, src, other, salt))
+        def mc_value(src, other, salt, mc):
+            return by_blocks(src, (src.sign > 0) & mc[src.node],
+                             lambda blk: mc_block(blk, src, other, salt))
 
+        out = np.zeros(tau.size)
+        mc = np.ones(tau.size, dtype=bool)
         if exact:
-            return np.abs(by_blocks(sd, exact_block) - by_blocks(sb, exact_block))
-        return mc_value(sb, sd, 1) + mc_value(sd, sb, 2)
+            nested, apart = _lp_classes(sd, sb, tau.size)
+            mc = ~(nested | apart)
+            vd = by_blocks(sd, ~mc[sd.node], exact_block)
+            vb = by_blocks(sb, ~mc[sb.node], exact_block)
+            out = np.where(nested, np.abs(vd - vb), vd + vb)
+        return out + mc_value(sb, sd, 1, mc) + mc_value(sd, sb, 2, mc)
 
     return profile
 
@@ -545,9 +586,10 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
 
     Zero for the exact ball.  The time integral runs over a profile that
     handles all nodes of a refinement step in one stacked pass (``_lp_profile``):
-    exact degree-2p cubature for nested-slice perturbations at integer p,
-    Monte Carlo on the slices otherwise, from 512-sample streams keyed by
-    ``cfg.seed``.  The integral stops at the floor s = 1e-7 span below the
+    at integer p, exact degree-2p cubature at every time whose slices nest or
+    lie apart, and Monte Carlo at the times whose slices overlap and at every
+    time for non-integer p, from 512-sample streams keyed by ``cfg.seed``.
+    The integral stops at the floor s = 1e-7 span below the
     latest time, s = hi - tau, and is taken tail first in two disjoint pieces:
     the last two decades, 1e-7 span < s < 1e-5 span, in sigma = log(span/s),
     then the head in tau, to an absolute tolerance of 1e-6 of the tail.  When

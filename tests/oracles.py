@@ -15,9 +15,11 @@
   (``reference_kernel_gamma_profile``), which builds each domain's signed
   slices per node from ``LBall.slice_at`` and ``LBall.slice_center``.
 * The per-node reference of the L^p gluing profile (``reference_lp_profile``),
-  the library's profile before it was stacked: one ellipsoid at a time, and a
-  Monte Carlo symmetric difference that only reads +1 slices (correct for
-  every family except the bitten ball at non-integer p).
+  the library's profile before it was stacked: one ellipsoid at a time, each
+  node classified on its own (``reference_lp_class``: nested, apart or
+  overlapping), the polar rule where the slices nest or lie apart at integer
+  p, and elsewhere a Monte Carlo symmetric difference that only reads +1
+  slices (correct for every family except the bitten ball at non-integer p).
 * ``ball_cubature_kernel_gamma``: one slice of the kernel-weighted Gamma
   profile of an exact ball by a degree-exact unit-ball cubature, with every
   offset formed from the slice centre.
@@ -704,15 +706,46 @@ def _reference_slice_power_integral(ell, MW, cW, p: int, n: int) -> float:
     return jac * float(weights @ np.clip(w, 0.0, None) ** p)
 
 
+def _reference_apart(ea: Ellipsoid, eb: Ellipsoid) -> bool:
+    """Two ellipsoids lie apart along d = (Sa + Sb)(cb - ca): the support function of ea
+    in direction d stays below that of eb in direction -d."""
+    delta = eb.center - ea.center
+    d = (ea.shape + eb.shape) @ delta
+    ha = float(ea.center @ d) + math.sqrt(ea.level * float(d @ np.linalg.inv(ea.shape) @ d))
+    hb = float(eb.center @ d) - math.sqrt(eb.level * float(d @ np.linalg.inv(eb.shape) @ d))
+    return ha < hb
+
+
+def reference_lp_class(d_sl, b_sl) -> str:
+    """'nested', 'apart' or 'overlapping', for one time's (sign, ellipsoid) slices of a
+    domain and of the ball: nested when each has one +1 slice, with equal centre and
+    shape, and the domain's -1 regions sit in a slice no larger than the ball's; apart
+    when every pair of +1 slices lies apart."""
+    d_pos = [e for sign, e in d_sl if sign > 0]
+    b_pos = [e for sign, e in b_sl if sign > 0]
+    if len(d_pos) == len(b_pos) == 1:
+        ed, eb = d_pos[0], b_pos[0]
+        if (np.array_equal(ed.center, eb.center) and np.array_equal(ed.shape, eb.shape)
+                and (ed.level <= eb.level or len(d_pos) == len(d_sl))):
+            return "nested"
+    if all(_reference_apart(ed, eb) for ed in d_pos for eb in b_pos):
+        return "apart"
+    return "overlapping"
+
+
 def reference_lp_profile(domain, ball, p: float, seed: int):
-    """tau -> int of W^p over the slices of the symmetric difference, node by node."""
+    """tau -> int of W^p over the slices of the symmetric difference, node by node.
+
+    At integer p, a node whose slices nest or lie apart (``reference_lp_class``)
+    takes the polar rule on every slice, |int_D - int_ball| or int_D + int_ball;
+    every other node takes Monte Carlo.
+    """
     spec = ball.spec
     ev = ball.ev
     t0 = ball.z0.t
     x0 = ball.z0.x
     p_int = int(round(p))
-    nested = isinstance(domain, (ScaledBall, RadiusMismatchBall, BittenBall))
-    exact_power = abs(p - p_int) < 1e-12 and p_int >= 1 and nested
+    exact_power = abs(p - p_int) < 1e-12 and p_int >= 1
     base = ExactBall(ball)
 
     def region_value(src_slices, other_slices, salt, MW, cW, tau):
@@ -746,12 +779,13 @@ def reference_lp_profile(domain, ball, p: float, seed: int):
             return 0.0
         MW = reference_W_quadratic(ev, tau - t0)
         cW = transport_matrix(tau - t0, spec) @ x0
-        if exact_power:
+        kind = reference_lp_class(d_sl, b_sl) if exact_power else "overlapping"
+        if kind != "overlapping":
             vb = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
                      for sign, e in b_sl)
             vd = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
                      for sign, e in d_sl)
-            return abs(vd - vb)
+            return abs(vd - vb) if kind == "nested" else vd + vb
         return (region_value(b_sl, d_sl, 1, MW, cW, tau)
                 + region_value(d_sl, b_sl, 2, MW, cW, tau))
 

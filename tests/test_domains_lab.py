@@ -155,10 +155,11 @@ def test_lp_norm_flags_a_floor_integral_that_hits_its_budget(balls, quad_cfg, mo
     heat1 = balls["heat1"]
     lp = lp_condition_norm(make_perturbation(heat1, "bite", 0.1), heat1, 3, quad_cfg)
     assert "tolerance_not_met" not in lp.flags
-    # a piece that stops at its cell budget adds the flag
+    # a piece that stops at its cell budget adds the flag; at p = 4 both pieces
+    # converge within 8 cells, so the budget is met at p = 3.5 (Monte Carlo)
     monkeypatch.setattr(lab, "_LP_MAX_CELLS", 8)
     with pytest.warns(errors.ToleranceWarning):
-        lp = lp_condition_norm(domain, ball, 4, cfg)
+        lp = lp_condition_norm(domain, ball, 3.5, cfg)
     assert "tolerance_not_met" in lp.flags
     assert math.isfinite(lp.norm) and lp.norm > 0.0
 
