@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -212,6 +213,14 @@ class LBall:
 
     def gamma_from_center(self, z: GroupPoint) -> float:
         return self.ev.Gamma(self.z0, z)
+
+    @cached_property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """``ball_bounding_box(self)``, searched once per ball; read-only arrays."""
+        box = ball_bounding_box(self)
+        for a in box:
+            a.setflags(write=False)
+        return box
 
 
 def lball(spec: OperatorSpec, r: float, z0: GroupPoint | None = None,

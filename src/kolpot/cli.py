@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .balls import ball_bounding_box, export_slices_csv, lball
+from .balls import export_slices_csv, lball
 from .config import load_config
 from .errors import ConfigParseError, KolpotError, SchemaError
 from .experiments import run_experiment
@@ -156,7 +156,7 @@ def describe(config_path: str, slices_csv: str | None = None) -> int:
     z0 = spec.point(np.asarray(cfg.z0[:-1]), cfg.z0[-1])
     for r in cfg.radii:
         ball = lball(spec, r, z0, ev)
-        lo, hi = ball_bounding_box(ball)
+        lo, hi = ball.bounding_box
         print(f"r={r:.6g}: s_max={ball.s_max:.6g} "
               f"time=({lo[-1]:.6g}, {hi[-1]:.6g}) "
               f"box={[f'{a:.4g}..{b:.4g}' for a, b in zip(lo[:-1], hi[:-1])]} "

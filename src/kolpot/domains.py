@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balls import Ellipsoid, LBall, SliceStack, ball_bounding_box, lball
+from .balls import Ellipsoid, LBall, SliceStack, lball
 from .operators import GroupPoint
 
 __all__ = [
@@ -283,7 +283,7 @@ def make_perturbation(ball: LBall, kind: str, magnitude: float) -> SlicedDomain:
     1 + magnitude; bite: interior bite of relative size ~ magnitude.
     """
     if kind == "spatial_shift":
-        lo, hi = ball_bounding_box(ball)
+        lo, hi = ball.bounding_box
         half = 0.5 * float(np.max(hi[:-1] - lo[:-1]))
         h = np.zeros(ball.spec.n)
         h[0] = magnitude * half

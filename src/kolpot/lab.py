@@ -10,6 +10,10 @@ computed one refinement step of the time rule at a time: at each time the
 integrand is a Gaussian in the spatial variable times a quadratic (the
 kernel), integrated over the signed slice ellipsoids, and each profile call
 stacks the slices of all its nodes into one Gaussian x quadratic engine call.
+The time integrals of all the points of one call (the exterior identity's
+test points, the interior margins' points) refine in lockstep, so a step's
+profile call carries the nodes of every point still refining, and each
+point's result keeps the bits it has alone.
 For the exact ball and z outside, P equals r Gamma(z0, z); the rigidity
 experiments measure how strongly perturbed domains break that identity.  The
 L^p gluing check integrates W^p over the symmetric difference of a domain and
@@ -29,7 +33,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__ as _version
-from .balls import LBall, ball_bounding_box, unit_ball_volume
+from .balls import LBall, unit_ball_volume
 from .domains import ExactBall, SignedSliceStack, SlicedDomain, quadratic_form
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
@@ -37,7 +41,8 @@ from .quadrature import (
     _CELL,
     IntegralResult,
     QuadratureConfig,
-    _integrate_in_sigma,
+    _integrate_pieces,
+    _sigma_end,
     ball_rule,
     gaussian_quadratic_stack,
     integrate_over_ball,
@@ -63,32 +68,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
-    """Profile tau -> int over the slices of Gamma(., z) W(z0^{-1} o .), one call per step.
+def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, *points: GroupPoint):
+    """Profile (tau, point) -> int over the slices of Gamma(., z) W(z0^{-1} o .),
+    z = points[point], one call per step for all the points.
 
     At a node tau with delta = tau - z.t > 0 the integrand is the Gaussian of
     covariance 2 C(delta) centred at E(delta) z.x, whose Cholesky factor is
     D(sqrt delta) L1, times the quadratic W(u), u = tau - t0, centred at
     E(u) x0 (``GammaEvaluator.W_quadratic`` over the stacked u).  All nodes of
-    a call take their slices from one ``signed_slice_stack`` call and go
-    through one ``gaussian_quadratic_stack`` call.
+    a call, whatever their point, take their slices from one
+    ``signed_slice_stack`` call and go through one ``gaussian_quadratic_stack``
+    call.  ``point`` is each node's index into ``points`` (default: the first).
     """
     ev = ball.ev
     cov = ev.cov
     x0, t0 = ball.z0.x, ball.z0.t
+    zx = np.array([z.x for z in points])
+    zt = np.array([z.t for z in points])
 
-    def profile(tau_arr):
+    def profile(tau_arr, point=0):
         tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
-        live = np.flatnonzero(tau - z.t > 0.0)
+        live = np.flatnonzero(tau - zt[point] > 0.0)
         st = domain.signed_slice_stack(tau[live])
         node = live[st.node]
         if node.size == 0:
             return np.zeros(tau.size)
-        delta = tau[node] - z.t
+        p = point if np.ndim(point) == 0 else point[node]
+        delta = tau[node] - zt[p]
         u = tau[node] - t0
         vals = gaussian_quadratic_stack(
             st.center, st.shape, st.level,
-            mean=cov.E(delta) @ z.x,
+            mean=(cov.E(delta) @ zx[p, :, None])[:, :, 0],
             chol_cov_half=(delta[:, None] ** cov.half_weights)[:, :, None] * cov.L1,
             M=ev.W_quadratic(u),
             q_center=cov.E(u) @ x0,
@@ -98,50 +108,75 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, z: GroupPoint):
     return profile
 
 
-def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
-                          cfg: QuadratureConfig, abs_scale: float | None = None,
-                          t_min: float | None = None) -> IntegralResult:
-    """int_D Gamma(zeta, z) W(z0^{-1} o zeta) d zeta (no 1/r factor).
+def kernel_gamma_integrals(domain: SlicedDomain, ball: LBall, points, cfg: QuadratureConfig,
+                           abs_scales) -> list[IntegralResult]:
+    """int_D Gamma(zeta, z) W(z0^{-1} o zeta) d zeta (no 1/r factor) at every z of ``points``.
 
-    The time range is the domain's interval clipped to zeta.t > z.t (where
-    Gamma vanishes) and to ``t_min`` when given.  If the interval straddles
-    the kernel's singular time t0 it is split there.  A piece that ends or
-    starts at t0 runs in sigma = log(S/s), with s = t0 - tau or tau - t0 and
-    S its length (``quadrature._integrate_in_sigma``, as for mean values);
-    any other piece runs in tau.
+    Each point's time range is the domain's interval clipped to zeta.t > z.t
+    (where Gamma vanishes); an empty range gives 0 in 0 cells.  If the interval straddles the kernel's singular time t0 it
+    is split there.  A piece that ends or starts at t0 runs in sigma =
+    log(S/s), with s = t0 - tau or tau - t0 and S its length (as
+    ``quadrature._integrate_in_sigma`` does for mean values); any other
+    piece runs in tau.  The pieces of all the points refine in lockstep
+    (``quadrature._integrate_pieces``), so each step makes one profile call
+    for all of them, and each piece keeps its own tolerance cfg.time_tol
+    times its point's ``abs_scales`` entry and its own budget.
     """
     t_lo, t_hi = domain.time_interval
-    lo = max(t_lo, z.t)
-    if t_min is not None:
-        lo = max(lo, t_min)
-    if t_hi <= lo:
-        return IntegralResult(0.0, 0.0, cells=0)
-    profile = _kernel_gamma_profile(domain, ball, z)
-    abs_tol = cfg.time_tol * (abs_scale if abs_scale is not None else 1.0)
-    pieces = [(lo, t_hi)]
     t0 = ball.z0.t
-    if lo < t0 < t_hi:
-        pieces = [(lo, t0), (t0, t_hi)]
-    total, err, cells = 0.0, 0.0, 0
-    converged = True
-    for a, b in pieces:
-        if t0 in (a, b):
-            side = 1.0 if a == t0 else -1.0  # s = tau - t0 above the pole, t0 - tau below
-            res = _integrate_in_sigma(lambda s: profile(t0 + side * s), b - a,
-                                      ball.spec.Q, cfg, abs_tol)
-        else:
-            res = integrate_time_profile(
-                profile, a, b,
-                order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=abs_tol,
-                max_depth=cfg.endpoint_depth,
-                max_cells=cfg.max_cells,
-            )
-        total += res.value
-        err += res.error
-        cells += res.cells
-        converged = converged and res.converged
-    flags = () if converged else ("tolerance_not_met",)
-    return IntegralResult(total, err, cells=cells, converged=converged, flags=flags)
+    sigma_end = _sigma_end(ball.spec.Q)
+    pieces, owner, side, depth = [], [], [], []  # side: +1/-1 for s = tau - t0 or t0 - tau
+    for i, z in enumerate(points):
+        lo = max(t_lo, z.t)
+        if t_hi <= lo:
+            continue
+        abs_tol = cfg.time_tol * abs_scales[i]
+        cuts = [lo, t0, t_hi] if lo < t0 < t_hi else [lo, t_hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            sd = 1.0 if a == t0 else -1.0 if b == t0 else 0.0
+            pieces.append((0.0, sigma_end, abs_tol) if sd else (a, b, abs_tol))
+            owner.append(i)
+            side.append(sd)
+            depth.append(b - a)
+    owner, side, depth = np.array(owner, dtype=int), np.array(side), np.array(depth)
+    kernel = _kernel_gamma_profile(domain, ball, *points)
+
+    def profile(s, piece):
+        sg = np.flatnonzero(side[piece])  # the nodes of sigma pieces
+        p = piece[sg]
+        pole = depth[p] * np.exp(-s[sg])  # their distance to t0
+        tau = s.copy()
+        tau[sg] = t0 + side[p] * pole
+        vals = kernel(tau, owner[piece])
+        vals[sg] *= pole
+        return vals
+
+    results = _integrate_pieces(profile, pieces, order=cfg.time_order, rel_tol=cfg.time_tol,
+                                max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells)
+    out = [IntegralResult(0.0, 0.0, cells=0) for _ in points]
+    for i, res in zip(owner, results):
+        prev = out[i]
+        converged = prev.converged and res.converged
+        out[i] = IntegralResult(prev.value + res.value, prev.error + res.error,
+                                cells=prev.cells + res.cells, converged=converged,
+                                flags=() if converged else ("tolerance_not_met",))
+    return out
+
+
+def kernel_gamma_integral(domain: SlicedDomain, ball: LBall, z: GroupPoint,
+                          cfg: QuadratureConfig, abs_scale: float = 1.0) -> IntegralResult:
+    """``kernel_gamma_integrals`` at the one point z."""
+    (res,) = kernel_gamma_integrals(domain, ball, [z], cfg, [abs_scale])
+    return res
+
+
+def _gamma_potentials(domain: SlicedDomain, ball: LBall, points,
+                      cfg: QuadratureConfig) -> list[IntegralResult]:
+    """``gamma_potential`` at every z of ``points``, in one lockstep time rule."""
+    scales = [max(ball.r * ball.gamma_from_center(z), 1e-300) for z in points]
+    return [IntegralResult(res.value / ball.r, res.error / ball.r, cells=res.cells,
+                           converged=res.converged, flags=res.flags)
+            for res in kernel_gamma_integrals(domain, ball, points, cfg, scales)]
 
 
 def gamma_potential(domain: SlicedDomain, ball: LBall, z: GroupPoint,
@@ -151,11 +186,8 @@ def gamma_potential(domain: SlicedDomain, ball: LBall, z: GroupPoint,
     For the exact ball this equals Gamma(z0, z) at every exterior z and is
     strictly smaller at interior z.
     """
-    rhs_scale = ball.r * ball.gamma_from_center(z)
-    res = kernel_gamma_integral(domain, ball, z, cfg,
-                                abs_scale=max(rhs_scale, 1e-300))
-    return IntegralResult(res.value / ball.r, res.error / ball.r, cells=res.cells,
-                          converged=res.converged, flags=res.flags)
+    (res,) = _gamma_potentials(domain, ball, [z], cfg)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +273,7 @@ def exterior_test_points(domain: SlicedDomain, ball: LBall, count: int, seed: in
             continue
         pts.append((z, "lateral"))
 
-    lo, hi = ball_bounding_box(ball)
+    lo, hi = ball.bounding_box
     for _ in range(nc):
         t_z = t0 + 0.5 * s_max * rng.random()
         x = lo[:-1] + (hi[:-1] - lo[:-1]) * rng.random(spec.n)
@@ -345,14 +377,15 @@ def potential_identity_residual(domain: SlicedDomain, ball: LBall,
         seed=int(seed) if seed is not None else int(cfg.seed),
         tolerances={"time_tol": cfg.time_tol, "time_order": cfg.time_order},
     )
-    sup_abs = sup_rel = 0.0
-    for idx, item in enumerate(test_points):
-        z, cat = item if isinstance(item, tuple) else (item, "unlabeled")
+    points = [item if isinstance(item, tuple) else (item, "unlabeled") for item in test_points]
+    for idx, (z, _) in enumerate(points):
         if domain.contains(z):
             raise TestPointInsideDomain(f"test point {idx} lies inside the domain")
-        rhs = ball.r * ball.gamma_from_center(z)
-        res = kernel_gamma_integral(domain, ball, z, cfg,
-                                    abs_scale=max(rhs, 1e-300))
+    rhss = [ball.r * ball.gamma_from_center(z) for z, _ in points]
+    results = kernel_gamma_integrals(domain, ball, [z for z, _ in points], cfg,
+                                     [max(rhs, 1e-300) for rhs in rhss])
+    sup_abs = sup_rel = 0.0
+    for idx, ((z, cat), rhs, res) in enumerate(zip(points, rhss, results)):
         abs_res = abs(res.value - rhs)
         rel_res = abs_res / rhs if rhs > 1e-12 else abs_res
         sup_abs = float(np.maximum(sup_abs, abs_res))  # a NaN residual stays NaN
@@ -384,14 +417,14 @@ def interior_inequality_margin(ball: LBall, interior_points,
     reported with the quadrature error estimate, cells, convergence and flags
     of the potential.
     """
-    domain = ExactBall(ball)
-    records = []
     for idx, z in enumerate(interior_points):
         level = ball.r * ball.gamma_from_center(z)
         if not level > 1.0 + 1e-6:
             raise PointNotInterior(f"point {idx} is not strictly interior (level {level:g})")
+    records = []
+    pots = _gamma_potentials(ExactBall(ball), ball, interior_points, cfg)
+    for idx, (z, pot) in enumerate(zip(interior_points, pots)):
         gamma_center = ball.gamma_from_center(z)
-        pot = gamma_potential(domain, ball, z, cfg)
         records.append({
             "index": idx,
             "t": z.t,
@@ -648,8 +681,7 @@ def future_mass_detector(domain: SlicedDomain, ball: LBall, z_star: GroupPoint,
         raise ValueError("detector point must lie strictly above the center time")
     if domain.contains(z_star):
         raise TestPointInsideDomain("detector point lies inside the domain")
-    res = kernel_gamma_integral(domain, ball, z_star, cfg, abs_scale=1.0,
-                                t_min=z_star.t)
+    res = kernel_gamma_integral(domain, ball, z_star, cfg)
     value = res.value / ball.r
     err = res.error / ball.r
     u_star_at_center = ball.ev.Gamma(ball.z0, z_star)

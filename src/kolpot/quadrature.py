@@ -19,10 +19,12 @@ Two layers:
   which tames the degenerating slices at the ends.  Integrals that reach the
   kernel's pole run in sigma = log(S/s) (``_integrate_in_sigma``), where the
   pole's power law and log factor become a smooth exponential tail.  The
-  integrator asks its profile for all cells of a refinement step in one
-  call, and the stacked kernels behind the profiles work through a call in
-  blocks of one or a few cells (``_CELL``), so their working set does not
-  grow with the cells a call carries.
+  integrator runs any number of integrals (pieces) in lockstep and asks its
+  profile for all cells of a refinement step of all of them in one call
+  (``_integrate_pieces``); the stacked kernels behind the profiles work
+  through a call in blocks of one or a few cells (``_CELL``), so their
+  working set does not grow with the cells a call carries, and a slice's
+  value does not depend on the other slices of its call.
 """
 
 from __future__ import annotations
@@ -157,9 +159,33 @@ def gaussian_quadratic_fullspace(mean: np.ndarray, cov: np.ndarray,
     Leading axes of the arguments are a stack and give an array; one set of
     arguments gives a float.
     """
+    one = np.ndim(mean) == 1
+    if one:
+        mean, cov, M, q_center = mean[None], cov[None], M[None], np.asarray(q_center)[None]
     d = mean - q_center
-    val = np.einsum("...i,...ij,...j->...", d, M, d) + np.einsum("...ij,...ji->...", M, cov)
-    return val if np.ndim(val) else float(val)
+    val = _by_rows(_quad_form, d, M, d) + np.einsum("kij,kji->k", M, cov)
+    return float(val[0]) if one else val
+
+
+def _by_rows(f, *stacks):
+    """f over stacks with a leading row axis, each row's bits independent of
+    the other rows: numpy takes a lone row through other loops (einsum folds
+    its axes, matmul calls gemv) whose bits differ, so it goes in twice."""
+    if len(stacks[0]) != 1:
+        return f(*stacks)
+    return f(*(np.concatenate([s, s]) for s in stacks))[:1]
+
+
+def _quad_form(a, M, b):
+    """<a, M b> per row."""
+    return np.einsum("ki,kij,kj->k", a, M, b)
+
+
+def _column_sums(w, g):
+    """w @ g, each column's bits independent of the other columns.  BLAS runs
+    the leftover columns of a block through other kernels, whose bits differ,
+    but takes the rows of g^T @ w^T alike (``_by_rows``)."""
+    return _by_rows(lambda rows: rows @ w.T, g.T).T
 
 
 _WINDOW = 8.5  # Gaussian reach in e^{-|v|^2} units; exp(-72) beyond
@@ -284,7 +310,7 @@ def _vertex_scalars(D, sv, s1, M) -> np.ndarray:
     + Qvv dv^2 + 2 Qv1 dv d1 + cc2 d1^2, q(x) = <M x, x>."""
     MD, Ms1 = np.einsum("kij,kj->ki", M, D), np.einsum("kij,kj->ki", M, s1)
     return np.stack([np.einsum("ki,ki->k", D, MD), 2.0 * np.einsum("ki,ki->k", sv, MD),
-                     2.0 * np.einsum("ki,ki->k", s1, MD), np.einsum("ki,kij,kj->k", sv, M, sv),
+                     2.0 * np.einsum("ki,ki->k", s1, MD), _by_rows(_quad_form, sv, M, sv),
                      np.einsum("ki,ki->k", sv, Ms1), np.einsum("ki,ki->k", s1, Ms1)])
 
 
@@ -350,7 +376,7 @@ def _w1_integrals(c, half, d, b0, b1, c2) -> np.ndarray:
         x = tau * wd
         x += (c_f[rows] - m) + e_f[rows]  # mid + r is the midpoint (Fast2Sum: |e| <= |c|)
         x += m
-        S0, T1, T2 = wk @ _gauss_inplace(x)  # sum_j w_j tau_j^k e^{-x_j^2}
+        S0, T1, T2 = _column_sums(wk, _gauss_inplace(x))  # sum_j w_j tau_j^k e^{-x_j^2}
         del x  # the (nodes x sections) block is the largest array here: free it first
         F[:, rows] = (wd * S0, wd * wd * T1, wd * wd * wd * T2)
 
@@ -370,7 +396,7 @@ def _w1_integrals(c, half, d, b0, b1, c2) -> np.ndarray:
         tau, wk = _w1_rule(16)
         x = tau[:, :, None] * h
         x += pc
-        S0, T1, T2 = (wk @ _gauss_inplace(x).reshape(tau.size, -1)).reshape(3, *h.shape)
+        S0, T1, T2 = _column_sums(wk, _gauss_inplace(x).reshape(tau.size, -1)).reshape(3, *h.shape)
         y0, g = sign * pc - c_f[tf] - e_f[tf], sign * h  # offsets from the midpoint: y0 + g tau
         F[:, tf] = ((h * S0).sum(axis=0), (h * (y0 * S0 + g * T1)).sum(axis=0),
                     (h * (y0 * (y0 * S0 + 2.0 * g * T1) + g * g * T2)).sum(axis=0))
@@ -589,10 +615,12 @@ def gaussian_quadratic_stack(center, shape, level, mean, chol_cov_half, M,
     first: a boundary everywhere beyond the Gaussian window collapses to the
     closed-form full-space moment (or to zero when the center is outside),
     and everything else goes to the normal-aligned tensor rule
-    (``_gauss_tensor_stack``).
+    (``_gauss_tensor_stack``).  A slice's value keeps its bits whatever
+    other slices share the call (``_by_rows``, ``_column_sums``), so the
+    time integrals that share engine calls do not move one another.
     """
     E00 = mean - center
-    h0 = np.sqrt(np.maximum(np.einsum("ki,kij,kj->k", E00, shape, E00) / level, 0.0))
+    h0 = np.sqrt(np.maximum(_by_rows(_quad_form, E00, shape, E00) / level, 0.0))
     # conservative whitened distance from the Gaussian center to the domain
     # boundary: |Mahalanobis - 1| times the smallest whitened semiaxis, which
     # is at least sqrt(rho / tr(L2^T Q L2))
@@ -674,32 +702,53 @@ def integrate_time_profile(
     max_depth: int = 48,
     max_cells: int = 4096,
 ) -> IntegralResult:
-    """Adaptive integral of ``profile`` over (lo, hi).
+    """Adaptive integral of ``profile`` over (lo, hi): ``_integrate_pieces``
+    on the one piece (lo, hi).
 
-    The interval is split at its midpoint and each half is reparametrized
-    with a square-root compression toward its outer endpoint (s = lo + H w^2
-    and s = hi - H w^2), which makes the integrable endpoint behaviour of the
+    ``profile`` must accept a 1-d array of times and return values of the
+    same shape.
+    """
+    (res,) = _integrate_pieces(lambda s, piece: profile(s), [(lo, hi, abs_tol)], order=order,
+                               rel_tol=rel_tol, max_depth=max_depth, max_cells=max_cells)
+    return res
+
+
+def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth: int,
+                      max_cells: int) -> list[IntegralResult]:
+    """Adaptive integrals of ``profile`` over the pieces (lo, hi, abs_tol), in lockstep.
+
+    Each piece is split at its midpoint and each half is reparametrized with
+    a square-root compression toward its outer endpoint (s = lo + H w^2 and
+    s = hi - H w^2), which makes the integrable endpoint behaviour of the
     slice profiles mild in w.  Each half starts as 2 cells, which are then
     refined worst-first.  A cell's value is the Kronrod rule K_{2 order + 1};
     its error is QUADPACK's model resasc min(1, (200 |K - G| / resasc)^1.5)
     (Piessens et al., *QUADPACK*, 1983), with G the embedded Gauss rule
     G_order and resasc the K-rule integral of |f - K / (b - a)|.
-    ``profile`` must accept a 1-d array of times and return values of the
-    same shape; it is called once per refinement step, for the nodes of every
-    cell the step needs (the 4 initial cells, then the two halves of a split
-    cell), cell after cell, each cell's 2 order + 1 nodes in increasing w.
+
+    Every piece keeps its own heap, totals, tolerance max(abs_tol, rel_tol
+    |total|) and budgets, and warns on its own when it stops short of its
+    tolerance, exactly as if it ran alone; the pieces share only the profile
+    calls.  ``profile(s, piece)`` takes a 1-d array of times and the index of
+    each time's piece, and returns values of the same shape.  It is called
+    once per refinement step, for the nodes of every cell the step needs
+    (the 4 initial cells of each piece, then the two halves of the worst
+    cell of each piece still short of its tolerance), piece after piece,
+    cell after cell, each cell's 2 order + 1 nodes in increasing w.
     """
-    if hi <= lo:
-        return IntegralResult(0.0, 0.0, cells=0)
-    H = 0.5 * (hi - lo)
     xk, wk, wg = _gauss_kronrod(order)
+    H = [0.5 * (hi - lo) for lo, hi, _ in pieces]
 
     def eval_cells(cells):
-        """(value, error) per (side, a, b) cell, from one profile call."""
-        side, a, b = (np.array(c)[:, None] for c in zip(*cells))
+        """(value, error) per (piece, side, a, b, depth) cell, from one profile call."""
+        # s = lo + H w^2 on side 0, and hi - H w^2 = hi + (-H) w^2 on side 1
+        end, step, h2, a, b = np.array([
+            (pieces[i][side], -H[i] if side else H[i], 2.0 * H[i], a, b)
+            for i, side, a, b, _ in cells]).T[:, :, None]
         w = a + (b - a) * xk
-        s = np.where(side == 0, lo + H * w ** 2, hi - H * w ** 2)
-        vals = np.asarray(profile(s.ravel())).reshape(s.shape) * (2.0 * H * w * (b - a))
+        s = end + step * w ** 2
+        piece = np.array([c[0] for c in cells]).repeat(xk.size)
+        vals = np.asarray(profile(s.ravel(), piece)).reshape(s.shape) * (h2 * w * (b - a))
         out = []
         for v in vals:
             k = float(wk @ v)
@@ -710,49 +759,53 @@ def integrate_time_profile(
             out.append((k, err))
         return out
 
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    ncells = 0
+    heaps = [[] for _ in pieces]
+    total, total_err, ncells = [0.0] * len(pieces), [0.0] * len(pieces), [0] * len(pieces)
+    converged = [True] * len(pieces)
+    # (piece, side, a, b, depth) of the cells a step evaluates: first the 4 initial cells
     init = 2
-    cells = [(side, k / init, (k + 1) / init) for side in (0, 1) for k in range(init)]
-    for (side, a, b), (val, err) in zip(cells, eval_cells(cells)):
-        heapq.heappush(heap, (-err, counter, side, a, b, 1, val, err))
-        counter += 1
-        total += val
-        total_err += err
-        ncells += 1
+    cells = [(i, side, k / init, (k + 1) / init, 1) for i, (lo, hi, _) in enumerate(pieces)
+             if hi > lo for side in (0, 1) for k in range(init)]
+    while cells:
+        for (i, side, a, b, depth), (val, err) in zip(cells, eval_cells(cells)):
+            heapq.heappush(heaps[i], (-err, ncells[i], side, a, b, depth, val, err))
+            total[i] += val
+            total_err[i] += err
+            ncells[i] += 1
+        cells = []
+        for i, heap in enumerate(heaps):
+            if not (heap and converged[i]
+                    and total_err[i] > max(pieces[i][2], rel_tol * abs(total[i]))):
+                continue
+            # depth-capped cells are never refined again: drop them from the heap,
+            # their value and error stay in the running totals
+            while heap and heap[0][5] >= max_depth:
+                heapq.heappop(heap)
+            if not heap or ncells[i] >= max_cells:
+                converged[i] = False
+                continue
+            _, _, side, a, b, depth, val, err = heapq.heappop(heap)
+            total[i] -= val
+            total_err[i] -= err
+            mid = 0.5 * (a + b)
+            cells += [(i, side, a, mid, depth + 1), (i, side, mid, b, depth + 1)]
 
-    converged = True
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        # depth-capped cells are never refined again: drop them from the heap,
-        # their value and error stay in the running totals
-        while heap and heap[0][5] >= max_depth:
-            heapq.heappop(heap)
-        if not heap or ncells >= max_cells:
-            converged = False
-            break
-        _, _, side, a, b, depth, val, err = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (a + b)
-        halves = [(side, a, mid), (side, mid, b)]
-        for (_, aa, bb), (v, e) in zip(halves, eval_cells(halves)):
-            heapq.heappush(heap, (-e, counter, side, aa, bb, depth + 1, v, e))
-            counter += 1
-            total += v
-            total_err += e
-            ncells += 1
+    results = []
+    for i in range(len(pieces)):
+        if not converged[i]:
+            warnings.warn(
+                f"time integral reached budget (cells={ncells[i]}) before tolerance",
+                ToleranceWarning,
+            )
+        results.append(IntegralResult(total[i], total_err[i], cells=ncells[i],
+                                      converged=converged[i],
+                                      flags=() if converged[i] else ("tolerance_not_met",)))
+    return results
 
-    flags = () if converged else ("tolerance_not_met",)
-    if not converged:
-        warnings.warn(
-            f"time integral reached budget (cells={ncells}) before tolerance",
-            ToleranceWarning,
-        )
-    return IntegralResult(total, total_err, cells=ncells,
-                          converged=converged, flags=flags)
+
+def _sigma_end(Q: float) -> float:
+    """sigma_max = 100 / (Q - 2), where the sigma rule stops (``_integrate_in_sigma``)."""
+    return 100.0 / (Q - 2)
 
 
 def _integrate_in_sigma(profile, S: float, Q: float, cfg: QuadratureConfig,
@@ -770,7 +823,7 @@ def _integrate_in_sigma(profile, S: float, Q: float, cfg: QuadratureConfig,
         return profile(s) * s
 
     return integrate_time_profile(
-        sigma_profile, 0.0, 100.0 / (Q - 2),
+        sigma_profile, 0.0, _sigma_end(Q),
         order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=abs_tol,
         max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells,
     )

@@ -128,6 +128,28 @@ def test_bounding_box_heat1(balls):
     assert lo[1] == pytest.approx(-1.0) and hi[1] == pytest.approx(0.0)
 
 
+
+def test_bounding_box_is_searched_once_per_ball(proto, monkeypatch):
+    # the exterior points and the spatial shift of one rigidity ball share
+    # one search, with the bits of the search itself
+    from kolpot import balls, domains, lab
+
+    ball = kp.lball(proto, PROTO_R)
+    ref = kp.ball_bounding_box(ball)
+    calls = []
+
+    def counted(b, *args, **kw):
+        calls.append(b)
+        return kp.ball_bounding_box(b, *args, **kw)
+
+    monkeypatch.setattr(balls, "ball_bounding_box", counted)
+    lab.exterior_test_points(domains.ExactBall(ball), ball, 6, seed=3)
+    shifted = domains.make_perturbation(ball, "spatial_shift", 0.1)
+    assert calls == [ball]
+    assert shifted.h[0] == 0.1 * 0.5 * float(np.max(ref[1][:-1] - ref[0][:-1]))
+    for got, want in zip(ball.bounding_box, ref):
+        assert np.array_equal(got, want) and not got.flags.writeable
+
 def test_boxes_shrink_with_radius(heat1):
     widths = []
     for r in (1.0, 0.1, 0.01):

@@ -197,7 +197,8 @@ def test_nan_deviation_fails_its_verdict(monkeypatch):
     nan = IntegralResult(float("nan"), 0.0)
     monkeypatch.setattr(experiments, "integrate_over_ball", lambda *a, **k: nan)
     monkeypatch.setattr(experiments, "mean_value", lambda *a, **k: nan)
-    monkeypatch.setattr(lab, "kernel_gamma_integral", lambda *a, **k: nan)
+    monkeypatch.setattr(lab, "kernel_gamma_integrals",
+                        lambda domain, ball, points, *a, **k: [nan] * len(points))
     spec = kp.heat_operator(1)
     cfg = QuadratureConfig(seed=1)
     radii = (3.5449077018110318,)

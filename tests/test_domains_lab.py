@@ -74,6 +74,51 @@ def test_identity_residual_report(balls, quad_cfg):
         potential_identity_residual(domain, ball, [inside], quad_cfg)
 
 
+
+@pytest.mark.parametrize("op", ["heat1", "heat2", "proto", "chain"])
+def test_rows_do_not_depend_on_the_other_points(balls, op):
+    # every point's pieces refine in one lockstep time rule, so a row keeps
+    # its bits whatever points share the call.  On the ball moved up by
+    # 0.3 s_max the "below" points' intervals straddle t0 (two sigma pieces);
+    # on the ball moved down every piece runs in tau, and the "future" point
+    # has no integral.  A budget of 4 cells stops some pieces short
+    ball = balls[op]
+    cfg = QuadratureConfig(time_tol=1e-12, max_cells=4, seed=11)
+    keys = ("lhs", "quad_error", "cells", "converged", "flags")
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.ToleranceWarning)
+        for shift in (0.3, -0.3):
+            domain = TimeShiftedBall(ball, shift * ball.s_max)
+            pts = exterior_test_points(domain, ball, 6, seed=11)
+            rows = potential_identity_residual(domain, ball, pts, cfg).points
+            for item, row in zip(pts, rows):
+                (alone,) = potential_identity_residual(domain, ball, [item], cfg).points
+                assert [row[k] for k in keys] == [alone[k] for k in keys], (shift, row["index"])
+                seen.append((row["cells"] > 0, row["converged"]))
+        assert {(True, False), (False, True)} <= set(seen)
+        keys = ("potential", "margin", "quad_error", "cells", "converged", "flags")
+        pts = interior_test_points(ball, 3, seed=11)
+        for z, rec in zip(pts, interior_inequality_margin(ball, pts, cfg)):
+            (alone,) = interior_inequality_margin(ball, [z], cfg)
+            assert [rec[k] for k in keys] == [alone[k] for k in keys]
+
+
+def test_points_are_checked_before_any_integral(balls, quad_cfg, monkeypatch):
+    ball = balls["proto"]
+    domain = ExactBall(ball)
+    outside = [z for z, _ in exterior_test_points(domain, ball, 4, seed=3)]
+    inside = ball.spec.point(np.zeros(2), -0.5 * ball.s_max)
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the points were checked")
+
+    monkeypatch.setattr(lab, "kernel_gamma_integrals", no_integral)
+    with pytest.raises(errors.TestPointInsideDomain, match="test point 2 "):
+        potential_identity_residual(domain, ball, outside[:2] + [inside] + outside[2:], quad_cfg)
+    with pytest.raises(PointNotInterior, match="point 1 "):
+        interior_inequality_margin(ball, [inside, outside[0], inside], quad_cfg)
+
 def test_interior_margin_frozen_values(balls):
     # regression fixtures computed with this package's quadrature at
     # time_tol 1e-10 and verified against a tolerance sweep

@@ -211,3 +211,36 @@ def test_chain_slices_against_polar_oracle(chain, evaluators):
             ell = Ellipsoid(sl.center[k], sl.shape[k], float(sl.rho[k]))
             ref = gaussian_quadratic_ellipsoid(ell, mean[k], L, M, qc, resolution=480)
             assert got[k] == pytest.approx(ref, rel=1e-10)
+
+
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_stack_values_do_not_depend_on_the_other_slices(op, balls, evaluators, monkeypatch):
+    # the time rule's pieces share engine calls, so a slice's value must keep
+    # its bits whatever slices ride along.  A stack of random slices with
+    # Gaussians near and far, and of the profile's own engine calls over every
+    # domain, both points and nodes down to 1e-7 s_max from the pole; runs
+    # cut from it, lone slices among them, each integrated on its own
+    ball = balls[op]
+    rng = np.random.default_rng(606)
+    sl, _, mean, L, M, qc = _engine_cases(ball.spec, evaluators[op], rng, 100)
+    calls = [(sl.center, sl.shape, sl.rho, mean, L, M, qc)]
+
+    def record(*args, **kw):
+        calls.append(args + tuple(kw.values()))
+        return np.zeros(len(args[0]))
+
+    monkeypatch.setattr(kp.lab, "gaussian_quadratic_stack", record)
+    probes = ball.t0 - np.array([1e-3, 1e-5, 1e-7]) * ball.s_max
+    for domain in _domains(ball).values():
+        for z in _points(ball):
+            _kernel_gamma_profile(domain, ball, z)(np.concatenate([_nodes(domain, ball), probes]))
+    args = [np.concatenate(a) for a in zip(*calls)]
+    count = len(args[0])
+    whole = gaussian_quadratic_stack(*args)
+    for _ in range(3):
+        cuts = np.sort(rng.choice(np.arange(1, count), 24, replace=False))
+        parts = np.split(rng.permutation(count), np.union1d(cuts, cuts[::3] + 1))
+        got = np.concatenate([gaussian_quadratic_stack(*(a[p] for a in args)) for p in parts])
+        assert np.array_equal(got, whole[np.concatenate(parts)])

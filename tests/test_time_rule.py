@@ -8,9 +8,12 @@
 * On the acceptance sets (criterion 4's mean values, and the first 8 "below"
   points per radius of criterion 6), no reported error is smaller than the
   actual error, up to rounding.
+* Pieces integrated in lockstep, one profile call per refinement step for all
+  of them, each keep the result they have alone.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +23,13 @@ import kolpot as kp
 from kolpot.domains import ExactBall
 from kolpot.harmonic import harmonic_basis
 from kolpot.lab import exterior_test_points, kernel_gamma_integral, mean_value
-from kolpot.quadrature import QuadratureConfig, _gauss_kronrod
+from kolpot.errors import ToleranceWarning
+from kolpot.quadrature import (
+    QuadratureConfig,
+    _gauss_kronrod,
+    _integrate_pieces,
+    integrate_time_profile,
+)
 from conftest import HEAT1_R, PROTO_R
 
 # QUADPACK dqk21: the Kronrod abscissae xgk (descending; xgk(2j) are the
@@ -108,3 +117,58 @@ def test_reported_error_covers_the_actual_error(all_specs, evaluators, op):
             assert got.converged and math.isfinite(got.value)
             results.append((got.error, abs(got.value - rhs), rhs))
     assert _covers(results) <= 0.0
+
+
+# (lo, hi, abs_tol, f): a piece in sigma = log(S/s) on a s^{-1/2} pole (S = 2,
+# sigma_max 25) with an absolute tolerance that would stop the others early,
+# a smooth piece, a jump at 0.3141, an empty piece and a fast oscillation
+_PIECES = {
+    "sigma": (0.0, 25.0, 1e-6, lambda g: np.sqrt(2.0 * np.exp(-g))),
+    "smooth": (0.0, 2.0, 0.0, lambda s: np.exp(-s) * np.cos(3.0 * s)),
+    "jump": (0.0, 1.0, 0.0, lambda s: np.where(s > 0.3141, 1.0, 0.0) + s),
+    "empty": (0.5, 0.5, 0.0, lambda s: np.ones_like(s)),
+    "wave": (0.0, 3.0, 1e-14, lambda s: np.sin(60.0 * s)),
+}
+
+
+@pytest.mark.parametrize("budget,stopped", [
+    ({"max_depth": 5, "max_cells": 4096}, {"jump"}),
+    ({"max_depth": 48, "max_cells": 40}, {"jump", "wave"}),
+], ids=["depth", "cells"])
+def test_pieces_in_lockstep_keep_their_own_results(budget, stopped):
+    # depth 5 caps the jump before its budget, and 40 cells stop the jump and
+    # the wave; every other piece converges, the empty one in 0 cells
+    names = list(_PIECES)
+    rule = dict(order=10, rel_tol=1e-12, **budget)
+    calls = []
+
+    def profile(s, piece):
+        calls.append(np.unique(piece))
+        out = np.empty_like(s)
+        for i in np.unique(piece):
+            out[piece == i] = _PIECES[names[i]][3](s[piece == i])
+        return out
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        together = _integrate_pieces(profile, [p[:3] for p in _PIECES.values()], **rule)
+    assert sum(issubclass(w.category, ToleranceWarning) for w in caught) == len(stopped)
+    steps = 0
+    for name, got in zip(names, together):
+        lo, hi, abs_tol, f = _PIECES[name]
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ToleranceWarning)
+            alone = integrate_time_profile(lambda s: seen.append(1) or f(s), lo, hi,
+                                           abs_tol=abs_tol, **rule)
+        assert got == alone, name  # value, error, cells, converged and flags
+        assert got.converged == (name not in stopped), name
+        steps = max(steps, len(seen))
+    assert together[names.index("empty")].cells == 0
+    if budget["max_cells"] == 40:
+        assert all(together[names.index(n)].cells >= 40 for n in stopped)
+    else:
+        assert together[names.index("jump")].cells < budget["max_cells"]
+    # one profile call per step, for every piece still refining
+    assert len(calls) == steps
+    assert len(calls[0]) == len(names) - 1
