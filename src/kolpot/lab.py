@@ -113,19 +113,19 @@ def kernel_gamma_integrals(domain: SlicedDomain, ball: LBall, points, cfg: Quadr
     """int_D Gamma(zeta, z) W(z0^{-1} o zeta) d zeta (no 1/r factor) at every z of ``points``.
 
     Each point's time range is the domain's interval clipped to zeta.t > z.t
-    (where Gamma vanishes); an empty range gives 0 in 0 cells.  If the interval straddles the kernel's singular time t0 it
-    is split there.  A piece that ends or starts at t0 runs in sigma =
-    log(S/s), with s = t0 - tau or tau - t0 and S its length (as
-    ``quadrature._integrate_in_sigma`` does for mean values); any other
-    piece runs in tau.  The pieces of all the points refine in lockstep
-    (``quadrature._integrate_pieces``), so each step makes one profile call
-    for all of them, and each piece keeps its own tolerance cfg.time_tol
-    times its point's ``abs_scales`` entry and its own budget.
+    (where Gamma vanishes); an empty range gives 0 in 0 cells.  If the
+    interval straddles the kernel's singular time t0 it is split there.  A
+    piece that ends or starts at t0 runs in sigma toward the pole (t0, +1 or
+    -1, its length), as mean values do; any other piece runs in tau.  The
+    pieces of all the points refine in lockstep (``quadrature._integrate_pieces``),
+    so each step makes one profile call for all of them, and each piece
+    keeps its own tolerance cfg.time_tol times its point's ``abs_scales``
+    entry and its own budget.
     """
     t_lo, t_hi = domain.time_interval
     t0 = ball.z0.t
     sigma_end = _sigma_end(ball.spec.Q)
-    pieces, owner, side, depth = [], [], [], []  # side: +1/-1 for s = tau - t0 or t0 - tau
+    pieces, owner = [], []
     for i, z in enumerate(points):
         lo = max(t_lo, z.t)
         if t_hi <= lo:
@@ -133,25 +133,12 @@ def kernel_gamma_integrals(domain: SlicedDomain, ball: LBall, points, cfg: Quadr
         abs_tol = cfg.time_tol * abs_scales[i]
         cuts = [lo, t0, t_hi] if lo < t0 < t_hi else [lo, t_hi]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            sd = 1.0 if a == t0 else -1.0 if b == t0 else 0.0
-            pieces.append((0.0, sigma_end, abs_tol) if sd else (a, b, abs_tol))
+            side = 1.0 if a == t0 else -1.0 if b == t0 else 0.0
+            pieces.append((0.0, sigma_end, abs_tol, (t0, side, b - a)) if side else (a, b, abs_tol))
             owner.append(i)
-            side.append(sd)
-            depth.append(b - a)
-    owner, side, depth = np.array(owner, dtype=int), np.array(side), np.array(depth)
-    kernel = _kernel_gamma_profile(domain, ball, *points)
-
-    def profile(s, piece):
-        sg = np.flatnonzero(side[piece])  # the nodes of sigma pieces
-        p = piece[sg]
-        pole = depth[p] * np.exp(-s[sg])  # their distance to t0
-        tau = s.copy()
-        tau[sg] = t0 + side[p] * pole
-        vals = kernel(tau, owner[piece])
-        vals[sg] *= pole
-        return vals
-
-    results = _integrate_pieces(profile, pieces, order=cfg.time_order, rel_tol=cfg.time_tol,
+    # one profile point per piece, so a piece's index is its point's
+    kernel = _kernel_gamma_profile(domain, ball, *(points[i] for i in owner))
+    results = _integrate_pieces(kernel, pieces, order=cfg.time_order, rel_tol=cfg.time_tol,
                                 max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells)
     out = [IntegralResult(0.0, 0.0, cells=0) for _ in points]
     for i, res in zip(owner, results):
@@ -622,14 +609,14 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     at integer p, exact degree-2p cubature at every time whose slices nest or
     lie apart, and Monte Carlo at the times whose slices overlap and at every
     time for non-integer p, from 512-sample streams keyed by ``cfg.seed``.
-    The integral stops at the floor s = 1e-7 span below the
-    latest time, s = hi - tau, and is taken tail first in two disjoint pieces:
-    the last two decades, 1e-7 span < s < 1e-5 span, in sigma = log(span/s),
-    then the head in tau, to an absolute tolerance of 1e-6 of the tail.  When
-    the tail carries more than 2% of the integral the estimate is flagged
-    uncertified (``tail_divergence_suspected``): the integrand keeps growing
-    toward the pole, the gluing condition fails and the true norm is
-    infinite.  A piece that stops at its cell budget (``_LP_MAX_CELLS``) adds
+    The integral stops at the floor s = 1e-7 span below the latest time,
+    s = hi - tau, and is taken tail first in two disjoint pieces: the last
+    two decades, 1e-7 span < s < 1e-5 span, in sigma toward the pole
+    (hi, -1, span), then the head in tau, to an absolute tolerance of 1e-6
+    of the tail.  When the tail carries more than 2% of the integral the
+    estimate is flagged uncertified (``tail_divergence_suspected``): the
+    integrand keeps growing toward the pole, the gluing condition fails and
+    the true norm is infinite.  A piece that stops at its cell budget (``_LP_MAX_CELLS``) adds
     the flag ``tolerance_not_met``.
     """
     if not p > 0.0:
@@ -644,12 +631,8 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo
     rule = dict(order=cfg.time_order, rel_tol=1e-6, max_depth=30, max_cells=_LP_MAX_CELLS)
-
-    def sigma_profile(sigma):
-        s = span * np.exp(-sigma)
-        return profile(hi - s) * s
-
-    tail = integrate_time_profile(sigma_profile, math.log(1e5), math.log(1e7), **rule)
+    tail = integrate_time_profile(profile, math.log(1e5), math.log(1e7), pole=(hi, -1.0, span),
+                                  **rule)
     head = integrate_time_profile(profile, lo, hi - 1e-5 * span,
                                   abs_tol=1e-6 * abs(tail.value), **rule)
     if not (head.converged and tail.converged):

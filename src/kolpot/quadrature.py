@@ -16,8 +16,8 @@ Two layers:
   from the half-widths, so slices near the kernel's pole keep their digits;
 * a 1-d adaptive time integrator: a Gauss-Kronrod pair per cell with
   QUADPACK's error model, and square-root compression at both endpoints,
-  which tames the degenerating slices at the ends.  Integrals that reach the
-  kernel's pole run in sigma = log(S/s) (``_integrate_in_sigma``), where the
+  which tames the degenerating slices at the ends.  An integral that reaches
+  a pole declares it and runs in sigma = log(S/s) (``_pole_map``), where the
   pole's power law and log factor become a smooth exponential tail.  The
   integrator runs any number of integrals (pieces) in lockstep and asks its
   profile for all cells of a refinement step of all of them in one call
@@ -701,21 +701,53 @@ def integrate_time_profile(
     abs_tol: float = 0.0,
     max_depth: int = 48,
     max_cells: int = 4096,
+    pole=None,
 ) -> IntegralResult:
     """Adaptive integral of ``profile`` over (lo, hi): ``_integrate_pieces``
-    on the one piece (lo, hi).
+    on the one piece (lo, hi), in sigma toward ``pole`` = (t_pole, side, S) if given.
 
     ``profile`` must accept a 1-d array of times and return values of the
     same shape.
     """
-    (res,) = _integrate_pieces(lambda s, piece: profile(s), [(lo, hi, abs_tol)], order=order,
+    piece = (lo, hi, abs_tol) if pole is None else (lo, hi, abs_tol, pole)
+    (res,) = _integrate_pieces(lambda t, piece: profile(t), [piece], order=order,
                                rel_tol=rel_tol, max_depth=max_depth, max_cells=max_cells)
     return res
 
 
+def _pole_map(profile, pieces):
+    """``profile`` in sigma = log(S/s) on the pieces (lo, hi, abs_tol, (t_pole, side, S)).
+
+    At sigma it gets t = t_pole + side s, s = S e^-sigma, and its value is
+    multiplied by ds/dsigma = s; pieces (lo, hi, abs_tol) pass t through.
+    One piece is mapped on floats, lockstep pieces per node.
+    """
+    if len(pieces) == 1:
+        t_pole, side, S = (float(v) for v in pieces[0][3])
+
+        def one(sigma, piece):
+            s = S * np.exp(-sigma)
+            return profile(t_pole + side * s, piece) * s
+
+        return one
+    t_pole, side, S = np.array([p[3] if len(p) > 3 else (0.0, 0.0, 0.0) for p in pieces]).T
+
+    def lockstep(t, piece):
+        sg = np.flatnonzero(side[piece])  # the nodes of pole pieces
+        p, t = piece[sg], t.copy()
+        s = S[p] * np.exp(-t[sg])
+        t[sg] = t_pole[p] + side[p] * s
+        vals = profile(t, piece)
+        vals[sg] *= s
+        return vals
+
+    return lockstep
+
+
 def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth: int,
                       max_cells: int) -> list[IntegralResult]:
-    """Adaptive integrals of ``profile`` over the pieces (lo, hi, abs_tol), in lockstep.
+    """Adaptive integrals of ``profile`` over the pieces (lo, hi, abs_tol), in lockstep;
+    a piece (lo, hi, abs_tol, (t_pole, side, S)) runs in sigma (``_pole_map``).
 
     Each piece is split at its midpoint and each half is reparametrized with
     a square-root compression toward its outer endpoint (s = lo + H w^2 and
@@ -729,15 +761,18 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
     Every piece keeps its own heap, totals, tolerance max(abs_tol, rel_tol
     |total|) and budgets, and warns on its own when it stops short of its
     tolerance, exactly as if it ran alone; the pieces share only the profile
-    calls.  ``profile(s, piece)`` takes a 1-d array of times and the index of
-    each time's piece, and returns values of the same shape.  It is called
-    once per refinement step, for the nodes of every cell the step needs
-    (the 4 initial cells of each piece, then the two halves of the worst
-    cell of each piece still short of its tolerance), piece after piece,
-    cell after cell, each cell's 2 order + 1 nodes in increasing w.
+    calls.  ``profile(t, piece)`` takes a 1-d array of times and the index of
+    each time's piece (the scalar 0 for one piece), and returns values of the
+    same shape.  It is called once per refinement step, for the nodes of
+    every cell the step needs (the 4 initial cells of each piece, then the
+    two halves of the worst cell of each piece still short of its
+    tolerance), piece after piece, cell after cell, each cell's 2 order + 1
+    nodes in increasing w.
     """
     xk, wk, wg = _gauss_kronrod(order)
-    H = [0.5 * (hi - lo) for lo, hi, _ in pieces]
+    H = [0.5 * (hi - lo) for lo, hi, *_ in pieces]
+    if any(len(p) > 3 for p in pieces):
+        profile = _pole_map(profile, pieces)
 
     def eval_cells(cells):
         """(value, error) per (piece, side, a, b, depth) cell, from one profile call."""
@@ -747,7 +782,7 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
             for i, side, a, b, _ in cells]).T[:, :, None]
         w = a + (b - a) * xk
         s = end + step * w ** 2
-        piece = np.array([c[0] for c in cells]).repeat(xk.size)
+        piece = 0 if len(pieces) == 1 else np.array([c[0] for c in cells]).repeat(xk.size)
         vals = np.asarray(profile(s.ravel(), piece)).reshape(s.shape) * (h2 * w * (b - a))
         out = []
         for v in vals:
@@ -764,7 +799,7 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
     converged = [True] * len(pieces)
     # (piece, side, a, b, depth) of the cells a step evaluates: first the 4 initial cells
     init = 2
-    cells = [(i, side, k / init, (k + 1) / init, 1) for i, (lo, hi, _) in enumerate(pieces)
+    cells = [(i, side, k / init, (k + 1) / init, 1) for i, (lo, hi, *_) in enumerate(pieces)
              if hi > lo for side in (0, 1) for k in range(init)]
     while cells:
         for (i, side, a, b, depth), (val, err) in zip(cells, eval_cells(cells)):
@@ -804,29 +839,8 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
 
 
 def _sigma_end(Q: float) -> float:
-    """sigma_max = 100 / (Q - 2), where the sigma rule stops (``_integrate_in_sigma``)."""
+    """sigma_max = 100 / (Q - 2), where a time rule toward the kernel's pole stops."""
     return 100.0 / (Q - 2)
-
-
-def _integrate_in_sigma(profile, S: float, Q: float, cfg: QuadratureConfig,
-                        abs_tol: float) -> IntegralResult:
-    """int_0^S profile(s) ds for a profile whose pole sits at s = 0.
-
-    The time rule runs in sigma = log(S/s) over (0, 100/(Q - 2)), with
-    s = S e^-sigma and ds = s dsigma.  Near the pole the kernel's slice
-    integrals behave like s^((Q-4)/2) times powers of log(S/s), so the
-    integrand in sigma is a smooth tail e^(-(Q-2) sigma/2) times powers of
-    sigma, and ``cfg.endpoint_depth`` caps the dyadic depth in sigma.
-    """
-    def sigma_profile(sigma):
-        s = S * np.exp(-sigma)
-        return profile(s) * s
-
-    return integrate_time_profile(
-        sigma_profile, 0.0, _sigma_end(Q),
-        order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=abs_tol,
-        max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +906,7 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
     f must expose ``evaluate`` and ``space_degree``, as ``AnisoPolynomial``
     does; anything else raises TypeError.  Each slice integral is exact,
     by a degree-exact unit-ball cubature, and the adaptive time rule runs in
-    sigma = log(s_max/s) (``_integrate_in_sigma``), where the kernel mass
+    sigma = log(s_max/s) toward the pole s = 0, where the kernel mass
     decays like e^(-(Q-2) sigma/2) sigma^(n/2+1).  Past sigma_max = 100/(Q-2)
     lies a Gamma(n/2+2) tail of that mass, at most 4.3e-18 of it for n <= 4.
     """
@@ -900,6 +914,8 @@ def integrate_over_ball(f, ball: LBall, cfg: QuadratureConfig,
         raise TypeError("integrate_over_ball takes a polynomial exposing evaluate and "
                         f"space_degree (such as AnisoPolynomial), not {type(f).__name__}")
     scale = ball.r if kernel else max(abs(ball.s_max), 1.0)
-    return _integrate_in_sigma(_exact_ball_profile(f, ball, kernel), ball.s_max,
-                               ball.spec.Q, cfg, cfg.time_tol * scale)
+    return integrate_time_profile(
+        _exact_ball_profile(f, ball, kernel), 0.0, _sigma_end(ball.spec.Q), order=cfg.time_order,
+        rel_tol=cfg.time_tol, abs_tol=cfg.time_tol * scale, max_depth=cfg.endpoint_depth,
+        max_cells=cfg.max_cells, pole=(0.0, 1.0, ball.s_max))
 

@@ -15,12 +15,12 @@ import pytest
 import kolpot as kp
 from kolpot.domains import ExactBall, make_perturbation
 from kolpot.lab import _kernel_gamma_profile, _lp_profile, exterior_test_points
-from kolpot.quadrature import _CELL, _exact_ball_profile, integrate_time_profile
+from kolpot.quadrature import _CELL, _exact_ball_profile, _sigma_end, integrate_time_profile
 
 SEED = 20240811
 
 
-def _first_call(lo, hi):
+def _first_call(lo, hi, pole=None):
     """The times of the time rule's first profile call over (lo, hi): 4 cells of 21."""
     seen = []
 
@@ -28,14 +28,14 @@ def _first_call(lo, hi):
         seen.append(np.array(s))
         return np.zeros(np.size(s))
 
-    integrate_time_profile(profile, lo, hi)
+    integrate_time_profile(profile, lo, hi, pole=pole)
     assert seen[0].size == 4 * _CELL == 84
     return seen[0]
 
 
-def _first_sigma_call(S, Q):
-    """The depths s of the first profile call of a time rule run in sigma = log(S/s)."""
-    return S * np.exp(-_first_call(0.0, 100.0 / (Q - 2)))
+def _first_pole_call(Q, pole):
+    """The times of the first profile call of a time rule run in sigma toward ``pole``."""
+    return _first_call(0.0, _sigma_end(Q), pole)
 
 
 def _by_cells(profile, tau):
@@ -53,8 +53,8 @@ def _kernel_case(ball):
     domain = ExactBall(ball)
     z = next(z for z, cat in exterior_test_points(domain, ball, 4, seed=7) if cat == "below")
     lo, hi = domain.time_interval
-    return _kernel_gamma_profile(domain, ball, z), hi - _first_sigma_call(hi - max(lo, z.t),
-                                                                          ball.spec.Q)
+    return _kernel_gamma_profile(domain, ball, z), _first_pole_call(
+        ball.spec.Q, (hi, -1.0, hi - max(lo, z.t)))
 
 
 @pytest.mark.parametrize("kind,p", [("spatial_shift", 3.5), ("radius_mismatch", 4)])
@@ -70,7 +70,7 @@ def test_exact_ball_profile_blocks_keep_bits(balls):
     ball = balls["chain"]
     u = [f for f in kp.harmonic_basis(ball.spec, 4) if f.space_degree == 4][0]
     profile = _exact_ball_profile(u, ball, kernel=True)
-    tau = _first_sigma_call(ball.s_max, ball.spec.Q)
+    tau = _first_pole_call(ball.spec.Q, (0.0, 1.0, ball.s_max))
     got = profile(tau)
     assert np.all(got != 0.0)
     assert np.array_equal(got, _by_cells(profile, tau))
@@ -81,13 +81,7 @@ def test_kernel_gamma_profile_blocks_keep_bits(balls, op):
     profile, tau = _kernel_case(balls[op])
     got, ref = profile(tau), _by_cells(profile, tau)
     assert np.count_nonzero(got) > 50
-    if op == "heat1":
-        # n = 1 integrates every section of a call in one GEMM, and BLAS picks
-        # its small-matrix kernels by the column count: between 21 and 84
-        # sections a value can move in its last bit
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    else:
-        assert np.array_equal(got, ref)
+    assert np.array_equal(got, ref)
 
 
 def _peak(profile, tau):

@@ -24,7 +24,12 @@ from kolpot.domains import (
 )
 from kolpot.lab import _kernel_gamma_profile, exterior_test_points, kernel_gamma_integral
 from kolpot.errors import ToleranceWarning
-from kolpot.quadrature import QuadratureConfig, _integrate_in_sigma, gaussian_quadratic_stack
+from kolpot.quadrature import (
+    QuadratureConfig,
+    _sigma_end,
+    gaussian_quadratic_stack,
+    integrate_time_profile,
+)
 from oracles import (
     ball_cubature_kernel_gamma,
     gaussian_quadratic_ellipsoid,
@@ -121,24 +126,27 @@ def test_profile_near_the_pole_against_ball_cubature(op, balls):
 def test_kernel_gamma_integral_matches_per_node_reference(balls):
     # whole integrals over the time rule's own nodes, split at t0 for the
     # time-shifted ball, whose part above t0 runs into its cell budget.
-    # Every piece here ends or starts at t0, so each runs in sigma, with
-    # s = t0 - tau below t0 and s = tau - t0 above
+    # Every piece here ends or starts at t0, so each runs in sigma toward the
+    # pole t0, reached from below (side -1) or from above (side +1)
     ball = balls["proto"]
     t0 = ball.t0
     z = _points(ball)[0]
     for domain, cells in ((ExactBall(ball), 4096), (BittenBall(ball), 4096),
                           (TimeShiftedBall(ball, 0.3 * ball.s_max), 48)):
         cfg = QuadratureConfig(time_tol=1e-8, max_cells=cells)
+        rule = dict(order=cfg.time_order, rel_tol=cfg.time_tol, abs_tol=cfg.time_tol * 1e-3,
+                    max_depth=cfg.endpoint_depth, max_cells=cfg.max_cells)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ToleranceWarning)
             got = kernel_gamma_integral(domain, ball, z, cfg, abs_scale=1e-3)
             lo, hi = domain.time_interval
             profile = reference_kernel_gamma_profile(domain, ball, z)
-            ref = [_integrate_in_sigma(lambda s: profile(t0 - s), t0 - lo, ball.spec.Q, cfg,
-                                       cfg.time_tol * 1e-3)]
+            sigma_end = _sigma_end(ball.spec.Q)
+            ref = [integrate_time_profile(profile, 0.0, sigma_end, pole=(t0, -1.0, t0 - lo),
+                                          **rule)]
             if hi > t0:
-                ref.append(_integrate_in_sigma(lambda s: profile(t0 + s), hi - t0, ball.spec.Q,
-                                               cfg, cfg.time_tol * 1e-3))
+                ref.append(integrate_time_profile(profile, 0.0, sigma_end,
+                                                  pole=(t0, 1.0, hi - t0), **rule))
         assert got.cells == sum(r.cells for r in ref)
         assert got.value == pytest.approx(sum(r.value for r in ref), rel=1e-12)
 

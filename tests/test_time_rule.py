@@ -9,7 +9,8 @@
   points per radius of criterion 6), no reported error is smaller than the
   actual error, up to rounding.
 * Pieces integrated in lockstep, one profile call per refinement step for all
-  of them, each keep the result they have alone.
+  of them, each keep the result they have alone, a piece that declares a
+  pole included.
 """
 
 import math
@@ -119,15 +120,17 @@ def test_reported_error_covers_the_actual_error(all_specs, evaluators, op):
     assert _covers(results) <= 0.0
 
 
-# (lo, hi, abs_tol, f): a piece in sigma = log(S/s) on a s^{-1/2} pole (S = 2,
-# sigma_max 25) with an absolute tolerance that would stop the others early,
+# (lo, hi, abs_tol, f, pole): a piece in sigma = log(S/s) on a s^{-1/2} pole
+# (S = 2, sigma_max 25) with an absolute tolerance that would stop the others
+# early, mapped by hand and declared as the pole (1, -1, 2) of (1 - t)^{-1/2},
 # a smooth piece, a jump at 0.3141, an empty piece and a fast oscillation
 _PIECES = {
-    "sigma": (0.0, 25.0, 1e-6, lambda g: np.sqrt(2.0 * np.exp(-g))),
-    "smooth": (0.0, 2.0, 0.0, lambda s: np.exp(-s) * np.cos(3.0 * s)),
-    "jump": (0.0, 1.0, 0.0, lambda s: np.where(s > 0.3141, 1.0, 0.0) + s),
-    "empty": (0.5, 0.5, 0.0, lambda s: np.ones_like(s)),
-    "wave": (0.0, 3.0, 1e-14, lambda s: np.sin(60.0 * s)),
+    "sigma": (0.0, 25.0, 1e-6, lambda g: np.sqrt(2.0 * np.exp(-g)), None),
+    "pole": (0.0, 25.0, 1e-6, lambda t: (1.0 - t) ** -0.5, (1.0, -1.0, 2.0)),
+    "smooth": (0.0, 2.0, 0.0, lambda s: np.exp(-s) * np.cos(3.0 * s), None),
+    "jump": (0.0, 1.0, 0.0, lambda s: np.where(s > 0.3141, 1.0, 0.0) + s, None),
+    "empty": (0.5, 0.5, 0.0, lambda s: np.ones_like(s), None),
+    "wave": (0.0, 3.0, 1e-14, lambda s: np.sin(60.0 * s), None),
 }
 
 
@@ -151,20 +154,25 @@ def test_pieces_in_lockstep_keep_their_own_results(budget, stopped):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        together = _integrate_pieces(profile, [p[:3] for p in _PIECES.values()], **rule)
+        pieces = [(lo, hi, tol) if pole is None else (lo, hi, tol, pole)
+                  for lo, hi, tol, _, pole in _PIECES.values()]
+        together = _integrate_pieces(profile, pieces, **rule)
     assert sum(issubclass(w.category, ToleranceWarning) for w in caught) == len(stopped)
     steps = 0
     for name, got in zip(names, together):
-        lo, hi, abs_tol, f = _PIECES[name]
+        lo, hi, abs_tol, f, pole = _PIECES[name]
         seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ToleranceWarning)
             alone = integrate_time_profile(lambda s: seen.append(1) or f(s), lo, hi,
-                                           abs_tol=abs_tol, **rule)
+                                           abs_tol=abs_tol, pole=pole, **rule)
         assert got == alone, name  # value, error, cells, converged and flags
         assert got.converged == (name not in stopped), name
         steps = max(steps, len(seen))
     assert together[names.index("empty")].cells == 0
+    # int_0^2 s^{-1/2} ds cut at s = 2 e^-25
+    exact = 2.0 * math.sqrt(2.0) * (1.0 - math.exp(-12.5))
+    assert together[names.index("pole")].value == pytest.approx(exact, rel=1e-12)
     if budget["max_cells"] == 40:
         assert all(together[names.index(n)].cells >= 40 for n in stopped)
     else:
