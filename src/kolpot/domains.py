@@ -82,7 +82,7 @@ class SlicedDomain:
 
     @property
     def time_interval(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return self.ball.time_interval
 
     def signed_slice_stack(self, t) -> SignedSliceStack:
         """The signed slices at an array of times (or at one time, as node 0),
@@ -111,10 +111,6 @@ class ExactBall(SlicedDomain):
 
     ball: LBall
 
-    @property
-    def time_interval(self):
-        return self.ball.time_interval
-
     def signed_slice_stack(self, t):
         return _ball_stack(self.ball.slices(self.ball.t0 - t))
 
@@ -132,10 +128,6 @@ class ScaledBall(SlicedDomain):
 
     ball: LBall
     factor: float | object = 1.05
-
-    @property
-    def time_interval(self):
-        return self.ball.time_interval
 
     def signed_slice_stack(self, t):
         sl = self.ball.slices(self.ball.t0 - t)
@@ -161,10 +153,6 @@ class ShiftedBall(SlicedDomain):
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
-
-    @property
-    def time_interval(self):
-        return self.ball.time_interval
 
     def signed_slice_stack(self, t):
         st = _ball_stack(self.ball.slices(self.ball.t0 - t))
@@ -219,10 +207,6 @@ class BittenBall(SlicedDomain):
         # D^{-1} S1 D^{-1} gives L = D^{-1} chol(S1), so T e_axis is
         # scale * (row axis of chol(S1)^{-1})
         self._unit_offset = np.linalg.inv(np.linalg.cholesky(self.ball.ev.cov.S1))[self.axis]
-
-    @property
-    def time_interval(self):
-        return self.ball.time_interval
 
     def signed_slice_stack(self, t):
         sl = self.ball.slices(self.ball.t0 - t)

@@ -93,7 +93,7 @@ def _kernel_gamma_profile(domain: SlicedDomain, ball: LBall, *points: GroupPoint
         node = live[st.node]
         if node.size == 0:
             return np.zeros(tau.size)
-        p = point if np.ndim(point) == 0 else point[node]
+        p = np.broadcast_to(point, tau.shape)[node]
         delta = tau[node] - zt[p]
         u = tau[node] - t0
         vals = gaussian_quadratic_stack(

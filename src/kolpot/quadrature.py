@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, roots_jacobi
+from scipy.special import erfc, roots_jacobi
 
 from .balls import LBall, unit_ball_volume
 from .errors import ToleranceWarning
@@ -198,17 +198,6 @@ _RUNGS = {"chord": ((1.0, 8), (math.inf, 16)), "outer": ((12.0, 16), (64.0, 24),
           2: ((math.inf, 48),), 3: ((math.inf, 32),)}
 
 
-def _erf_moments(lo: np.ndarray, hi: np.ndarray):
-    """(F0, F1, F2) with F_k = int_lo^hi v^k e^{-v^2} dv, elementwise."""
-    e_lo = np.exp(-lo ** 2)
-    e_hi = np.exp(-hi ** 2)
-    df = erf(hi) - erf(lo)
-    F0 = 0.5 * math.sqrt(math.pi) * df
-    F1 = 0.5 * (e_lo - e_hi)
-    F2 = 0.5 * (lo * e_lo - hi * e_hi) + 0.25 * math.sqrt(math.pi) * df
-    return F0, F1, F2
-
-
 def _line_nodes(c, half, order: int):
     """(dv, weights times e^{-v^2}) of a rule over c -/+ half inside the
     Gaussian window, which it meets: two Gauss-Legendre pieces, each
@@ -298,12 +287,6 @@ def _normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return frame
 
 
-@lru_cache(maxsize=None)
-def _tail_gl(order: int):
-    """Panel fractions and panel-local GL nodes for tail segments."""
-    return _frozen(np.array([0.0, 0.18, 0.45, 1.0]), *_leggauss01(order))
-
-
 def _vertex_scalars(D, sv, s1, M) -> np.ndarray:
     """(P, Pv, P1, Qvv, Qv1, cc2) per row, stacked, with the offsets D from
     the quadratic's centre: q(D + dv sv + d1 s1) = P + Pv dv + P1 d1
@@ -346,28 +329,32 @@ def _w1_integrals(c, half, d, b0, b1, c2) -> np.ndarray:
 
     The ends are offsets from c (``_reach``), so a thin section keeps its
     width's digits however far out it lies.  The moments F_k = int (w -
-    mid)^k e^{-w^2} are taken about each section's midpoint (0 for the
-    closed forms), which its float, mid, misses by r, so a narrow Gaussian
-    far from the quadratic's centre never meets the cancellation of a far
-    expansion point.  Sections wider than 1.2 use erf closed forms if they
-    reach the Gaussian core, else (tails) three Gauss-Legendre panels.  A
-    short section uses one Gauss-Legendre rule: e^{-w^2} = e^{-mid^2}
-    e^{-2 mid y - y^2} (y = w - mid) varies by at most kappa = width (|mid|
-    + width) in the exponent, and for kappa <= 0.5 the 8-node remainder, of
-    order (2 kappa)^16 (8!)^4 / (17 (16!)^3), is far below roundoff, so 8
-    nodes serve there and 16 elsewhere.
+    mid)^k e^{-w^2} are taken about each section's midpoint, which its float,
+    mid, misses by r, so a narrow Gaussian far from the quadratic's centre
+    never meets the cancellation of a far expansion point.  A short section
+    uses one Gauss-Legendre rule: e^{-w^2} = e^{-mid^2} e^{-2 mid y - y^2}
+    (y = w - mid) varies by at most kappa = width (|mid| + width) in the
+    exponent, and for kappa <= 0.5 the 8-node remainder, of order (2 kappa)^16
+    (8!)^4 / (17 (16!)^3), is far below roundoff, so 8 nodes serve there and
+    16 elsewhere.  A section wider than 1.2 is taken in closed form, mirrored
+    so that m = |mid| >= 0, from its ends a < b and half-width h:
+    G0 = (sqrt(pi)/2)(erfc a - erfc b), G1 = (e^{-a^2} - e^{-b^2})/2 - m G0,
+    G2 = G0/2 - h (e^{-a^2} + e^{-b^2})/2 - m G1, where erfc keeps its
+    digits in the far tail; the mirror flips the sign of G1, and its r is
+    below the roundoff of a and b.  The erfc differences leave about (a m)^2
+    ulps of int |f| where the quadratic's weight sits at a far tail's near
+    end.
     """
     lo, hi = _reach(c, half)
     width = hi - lo
-    wide = width > 1.2
-    closed = wide & (c + lo <= 0.8) & (c + hi >= -0.8)
-    e = np.where(closed, -c, 0.5 * (lo + hi))  # the midpoint's offset from c
+    e = 0.5 * (lo + hi)  # the midpoint's offset from c
     mid = c + e
     F = np.empty((3, width.size))
     c_f, lo_f, hi_f, e_f, mid_f, width_f = (a.ravel() for a in (c, lo, hi, e, mid, width))
 
+    wide = width_f > 1.2
     coarse = width_f * (np.abs(mid_f) + width_f) <= 0.5  # never wide
-    for sel, order in ((coarse, 8), (~(coarse | wide.ravel()), 16)):
+    for sel, order in ((coarse, 8), (~(coarse | wide), 16)):
         rows = slice(None) if sel.all() else np.flatnonzero(sel)
         wd, m = width_f[rows], mid_f[rows]
         if not wd.size:
@@ -380,26 +367,15 @@ def _w1_integrals(c, half, d, b0, b1, c2) -> np.ndarray:
         del x  # the (nodes x sections) block is the largest array here: free it first
         F[:, rows] = (wd * S0, wd * wd * T1, wd * wd * wd * T2)
 
-    cf = np.flatnonzero(closed)
-    if cf.size:
-        F[:, cf] = _erf_moments(c_f[cf] + lo_f[cf], c_f[cf] + hi_f[cf])
-    tf = np.flatnonzero(wide & ~closed)
-    if tf.size:
-        t_lo, t_hi = c_f[tf] + lo_f[tf], c_f[tf] + hi_f[tf]
-        sign = np.where(t_hi < 0.0, -1.0, 1.0)  # panels built on the positive side
-        a2 = np.where(sign < 0.0, -t_hi, t_lo)
-        # the far tail is cut where e^{-w^2} has fallen by e^{-20}
-        b2 = np.minimum(np.where(sign < 0.0, -t_lo, t_hi), np.sqrt(a2 * a2 + 20.0))
-        edges = a2 + _tail_gl(16)[0][:, None] * (b2 - a2)
-        h = np.diff(edges, axis=0)  # (panels, tails)
-        pc = edges[:-1] + 0.5 * h
-        tau, wk = _w1_rule(16)
-        x = tau[:, :, None] * h
-        x += pc
-        S0, T1, T2 = _column_sums(wk, _gauss_inplace(x).reshape(tau.size, -1)).reshape(3, *h.shape)
-        y0, g = sign * pc - c_f[tf] - e_f[tf], sign * h  # offsets from the midpoint: y0 + g tau
-        F[:, tf] = ((h * S0).sum(axis=0), (h * (y0 * S0 + g * T1)).sum(axis=0),
-                    (h * (y0 * (y0 * S0 + 2.0 * g * T1) + g * g * T2)).sum(axis=0))
+    wf = np.flatnonzero(wide)
+    if wf.size:
+        neg, m, h = mid_f[wf] < 0.0, np.abs(mid_f[wf]), 0.5 * width_f[wf]
+        ends = c_f[wf] + lo_f[wf], c_f[wf] + hi_f[wf]  # not m -/+ h: e rounds at lo's scale
+        a, b = np.where(neg, -ends[1], ends[0]), np.where(neg, -ends[0], ends[1])
+        e_a, e_b = np.exp(-a * a), np.exp(-b * b)
+        G0 = (0.5 * math.sqrt(math.pi)) * (erfc(a) - erfc(b))
+        G1 = 0.5 * (e_a - e_b) - m * G0
+        F[:, wf] = (G0, np.where(neg, -G1, G1), 0.5 * (G0 - h * (e_a + e_b)) - m * G1)
 
     F = F.reshape((3,) + width.shape)
     d = d + e  # the midpoint's offset from the expansion point
@@ -720,16 +696,7 @@ def _pole_map(profile, pieces):
 
     At sigma it gets t = t_pole + side s, s = S e^-sigma, and its value is
     multiplied by ds/dsigma = s; pieces (lo, hi, abs_tol) pass t through.
-    One piece is mapped on floats, lockstep pieces per node.
     """
-    if len(pieces) == 1:
-        t_pole, side, S = (float(v) for v in pieces[0][3])
-
-        def one(sigma, piece):
-            s = S * np.exp(-sigma)
-            return profile(t_pole + side * s, piece) * s
-
-        return one
     t_pole, side, S = np.array([p[3] if len(p) > 3 else (0.0, 0.0, 0.0) for p in pieces]).T
 
     def lockstep(t, piece):
@@ -762,12 +729,11 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
     |total|) and budgets, and warns on its own when it stops short of its
     tolerance, exactly as if it ran alone; the pieces share only the profile
     calls.  ``profile(t, piece)`` takes a 1-d array of times and the index of
-    each time's piece (the scalar 0 for one piece), and returns values of the
-    same shape.  It is called once per refinement step, for the nodes of
-    every cell the step needs (the 4 initial cells of each piece, then the
-    two halves of the worst cell of each piece still short of its
-    tolerance), piece after piece, cell after cell, each cell's 2 order + 1
-    nodes in increasing w.
+    each time's piece, and returns values of the same shape.  It is called
+    once per refinement step, for the nodes of every cell the step needs (the
+    4 initial cells of each piece, then the two halves of the worst cell of
+    each piece still short of its tolerance), piece after piece, cell after
+    cell, each cell's 2 order + 1 nodes in increasing w.
     """
     xk, wk, wg = _gauss_kronrod(order)
     H = [0.5 * (hi - lo) for lo, hi, *_ in pieces]
@@ -782,7 +748,7 @@ def _integrate_pieces(profile, pieces, *, order: int, rel_tol: float, max_depth:
             for i, side, a, b, _ in cells]).T[:, :, None]
         w = a + (b - a) * xk
         s = end + step * w ** 2
-        piece = 0 if len(pieces) == 1 else np.array([c[0] for c in cells]).repeat(xk.size)
+        piece = np.array([c[0] for c in cells]).repeat(xk.size)
         vals = np.asarray(profile(s.ravel(), piece)).reshape(s.shape) * (h2 * w * (b - a))
         out = []
         for v in vals:

@@ -45,7 +45,7 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtri
+from scipy.special import erf, gammainc, gammaincc, ndtri
 
 from kolpot.balls import Ellipsoid
 from kolpot.domains import (
@@ -61,10 +61,8 @@ from kolpot.lab import _lp_profile
 from kolpot.operators import transport_matrix
 from kolpot.quadrature import (
     _WINDOW,
-    _erf_moments,
     _gauss_tensor_stack,
     _leggauss01,
-    _tail_gl,
     gaussian_quadratic_fullspace,
     gaussian_quadratic_stack,
     integrate_time_profile,
@@ -293,6 +291,20 @@ def _reference_normal_frame(Aq: np.ndarray, cv: np.ndarray) -> np.ndarray:
     return np.stack(basis, axis=1)  # columns are the frame vectors
 
 
+# panel fractions of a tail section, graded toward its end nearer zero
+_TAIL_PANELS = np.array([0.0, 0.06, 0.13, 0.22, 0.33, 0.47, 0.65, 1.0])
+
+
+def _erf_moments(lo: np.ndarray, hi: np.ndarray):
+    """(F0, F1, F2) with F_k = int_lo^hi v^k e^{-v^2} dv, elementwise."""
+    e_lo = np.exp(-lo ** 2)
+    e_hi = np.exp(-hi ** 2)
+    df = erf(hi) - erf(lo)
+    F0 = 0.5 * math.sqrt(math.pi) * df
+    F1 = 0.5 * (e_lo - e_hi)
+    F2 = 0.5 * (lo * e_lo - hi * e_hi) + 0.25 * math.sqrt(math.pi) * df
+    return F0, F1, F2
+
 
 def _window(c, half):
     """The interval c -/+ half inside the Gaussian window: its ends as offsets
@@ -442,22 +454,20 @@ def reference_gaussian_quadratic_tensor(
                 wts_list.append(wd * w16)
                 rows.append(rr)
             if np.any(~short):
-                # anchor panels at the absolute endpoint nearest zero, truncate the far tail
+                # panels graded toward the absolute endpoint nearest zero, to the far end
                 rr = idx_g[~short]
                 a, bb = a_abs[rr], b_abs[rr]
                 neg = bb < 0.0
                 a2 = np.where(neg, -bb, a)
                 b2 = np.where(neg, -a, bb)
-                b2 = np.minimum(b2, np.sqrt(a2 * a2 + 20.0))
-                fr, y, wy = _tail_gl(16)
-                edges = a2[:, None] + (b2 - a2)[:, None] * fr[None, :]
+                edges = a2[:, None] + (b2 - a2)[:, None] * _TAIL_PANELS[None, :]
                 pan_nodes = []
                 pan_wts = []
-                for j in range(3):
+                for j in range(_TAIL_PANELS.size - 1):
                     e0 = edges[:, j][:, None]
                     e1 = edges[:, j + 1][:, None]
-                    pan_nodes.append(e0 + (e1 - e0) * y)
-                    pan_wts.append((e1 - e0) * wy * np.ones_like(y))
+                    pan_nodes.append(e0 + (e1 - e0) * y16)
+                    pan_wts.append((e1 - e0) * w16)
                 nds = np.concatenate(pan_nodes, axis=1)
                 nds = np.where(neg[:, None], -nds, nds)
                 nodes_list.append(nds - c1[rr, None])

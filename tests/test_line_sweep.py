@@ -1,7 +1,9 @@
 """The vertex-form line sweep of the Gaussian engine.
 
 * ``_w1_integrals`` against 30-digit ``mpmath.quad`` on short sections, thin
-  ones far from zero included, on both orders of its width-graded rule.
+  ones far from zero included, on both orders of its width-graded rule, and
+  on wide ones, taken in closed form: sections through the Gaussian core,
+  tails on both sides and the whole window.
 * The whole-chord rules of a short line and a short outer range
   (``_short``, ``_chord_nodes``) and the compressed half-line rule of a long
   n = 3 outer range at the top kappa of each of its rungs (``_rung``)
@@ -118,6 +120,81 @@ def test_w1_integrals_against_mpmath():
             scale = sum(abs(cf) * mom for cf, mom in zip(coef, absolute))
             err = abs(mpmath.mpf(float(got[k])) - ref) / scale
             assert err <= 1e-14, (k, c[k], lo[k], hi[k], d[k], float(err))
+
+
+def _wide_sections(rng):
+    """Sections wider than 1.2 after the window clips them: through the core
+    (|mid| <= 2), tails on both sides from a near end 0.8 to 7.2 out, some
+    just above 1.2 wide, and the whole window, clipped from wider; expanded
+    about a point w0 near the midpoint or up to 3 away from it, with
+    coefficients of mixed sign and scale up to 1e20.  Last, y^2 alone about
+    the near end of far tails 1.3 wide, where the closed form's roundoff
+    peaks (``_w1_integrals``)."""
+    core_mid = rng.uniform(-2.0, 2.0, 12)
+    core_half = rng.uniform(0.6, 8.5, 12)
+    near = np.concatenate([rng.uniform(0.8, 7.2, 20), [7.2, 7.2, 3.0, 3.0], [5.0, 5.0, 7.2, 7.2]])
+    tail_width = rng.uniform(1.2, 8.5 - near)
+    tail_width[20:24], tail_width[24:] = 1.2 * (1.0 + 1e-12), 1.3
+    side = np.where(np.arange(near.size) % 2 == 0, 1.0, -1.0)
+    c = np.concatenate([core_mid, side * (near + 0.5 * tail_width), [0.0, 0.0, 1.5]])
+    half = np.concatenate([core_half, 0.5 * tail_width, [8.5, 20.0, 12.0]])
+    count = c.size
+    d = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-3.0, math.log10(3.0), count)
+
+    def coef():
+        return rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3.0, 20.0, count)
+
+    b0, b1, c2 = coef(), coef(), coef()
+    at_end = slice(36, 40)
+    d[at_end] = side[24:] * 0.65  # w0 = c - d at the near end
+    b0[at_end], b1[at_end], c2[at_end] = 0.0, 0.0, 1.0
+    return c, half, d, b0, b1, c2
+
+
+def _mp_wide_moments(c, lo, hi, d):
+    """int (w - w0)^j e^{-w^2} dw and int |w - w0|^j e^{-w^2} dw over
+    [c + lo, c + hi], w0 = c - d, for j = 0, 1, 2, at the working precision,
+    split into pieces at most 0.5 long (and at w0), on each of which
+    e^{-w^2} moves by at most e^{8.5}.  The integrals run over e^{g^2 - w^2},
+    g the section's point nearest zero, which is of order one at its peak,
+    and are scaled back by e^{-g^2}."""
+    c, lo, hi, d = (mpmath.mpf(float(v)) for v in (c, lo, hi, d))
+    a, b, w0 = c + lo, c + hi, c - d
+    g2 = min(a * a, b * b) if a * b > 0 else 0
+    split = sorted(set(mpmath.linspace(a, b, int(math.ceil(2 * (b - a))) + 1))
+                   | ({w0} if a < w0 < b else set()))
+    signed, absolute = [], []
+    for j in range(3):
+        for out, norm in ((absolute, abs), (signed, lambda y: y)):
+            val, err = mpmath.quad(lambda w: norm(w - w0) ** j * mpmath.exp(g2 - w * w), split,
+                                   method="gauss-legendre", error=True)
+            out.append(val)
+            assert err <= mpmath.mpf(10) ** -25 * absolute[j]  # the reference converged
+    return ([mpmath.exp(-g2) * v for v in signed], [mpmath.exp(-g2) * v for v in absolute])
+
+
+def test_wide_w1_integrals_against_mpmath():
+    c, half, d, b0, b1, c2 = _wide_sections(np.random.default_rng(1414))
+    lo, hi = quadrature._reach(c, half)
+    assert np.all(hi - lo > 1.2)
+    ends = np.stack([c + lo, c + hi])
+    assert np.any(ends[0] > 7.0) and np.any(ends[1] < -7.0)  # tails on both sides
+    assert np.any(ends[1] - ends[0] == 17.0)  # the whole window
+
+    # the closed form's roundoff bound: (a m)^2 ulps, a the near end's and m
+    # the midpoint's distance from zero (a = 0 through the core)
+    a = np.where(ends[0] * ends[1] > 0.0, np.abs(ends).min(axis=0), 0.0)
+    tol = 1e-13 + 8.0 * np.finfo(float).eps * (a * np.abs(ends.mean(axis=0))) ** 2
+
+    got = _w1_integrals(c, half, d, b0, b1, c2)
+    with mpmath.workdps(30):
+        for k in range(c.size):
+            signed, absolute = _mp_wide_moments(c[k], lo[k], hi[k], d[k])
+            coef = [mpmath.mpf(float(v)) for v in (b0[k], b1[k], c2[k])]
+            ref = sum(cf * mom for cf, mom in zip(coef, signed))
+            scale = sum(abs(cf) * mom for cf, mom in zip(coef, absolute))
+            err = abs(mpmath.mpf(float(got[k])) - ref) / scale
+            assert err <= tol[k], (k, c[k], lo[k], hi[k], d[k], float(err))
 
 
 def _r2_operator():

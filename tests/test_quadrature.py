@@ -496,7 +496,7 @@ def test_cached_rule_arrays_are_read_only():
     # the rule caches hand the same arrays to every caller, and a whole-chord
     # rule's share of the level left comes back as the cached array itself
     rules = (quadrature._leggauss01(8), quadrature._chord_rule(8, True),
-             quadrature._chord_rule(16, False), quadrature._w1_rule(8), quadrature._tail_gl(16),
+             quadrature._chord_rule(16, False), quadrature._w1_rule(8),
              quadrature._gauss_kronrod(10), quadrature.ball_rule(3, 4),
              quadrature._chord_nodes(np.zeros(2), np.ones(2), 8, True)[2:])
     for rule in rules:
