@@ -2,8 +2,10 @@
 
 A config has exactly the sections ``operator``, ``ball``, ``quadrature``,
 ``experiments`` and ``output``.  Unknown keys anywhere are rejected, and a
-seed is mandatory whenever any requested experiment consumes randomness
-(test-point sampling or the L^p check's Monte Carlo samples).  Two quadrature
+seed is mandatory whenever a ``potential_identity``, ``interior_inequality``,
+``rigidity`` or ``lp_check`` experiment is requested: the first three sample
+their test points from it, and ``lp_check`` keeps the requirement though the
+L^p check draws no random numbers.  Two quadrature
 keys are kept so that older configs still load: ``workers`` is validated and
 dropped, and ``mc_samples`` is validated and echoed in the reports; neither
 changes a number.

@@ -19,7 +19,8 @@ experiments measure how strongly perturbed domains break that identity.  The
 L^p gluing check integrates W^p over the symmetric difference of a domain and
 the ball the same way: one stacked pass over the signed slices of both at all
 nodes of a refinement step, exact at integer p wherever a time's slices nest
-or lie apart, and Monte Carlo only where they overlap or p is not an integer.
+or lie apart, and a fixed cubature rule, masked to the symmetric difference,
+where they overlap.  It draws no random numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__ as _version
-from .balls import LBall, unit_ball_volume
+from .balls import LBall
 from .domains import ExactBall, SignedSliceStack, SlicedDomain, quadratic_form
 from .errors import PointNotInterior, TestPointInsideDomain
 from .operators import GroupPoint, operator_hash, transport_matrix
@@ -463,20 +464,6 @@ def _ball_maps(st, u):
     return st.center[:, :, None] + T @ u, jac
 
 
-def _node_uniforms(gen: np.random.Generator, seed: int, taus, salt: int, n: int):
-    """Generator(Philox(key=k)).random((512, n + 1)).T per distinct key k of the times, and
-    each time's row into them; ``gen`` is re-keyed per key, its counter and buffer emptied."""
-    state = dict(gen.bit_generator.state, buffer_pos=4, has_uint32=0)
-    state["state"]["counter"][:] = 0
-    bins, row = np.unique([int(abs(t) * 1e7) & 0xFFFFFFF for t in taus], return_inverse=True)
-    U = np.empty((bins.size, n + 1, 512))
-    for b, t_bin in enumerate(bins):
-        state["state"]["key"][:] = ((int(seed) & 0xFFFFFFFF) << 28) ^ int(t_bin) ^ salt, 0
-        gen.bit_generator.state = state
-        U[b] = gen.random((512, n + 1)).T
-    return U, row
-
-
 def _apart(ca, Sa, la, cb, Sb, lb) -> np.ndarray:
     """Whether the open ellipsoids {x : <S (x - c), x - c> < l} of each stacked pair lie
     apart: their support functions along d = (Sa + Sb)(cb - ca) leave a gap,
@@ -515,33 +502,41 @@ def _lp_classes(sd: SignedSliceStack, sb: SignedSliceStack, size: int):
     return nested, np.bincount(k, near, size) == 0
 
 
-def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
+def _wide_degree(n: int, p: float) -> int:
+    """The degree of the ``ball_rule`` for a slice that is masked or has a non-integer
+    power: 2 floor(p) + 10, and at least that of the smallest rule with 512 nodes
+    (1022, 44 and 14 for n = 1, 2 and 3)."""
+    m = 1
+    while m ** n < 512:
+        m += 1
+    return max(2 * (m - 1), 2 * math.floor(p) + 10)
+
+
+def _lp_profile(domain: SlicedDomain, ball: LBall, p: float):
     """Profile tau -> int of W(z0^{-1} o .)^p over the slices of the symmetric
     difference of the domain and the ball, one call per refinement step.
 
     Each call takes both stacks from one ``signed_slice_stack`` call each and
     the kernel W(u), u = tau - t0, centred at E(u) x0, from one ``W_quadratic``
-    call over the nodes that have a slice.  At integer p, W^p is a polynomial
-    of degree 2p, and each time is sorted by its slices (``_lp_classes``):
-    where they nest, the value is |int_D W^p - int_ball W^p|, and where they
-    lie apart, int_D W^p + int_ball W^p, each a signed sum of exact degree-2p
-    ``ball_rule`` integrals.  Monte Carlo runs only at the times whose slices
-    overlap, and at every time for non-integer p: every +1 slice of either
-    domain carries 512 samples from its node's Philox stream, and a sample
-    counts where it lies in its own domain and not in the other.  The stream
-    key reads |tau| in bins of 1e-7, so the times of one bin share one key
-    block (``_node_uniforms``), drawn and mapped to the unit ball once per
-    block of ``_CELL`` +1 slices.  Both rules work per block of ``_CELL``
-    slices, which bounds the rule points and samples a call holds at once,
-    however many time cells it carries.
+    call over the nodes that have a slice.  Each time is sorted by its slices
+    (``_lp_classes``): where they nest, the value is |int_D W^p - int_ball W^p|,
+    and where they lie apart, int_D W^p + int_ball W^p, each a signed sum of
+    per-slice ``ball_rule`` integrals.  Where they overlap, every +1 slice of
+    either domain takes a ``ball_rule`` whose points count only where they lie
+    in their own domain and not in the other (``SignedSliceStack.holds``).  At
+    integer p, W^p is a polynomial of degree 2p, and an unmasked slice takes
+    the exact degree-2p rule; every other slice takes the rule of
+    ``_wide_degree``.  The profile draws no random numbers.  It works per
+    block of ``_CELL`` slices, which bounds the rule points a call holds at
+    once, however many time cells it carries.
     """
     n = ball.spec.n
     ev = ball.ev
     x0, t0 = ball.z0.x, ball.z0.t
     base = ExactBall(ball)
     p_int = int(round(p))
-    exact = abs(p - p_int) < 1e-12 and p_int >= 1
-    gen = np.random.Generator(np.random.Philox(key=0))
+    wide = _wide_degree(n, p)
+    plain = 2 * p_int if abs(p - p_int) < 1e-12 and p_int >= 1 else wide
 
     def profile(tau_arr):
         tau = np.atleast_1d(np.asarray(tau_arr, dtype=float))
@@ -554,48 +549,35 @@ def _lp_profile(domain: SlicedDomain, ball: LBall, p: float, seed: int):
         MW = ev.W_quadratic(u)
         cW = ev.cov.E(u) @ x0
 
-        def w_power(X, node):
-            k = np.searchsorted(live, node)
-            Y = X - cW[k][:, :, None]
-            return np.clip(quadratic_form(MW[k], Y), 0.0, None) ** p
+        def block(blk, mask=None):
+            """The signed integral of W^p over each slice of a block, counting only the
+            points that ``mask`` = (own, other) puts in own and not in other."""
+            nodes, weights = ball_rule(n, plain if mask is None else wide)
+            X, jac = _ball_maps(blk, nodes.T)
+            k = np.searchsorted(live, blk.node)
+            w = np.clip(quadratic_form(MW[k], X - cW[k][:, :, None]), 0.0, None) ** p
+            if mask is not None:
+                own, other = mask
+                w = w * (own.holds(X, blk.node) & ~other.holds(X, blk.node))
+            # a per-row sum, so a slice shared by both stacks integrates to the
+            # same bits in each and cancels exactly
+            return blk.sign * jac * np.sum(w * weights, axis=1)
 
-        def by_blocks(st, keep, block_value):
+        def by_blocks(st, keep, mask=None):
             rows = np.flatnonzero(keep)
             vals = np.empty(rows.size)
             for a in range(0, rows.size, _CELL):
                 blk = rows[a:a + _CELL]
-                vals[a:a + _CELL] = block_value(SignedSliceStack(*(x[blk] for x in st)))
+                vals[a:a + _CELL] = block(SignedSliceStack(*(x[blk] for x in st)), mask)
             return np.bincount(st.node[rows], weights=vals, minlength=tau.size)
 
-        def exact_block(blk):
-            nodes, weights = ball_rule(n, 2 * p_int)
-            X, jac = _ball_maps(blk, nodes.T)
-            # a per-row sum, so a slice shared by both stacks integrates to the
-            # same bits in each and cancels exactly
-            return blk.sign * jac * np.sum(w_power(X, blk.node) * weights, axis=1)
-
-        def mc_block(blk, src, other, salt):
-            U, row = _node_uniforms(gen, seed, tau[blk.node], salt, n)
-            v = ndtri(np.clip(U[:, :n], 1e-12, 1 - 1e-12))
-            v = v / np.linalg.norm(v, axis=1, keepdims=True) * U[:, n:] ** (1.0 / n)
-            X, jac = _ball_maps(blk, v[row])
-            del U, v  # the key blocks are not needed by the membership tests
-            keep = src.holds(X, blk.node) & ~other.holds(X, blk.node)
-            return unit_ball_volume(n) * jac * np.mean(w_power(X, blk.node) * keep, axis=1)
-
-        def mc_value(src, other, salt, mc):
-            return by_blocks(src, (src.sign > 0) & mc[src.node],
-                             lambda blk: mc_block(blk, src, other, salt))
-
-        out = np.zeros(tau.size)
-        mc = np.ones(tau.size, dtype=bool)
-        if exact:
-            nested, apart = _lp_classes(sd, sb, tau.size)
-            mc = ~(nested | apart)
-            vd = by_blocks(sd, ~mc[sd.node], exact_block)
-            vb = by_blocks(sb, ~mc[sb.node], exact_block)
-            out = np.where(nested, np.abs(vd - vb), vd + vb)
-        return out + mc_value(sb, sd, 1, mc) + mc_value(sd, sb, 2, mc)
+        nested, apart = _lp_classes(sd, sb, tau.size)
+        overlap = ~(nested | apart)
+        vd = by_blocks(sd, ~overlap[sd.node])
+        vb = by_blocks(sb, ~overlap[sb.node])
+        out = np.where(nested, np.abs(vd - vb), vd + vb)
+        return (out + by_blocks(sb, (sb.sign > 0) & overlap[sb.node], (sb, sd))
+                + by_blocks(sd, (sd.sign > 0) & overlap[sd.node], (sd, sb)))
 
     return profile
 
@@ -607,8 +589,9 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
     Zero for the exact ball.  The time integral runs over a profile that
     handles all nodes of a refinement step in one stacked pass (``_lp_profile``):
     at integer p, exact degree-2p cubature at every time whose slices nest or
-    lie apart, and Monte Carlo at the times whose slices overlap and at every
-    time for non-integer p, from 512-sample streams keyed by ``cfg.seed``.
+    lie apart; a wider ``ball_rule`` for non-integer p; and at the times whose
+    slices overlap, that rule masked to the symmetric difference.  No number
+    depends on ``cfg.seed``.
     The integral stops at the floor s = 1e-7 span below the latest time,
     s = hi - tau, and is taken tail first in two disjoint pieces: the last
     two decades, 1e-7 span < s < 1e-5 span, in sigma toward the pole
@@ -626,7 +609,7 @@ def lp_condition_norm(domain: SlicedDomain, ball: LBall, p: float,
         flags.append("p_not_above_Q_half")
     if isinstance(domain, ExactBall) and domain.ball is ball:
         return LpCheck(p, 0.0, 0.0, True, tuple(flags))
-    profile = _lp_profile(domain, ball, p, cfg.seed)
+    profile = _lp_profile(domain, ball, p)
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo

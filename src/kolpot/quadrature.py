@@ -62,9 +62,9 @@ class QuadratureConfig:
     ``endpoint_depth`` caps its dyadic refinement depth, counted in sigma =
     log(S/s) on the integrals that reach the kernel's pole.  ``max_cells``
     caps the cells of one time integral; the rule always spends its 4
-    initial cells, so it is at least 4.  ``seed`` keys the Monte Carlo
-    samples of the L^p gluing check.  ``mc_samples`` changes no number: the
-    reports echo it under ``tolerances``.
+    initial cells, so it is at least 4.  ``seed`` keys the sampled test
+    points of the experiments, and nothing else.  ``mc_samples`` changes no
+    number: the reports echo it under ``tolerances``.
     """
 
     time_order: int = 10

@@ -14,12 +14,13 @@
 * The per-node reference of the kernel-weighted Gamma profile
   (``reference_kernel_gamma_profile``), which builds each domain's signed
   slices per node from ``LBall.slice_at`` and ``LBall.slice_center``.
-* The per-node reference of the L^p gluing profile (``reference_lp_profile``),
-  the library's profile before it was stacked: one ellipsoid at a time, each
-  node classified on its own (``reference_lp_class``: nested, apart or
+* The per-node reference of the L^p gluing profile (``reference_lp_profile``):
+  one ellipsoid at a time, mapped by ``Ellipsoid.ball_map``, each node
+  classified on its own (``reference_lp_class``: nested, apart or
   overlapping), the polar rule where the slices nest or lie apart at integer
-  p, and elsewhere a Monte Carlo symmetric difference that only reads +1
-  slices (correct for every family except the bitten ball at non-integer p).
+  p, and elsewhere the wide ``ball_rule`` whose points count by
+  ``Ellipsoid.contains`` where they lie in their own domain and not in the
+  other.
 * ``ball_cubature_kernel_gamma``: one slice of the kernel-weighted Gamma
   profile of an exact ball by a degree-exact unit-ball cubature, with every
   offset formed from the slice centre.
@@ -45,7 +46,7 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, gammainc, gammaincc, ndtri
+from scipy.special import erf, gammainc, gammaincc
 
 from kolpot.balls import Ellipsoid
 from kolpot.domains import (
@@ -63,6 +64,7 @@ from kolpot.quadrature import (
     _WINDOW,
     _gauss_tensor_stack,
     _leggauss01,
+    ball_rule,
     gaussian_quadratic_fullspace,
     gaussian_quadratic_stack,
     integrate_time_profile,
@@ -716,6 +718,33 @@ def _reference_slice_power_integral(ell, MW, cW, p: int, n: int) -> float:
     return jac * float(weights @ np.clip(w, 0.0, None) ** p)
 
 
+# the degree of the smallest ``ball_rule`` with at least 512 nodes, per n
+_WIDE_DEGREE = {1: 1022, 2: 44, 3: 14}
+
+
+def _reference_held(slices, X) -> np.ndarray:
+    """Membership of the rows of X in one time's (sign, ellipsoid) slices: the signed
+    count of the slices holding a point is positive."""
+    count = np.zeros(len(X))
+    for sign, e in slices:
+        count += sign * e.contains(X)
+    return count > 0.0
+
+
+def _reference_wide_integral(ell, MW, cW, p: float, n: int, own=None, other=None) -> float:
+    """Integral of W^p over one ellipsoid by the ``ball_rule`` of degree
+    max(_WIDE_DEGREE[n], 2 floor(p) + 10), counting only the rule points that lie in
+    ``own`` and not in ``other`` when both are given."""
+    nodes, weights = ball_rule(n, max(_WIDE_DEGREE[n], 2 * math.floor(p) + 10))
+    X = ell.center + nodes @ ell.ball_map().T
+    Y = X - cW
+    w = np.clip(np.einsum("ij,jk,ik->i", Y, MW, Y), 0.0, None) ** p
+    if own is not None:
+        w = w * (_reference_held(own, X) & ~_reference_held(other, X))
+    jac = ell.level ** (n / 2.0) / math.sqrt(np.linalg.det(ell.shape))
+    return jac * float(weights @ w)
+
+
 def _reference_apart(ea: Ellipsoid, eb: Ellipsoid) -> bool:
     """Two ellipsoids lie apart along d = (Sa + Sb)(cb - ca): the support function of ea
     in direction d stays below that of eb in direction -d."""
@@ -743,12 +772,14 @@ def reference_lp_class(d_sl, b_sl) -> str:
     return "overlapping"
 
 
-def reference_lp_profile(domain, ball, p: float, seed: int):
+def reference_lp_profile(domain, ball, p: float):
     """tau -> int of W^p over the slices of the symmetric difference, node by node.
 
-    At integer p, a node whose slices nest or lie apart (``reference_lp_class``)
-    takes the polar rule on every slice, |int_D - int_ball| or int_D + int_ball;
-    every other node takes Monte Carlo.
+    A node whose slices nest or lie apart (``reference_lp_class``) integrates
+    every slice, |int_D - int_ball| or int_D + int_ball: by the polar rule at
+    integer p, and by the wide ``ball_rule`` otherwise.  At every other node,
+    each +1 slice of either domain takes the wide rule, and a rule point
+    counts where it lies in its own domain and not in the other.
     """
     spec = ball.spec
     ev = ball.ev
@@ -758,29 +789,14 @@ def reference_lp_profile(domain, ball, p: float, seed: int):
     exact_power = abs(p - p_int) < 1e-12 and p_int >= 1
     base = ExactBall(ball)
 
-    def region_value(src_slices, other_slices, salt, MW, cW, tau):
-        total = 0.0
-        for sign, ell in src_slices:
-            if sign <= 0:
-                continue
-            m = 512
-            key = ((int(seed) & 0xFFFFFFFF) << 28) ^ (
-                int(abs(tau) * 1e7) & 0xFFFFFFF) ^ salt
-            rr = np.random.Generator(np.random.Philox(key=key))
-            U = rr.random((m, spec.n + 1))
-            v = ndtri(np.clip(U[:, : spec.n], 1e-12, 1 - 1e-12))
-            nv = np.linalg.norm(v, axis=1, keepdims=True)
-            rad = U[:, spec.n] ** (1.0 / spec.n)
-            T = ell.ball_map()
-            X = ell.center + (v / nv * rad[:, None]) @ T.T
-            outside = np.ones(m, dtype=bool)
-            for s2, e2 in other_slices:
-                if s2 > 0:
-                    outside &= ~e2.contains(X)
-            Y = X - cW
-            w = np.clip(np.einsum("ij,jk,ik->i", Y, MW, Y), 0.0, None)
-            total += ell.volume() * float(np.mean(w ** p * outside))
-        return total
+    def slice_integral(ell, MW, cW):
+        if exact_power:
+            return _reference_slice_power_integral(ell, MW, cW, p_int, spec.n)
+        return _reference_wide_integral(ell, MW, cW, p, spec.n)
+
+    def region_value(own, other, MW, cW):
+        return sum(_reference_wide_integral(ell, MW, cW, p, spec.n, own, other)
+                   for sign, ell in own if sign > 0)
 
     def one(tau: float) -> float:
         b_sl = reference_signed_slices(base, tau)
@@ -789,15 +805,12 @@ def reference_lp_profile(domain, ball, p: float, seed: int):
             return 0.0
         MW = reference_W_quadratic(ev, tau - t0)
         cW = transport_matrix(tau - t0, spec) @ x0
-        kind = reference_lp_class(d_sl, b_sl) if exact_power else "overlapping"
+        kind = reference_lp_class(d_sl, b_sl)
         if kind != "overlapping":
-            vb = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
-                     for sign, e in b_sl)
-            vd = sum(sign * _reference_slice_power_integral(e, MW, cW, p_int, spec.n)
-                     for sign, e in d_sl)
+            vb = sum(sign * slice_integral(e, MW, cW) for sign, e in b_sl)
+            vd = sum(sign * slice_integral(e, MW, cW) for sign, e in d_sl)
             return abs(vd - vb) if kind == "nested" else vd + vb
-        return (region_value(b_sl, d_sl, 1, MW, cW, tau)
-                + region_value(d_sl, b_sl, 2, MW, cW, tau))
+        return region_value(b_sl, d_sl, MW, cW) + region_value(d_sl, b_sl, MW, cW)
 
     def profile(tau_arr):
         return np.array([one(float(t)) for t in np.atleast_1d(tau_arr)])
@@ -829,7 +842,7 @@ def two_floor_lp_check(domain, ball, p: float, cfg, rel_tol: float = 1e-6,
     A divergent case stops its 1e-5 floor at the cell budget, which is part of
     the rule reproduced here, so its ``ToleranceWarning`` is not raised.
     """
-    profile = _lp_profile(domain, ball, p, cfg.seed)
+    profile = _lp_profile(domain, ball, p)
     lo = min(domain.time_interval[0], ball.time_interval[0])
     hi = max(domain.time_interval[1], ball.time_interval[1])
     span = hi - lo

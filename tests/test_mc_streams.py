@@ -1,14 +1,15 @@
-"""The Monte Carlo symmetric difference of the L^p gluing check, piece by piece.
+"""The L^p gluing check is deterministic, and its masks read membership right.
 
-* Streams: ``lab._node_uniforms`` re-keys one Philox generator per distinct
-  key, and every time's row must hold exactly what a new
-  ``Generator(Philox(key=k))`` per node draws, for keys formed by the
-  profile's own key formula.  Times in one 1e-7 bin of |tau| share a block,
-  and sharing it changes no bit of the profile.
+* Determinism: ``lab._lp_profile`` draws no random numbers, so a node's value
+  is the same bits alone as inside a call of many ``_CELL`` blocks, and
+  ``lp_condition_norm`` does not read ``cfg.seed``.
 * Membership: ``SignedSliceStack.holds`` against its ``np.add.at`` form in
   ``oracles.reference_holds``, on every domain kind, and
   ``SlicedDomain.contains`` against ``holds``.
 """
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,87 +25,47 @@ from kolpot.domains import (
     TimeShiftedBall,
     make_perturbation,
 )
-from kolpot.lab import _lp_profile, _node_uniforms, lp_condition_norm
-from kolpot.quadrature import _gauss_kronrod
-from oracles import reference_holds, reference_lp_profile
+from kolpot.errors import ToleranceWarning
+from kolpot.lab import _lp_profile, lp_condition_norm
+from kolpot.quadrature import _CELL, QuadratureConfig
+from oracles import reference_holds
 
 
-def _key(seed, tau, salt):
-    return ((seed & 0xFFFFFFFF) << 28) ^ (int(abs(tau) * 1e7) & 0xFFFFFFF) ^ salt
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_node_uniforms_match_a_new_generator_per_node(n):
-    gen = np.random.Generator(np.random.Philox(key=0))
-    gen.random(7)  # mid-block, so the re-keying has to reset counter and buffer
-    # 2**28 / 1e7 is a time whose key bits wrap to those of time 0
-    taus = np.concatenate([np.random.default_rng(n).uniform(-30.0, 30.0, 12),
-                           [0.0, 1e-7, -1e-7, 26.8435456]])
-    for seed in (0, 31415, 0xFFFFFFFF):
-        for salt in (1, 2):
-            blocks, row = _node_uniforms(gen, seed, taus, salt, n)
-            keys = {_key(seed, tau, salt) for tau in taus}
-            assert blocks.shape == (len(keys), n + 1, 512) and row.shape == taus.shape
-            # 0.0 and 26.8435456 share one block, and so do 1e-7 and -1e-7
-            assert len(keys) == taus.size - 2
-            for r, tau in enumerate(taus):
-                ref = np.random.Generator(np.random.Philox(key=_key(seed, tau, salt)))
-                assert np.array_equal(blocks[row[r]], ref.random((512, n + 1)).T), \
-                    (seed, salt, tau)
-
-
-def _cell(a, b):
-    """The 21 nodes at which the time rule evaluates one cell over [a, b]."""
-    return a + (b - a) * _gauss_kronrod(10)[0]
-
-
-@pytest.mark.parametrize("cell", ["one_bin", "many_bins"])
-def test_times_in_one_key_bin_share_one_block(cell, balls, monkeypatch):
-    # near the pole the spatial-shift floor integral crowds its cells into a
-    # few 1e-7 bins of |tau|, and all nodes of a bin draw the same stream
-    ball = balls["proto"]
-    domain = ShiftedBall(ball, np.full(2, 0.1))
-    if cell == "one_bin":
-        tau = _cell(ball.t0 - 2.00009e-5, ball.t0 - 2.00001e-5)
-    else:
-        tau = _cell(ball.t0 - 0.95 * ball.s_max, ball.t0 - 0.05 * ball.s_max)
-    bins = {int(abs(t) * 1e7) for t in tau}
-    assert len(bins) == (1 if cell == "one_bin" else tau.size)
-    drawn = []
-
-    def counted(gen, seed, taus, salt, n):
-        blocks, row = _node_uniforms(gen, seed, taus, salt, n)
-        drawn.append((salt, blocks.shape[0]))
-        return blocks, row
-
-    # streams are drawn only where Monte Carlo runs: at non-integer p
-    profile = _lp_profile(domain, ball, 3.5, 31415)
-    with monkeypatch.context() as m:
-        m.setattr(lab, "_node_uniforms", counted)
-        got = profile(tau)
-    assert drawn == [(1, len(bins)), (2, len(bins))]
-    assert np.all(got > 0.0)
-    # node by node, every node draws its own block: sharing changes no bit
-    np.testing.assert_array_equal(got, np.concatenate([profile(t[None]) for t in tau]))
-    ref = reference_lp_profile(domain, ball, 3.5, 31415)(tau)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if cell == "one_bin":
-        # at p = 4 the slices this near the pole lie apart: exact cubature, no stream
-        drawn.clear()
-        with monkeypatch.context() as m:
-            m.setattr(lab, "_node_uniforms", counted)
-            got = _lp_profile(domain, ball, 4.0, 31415)(tau)
-        assert drawn == [] and np.all(got > 0.0)
+@pytest.mark.parametrize("op", ["heat1", "proto", "chain"])
+def test_lp_check_is_deterministic(op, balls, monkeypatch):
+    # shifted domains overlap the ball at most times, so both the masked rule
+    # and (at p = 3.5) the wide rule run.  The time-shifted head crosses the
+    # kernel's pole at t0 and stops at its cell budget, here cut to 40 cells
+    monkeypatch.setattr(lab, "_LP_MAX_CELLS", 40)
+    ball = balls[op]
+    cfg = QuadratureConfig(time_tol=1e-8, seed=31415)
+    for domain in (ShiftedBall(ball, np.full(ball.spec.n, 0.1)),
+                   TimeShiftedBall(ball, 0.3 * ball.s_max)):
+        lo = min(domain.time_interval[0], ball.time_interval[0])
+        hi = max(domain.time_interval[1], ball.time_interval[1])
+        tau = np.linspace(lo, hi, 62)[1:-1]
+        assert tau.size > 2 * _CELL
+        for p in (3, 3.5):
+            profile = _lp_profile(domain, ball, p)
+            got = profile(tau)
+            assert np.count_nonzero(got) > 50
+            np.testing.assert_array_equal(got, np.concatenate([profile(t[None]) for t in tau]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ToleranceWarning)
+                lp = lp_condition_norm(domain, ball, p, cfg)
+                other = lp_condition_norm(domain, ball, p, dataclasses.replace(cfg, seed=808))
+            assert lp == other, (domain.describe(), p)
 
 
 def test_lp_profile_builds_no_generator_per_node(balls, monkeypatch):
+    # nor one per profile: the profile is built after the generators are watched
     ball = balls["proto"]
-    profile = _lp_profile(ShiftedBall(ball, np.full(2, 0.1)), ball, 3.5, 7)
     built = []
     for name in ("Philox", "Generator"):
         original = getattr(np.random, name)
         monkeypatch.setattr(np.random, name,
                             lambda *a, _o=original, _n=name, **k: built.append(_n) or _o(*a, **k))
+    profile = _lp_profile(ShiftedBall(ball, np.full(2, 0.1)), ball, 3.5)
     vals = profile(ball.t0 - ball.s_max * np.linspace(0.05, 0.95, 24))
     assert np.all(vals > 0.0)
     assert built == []
